@@ -1,7 +1,7 @@
 """Conjugates, subdifferentials, and composite duality over abstract
 function classes of generalized quadratics."""
 
-from .config import global_tol, max_threads
+from .config import global_tol
 from .conjugates import (
     ConjugateValue,
     FamilySearchGrid,
@@ -64,7 +64,6 @@ from .lagrange import (
     ValueFunctionProbe,
     convexification_preserves_value,
     intersection_property,
-    intersection_property_bruteforce,
     lagrangian_value,
     ld_value,
     lp_value,

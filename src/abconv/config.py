@@ -1,4 +1,4 @@
-"""Runtime knobs read from the environment at call time."""
+"""Runtime knob read from the environment at call time."""
 
 from __future__ import annotations
 
@@ -17,10 +17,3 @@ def global_tol() -> float:
         raise ValueError(f"ABCONV_TOL must be positive, got {raw!r}")
     return value
 
-
-def max_threads() -> int:
-    """Worker count for parameter sweeps; override with ABCONV_THREADS."""
-    raw = os.environ.get("ABCONV_THREADS")
-    if raw is None or raw == "":
-        return 1
-    return max(1, int(raw))

@@ -58,9 +58,13 @@ class GridSpec:
         return cls(Box.cube(dim, lo, hi), points_per_axis, refine_rounds)
 
 
+def default_points_per_axis(dim: int) -> int:
+    """Default mesh density of a ``dim``-dimensional search box."""
+    return {1: 201, 2: 61, 3: 21}.get(dim, 9)
+
+
 def _default_grid(dim: int) -> GridSpec:
-    points = {1: 201, 2: 61, 3: 21}.get(dim, 9)
-    return GridSpec(Box.cube(dim), points_per_axis=points)
+    return GridSpec(Box.cube(dim), points_per_axis=default_points_per_axis(dim))
 
 
 # ---------------------------------------------------------------------------
@@ -118,6 +122,43 @@ def minimize_quadratic(
     """Global minimum of a quadratic: value (may be -inf) and a minimizer."""
     res = conjugate_closed_form(q, GeneralizedQuadratic.zero(q.dim), tol)
     return -res.value, res.maximizer
+
+
+def _quadratic_sup_many(
+    D: np.ndarray, v: np.ndarray, k: float | np.ndarray, tol: float
+) -> np.ndarray:
+    """``sup_x x.D_b x + v.x + k_b`` for a stack of symmetric matrices.
+
+    ``D`` has shape (B, n, n); the linear terms ``v`` are shared, shape
+    (N, n), or per matrix, shape (B, N, n); ``k`` is a scalar or one
+    constant per matrix.  Returns shape (B, N): +inf along an ascent
+    direction or a kernel direction with a nonzero linear term, else
+    ``k - (1/4) sum coeff_i^2 / w_i`` over the negative eigenpairs (the same
+    split as ``conjugate_closed_form``)."""
+    w, V = np.linalg.eigh(D)
+    k = np.broadcast_to(np.asarray(k, dtype=float), (len(D),))
+    scale = tol * np.maximum(1.0, np.max(np.abs(w), axis=1, initial=0.0))[:, None]
+    live = ~np.any(w > scale, axis=1)
+    out = np.full((len(D), v.shape[-2]), INF)
+    w, V, scale = w[live], V[live], scale[live]
+    if v.ndim == 3:
+        v = v[live]
+    coeffs = v @ V
+    neg = w < -scale
+    div = np.where(neg, w, INF)
+    # Left fold from 0.0 over the eigenpairs: the order of ``sum(axis=-1)``
+    # without its per-row cost on a short axis.
+    total = np.zeros(coeffs.shape[:-1])
+    for i in range(w.shape[1]):
+        total += coeffs[..., i] ** 2 / div[:, None, i]
+    vals = k[live][:, None] - 0.25 * total
+    ker = ~neg  # live rows have no ascent direction
+    if np.any(ker):
+        ktol = tol * np.maximum(1.0, np.max(np.abs(v), axis=-1, initial=0.0))
+        for i in np.flatnonzero(np.any(ker, axis=0)):
+            vals[(np.abs(coeffs[..., i]) > ktol) & ker[:, None, i]] = INF
+    out[live] = vals
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -249,37 +290,18 @@ def family_conjugate_table(
     """Conjugate values of f at every member of the search grid.
 
     Shape ``(len(curvatures), n_slopes)``; entries may be +inf.  Uses one
-    eigendecomposition per curvature when f is an unconstrained quadratic,
-    otherwise falls back to the grid engine per member.
+    batched eigendecomposition over the curvatures when f is an unconstrained
+    quadratic, otherwise falls back to the grid engine per member.
     """
-    tol = global_tol() if tol is None else tol
     slopes = search.slopes()
-    n = len(slopes)
-    out = np.empty((len(search.curvatures), n))
     if f.is_quadratic and f.domain_box is None:
         q = f.quad
-        eye = np.eye(q.dim)
-        for i, beta in enumerate(search.curvatures):
-            D = beta * eye - q.A
-            w, V = np.linalg.eigh(D)
-            scale = tol * max(1.0, float(np.max(np.abs(w), initial=0.0)))
-            if np.any(w > scale):
-                out[i, :] = INF
-                continue
-            vs = slopes - q.u
-            coeffs = vs @ V
-            ker = np.abs(w) <= scale
-            neg = w < -scale
-            ktol = tol * np.maximum(1.0, np.max(np.abs(vs), axis=1))
-            bad = np.zeros(n, dtype=bool)
-            if np.any(ker):
-                bad = np.max(np.abs(coeffs[:, ker]), axis=1) > ktol
-            vals = np.full(n, -q.c)
-            if np.any(neg):
-                vals = vals - 0.25 * (coeffs[:, neg] ** 2 / w[neg]).sum(axis=1)
-            vals[bad] = INF
-            out[i, :] = vals
-        return out
+        tol = global_tol() if tol is None else tol
+        betas = np.asarray(search.curvatures)[:, None, None]
+        D = betas * np.eye(q.dim) - q.A
+        return _quadratic_sup_many(D, slopes - q.u, -q.c, tol)
+    n = len(slopes)
+    out = np.empty((len(search.curvatures), n))
     g = grid if grid is not None else _default_grid(f.dim)
     for i, beta in enumerate(search.curvatures):
         for j in range(n):

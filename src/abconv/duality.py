@@ -10,17 +10,18 @@ from __future__ import annotations
 
 import dataclasses
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .config import global_tol, max_threads
+from .config import global_tol
 from .conjugates import (
     FamilySearchGrid,
     GridSpec,
+    _quadratic_sup_many,
     conjugate_closed_form,
     conjugate_value,
+    default_points_per_axis,
     eps_subdiff_contains,
     family_conjugate_table,
     minimize_quadratic,
@@ -44,18 +45,6 @@ def _ext_add(a: float, b: float) -> float:
     if a == -INF or b == -INF:
         return -INF
     return a + b
-
-
-def _parallel_rows(fn, count: int) -> list:
-    """Evaluate fn(i) for i in range(count), optionally on worker threads.
-
-    Results are collected in index order, so the output is identical to the
-    sequential loop regardless of thread count."""
-    workers = max_threads()
-    if workers <= 1 or count <= 1:
-        return [fn(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=min(workers, count)) as pool:
-        return list(pool.map(fn, range(count)))
 
 
 # ---------------------------------------------------------------------------
@@ -116,11 +105,13 @@ class ProblemInstance:
         if psi_search is None:
             psi_search = FamilySearchGrid.default(psi)
         if x_search is None:
-            points = {1: 201, 2: 61, 3: 21}.get(L.in_dim, 9)
-            x_search = GridSpec.cube(L.in_dim, points_per_axis=points)
+            x_search = GridSpec.cube(
+                L.in_dim, points_per_axis=default_points_per_axis(L.in_dim)
+            )
         if y_search is None:
-            points = {1: 201, 2: 61, 3: 21}.get(L.out_dim, 9)
-            y_search = GridSpec.cube(L.out_dim, points_per_axis=points)
+            y_search = GridSpec.cube(
+                L.out_dim, points_per_axis=default_points_per_axis(L.out_dim)
+            )
         return cls(f, g, L, phi, psi, psi_search, x_search, y_search, name)
 
     def _is_exact(self) -> bool:
@@ -220,42 +211,19 @@ def composite_inf_table(
     """``inf_x f(x) + psi(Lx)`` for every member of the search grid.
 
     Shape (len(curvatures), n_slopes); -inf marks unbounded members.  Exact
-    (one eigendecomposition per curvature) for unconstrained quadratic f;
-    otherwise a shared fixed-mesh minimum."""
+    (one batched eigendecomposition over the curvatures) for unconstrained
+    quadratic f; otherwise a shared fixed-mesh minimum."""
     search = instance.psi_search if search is None else search
     tol = global_tol() if tol is None else tol
     slopes = search.slopes()
-    n = len(slopes)
     M = instance.L.matrix
     f = instance.f
 
     if f.is_quadratic and f.domain_box is None:
-        MtM = M.T @ M
-        eye_scale = np.eye(instance.L.in_dim)
-
-        def row(i: int) -> np.ndarray:
-            beta = search.curvatures[i]
-            # q_v(x) = f(x) + beta*||Lx||^2 + (M^T v).x ; inf = -sup(-q_v)
-            D = -(f.quad.A + beta * MtM)
-            w, V = np.linalg.eigh(D)
-            scale = tol * max(1.0, float(np.max(np.abs(w), initial=0.0)))
-            if np.any(w > scale):
-                return np.full(n, -INF)
-            vs = -(slopes @ M + f.quad.u)  # (n_slopes, in_dim)
-            coeffs = vs @ V
-            ker = np.abs(w) <= scale
-            neg = w < -scale
-            ktol = tol * np.maximum(1.0, np.max(np.abs(vs), axis=1, initial=0.0))
-            sup = np.full(n, -f.quad.c)
-            if np.any(neg):
-                sup = sup - 0.25 * (coeffs[:, neg] ** 2 / w[neg]).sum(axis=1)
-            if np.any(ker):
-                bad = np.max(np.abs(coeffs[:, ker]), axis=1) > ktol
-                sup[bad] = INF
-            return -sup
-
-        rows = _parallel_rows(row, len(search.curvatures))
-        return np.stack(rows, axis=0)
+        # q_v(x) = f(x) + beta*||Lx||^2 + (M^T v).x ; inf = -sup(-q_v)
+        betas = np.asarray(search.curvatures)[:, None, None]
+        D = -(f.quad.A + betas * (M.T @ M))
+        return -_quadratic_sup_many(D, -(slopes @ M + f.quad.u), -f.quad.c, tol)
 
     X = instance.x_search.box.mesh(instance.x_search.points_per_axis)
     fvals = f.values(X)
@@ -266,14 +234,10 @@ def composite_inf_table(
     LX = instance.L.apply(X)
     sq = np.sum(LX * LX, axis=1)
     lin = LX @ slopes.T
-
-    def grid_row(i: int) -> np.ndarray:
-        beta = search.curvatures[i]
-        vals = fvals[:, None] + beta * sq[:, None] + lin
-        return vals.min(axis=0)
-
-    rows = _parallel_rows(grid_row, len(search.curvatures))
-    return np.stack(rows, axis=0)
+    return np.stack(
+        [(fvals[:, None] + beta * sq[:, None] + lin).min(axis=0)
+         for beta in search.curvatures]
+    )
 
 
 def g_conjugate_table(

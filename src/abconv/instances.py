@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .conjugates import FamilySearchGrid, GridSpec
+from .conjugates import FamilySearchGrid, GridSpec, default_points_per_axis
 from .duality import GapCertificate, ProblemInstance
 from .errors import InstanceParseError
 from .objectives import Box, Objective
@@ -267,7 +267,7 @@ def instance_from_dict(data: dict) -> ProblemInstance:
     search = data.get("search", {})
     if not isinstance(search, dict):
         raise InstanceParseError("search: expected an object")
-    points = search.get("points_per_axis", {1: 201, 2: 61, 3: 21}.get(n, 9))
+    points = search.get("points_per_axis", default_points_per_axis(n))
     rounds = search.get("refine_rounds", 2)
     if not isinstance(points, int) or not isinstance(rounds, int):
         raise InstanceParseError("search: points_per_axis/refine_rounds must be integers")
@@ -301,7 +301,7 @@ def instance_from_dict(data: dict) -> ProblemInstance:
     try:
         psi_search = FamilySearchGrid(psi, slope_box, slope_points, curvatures)
         x_search = GridSpec(x_box, points, rounds)
-        y_points = {1: 201, 2: 61, 3: 21}.get(m, 9) if m != n else points
+        y_points = default_points_per_axis(m) if m != n else points
         y_search = GridSpec(y_box, y_points, rounds)
         instance = ProblemInstance(
             f, g, L, phi, psi, psi_search, x_search, y_search,
@@ -333,6 +333,8 @@ def save_instance(instance: ProblemInstance, path) -> None:
 
 
 def certificate_to_dict(cert: GapCertificate) -> dict:
+    """Descriptor dict for a certificate; like ``instance_to_dict`` it holds
+    no -0.0, so a certificate file round-trips byte for byte."""
     out = {
         "kind": cert.kind,
         "eps": cert.eps,
@@ -341,7 +343,7 @@ def certificate_to_dict(cert: GapCertificate) -> dict:
     }
     if cert.phi is not None:
         out["phi"] = _member_to_dict(cert.phi)
-    return out
+    return _without_negative_zero(out)
 
 
 def certificate_from_dict(data: dict, n: int, m: int) -> GapCertificate:

@@ -17,6 +17,7 @@ import numpy as np
 
 from .config import global_tol
 from .conjugates import (
+    _quadratic_sup_many,
     biconjugate_at,
     biconjugate_many,
     conjugate_value,
@@ -195,25 +196,14 @@ def _combo_matrices(
 def _combo_min_many(
     phi1: GeneralizedQuadratic, phi2: GeneralizedQuadratic, ts: np.ndarray, tol: float
 ) -> np.ndarray:
-    """``_combo_min`` at every t, with one batched eigendecomposition.
-
-    The closed-form engine's arithmetic (``minimize_quadratic``), vectorised
-    over t: ``min q = -sup(-q)``, and ``sup(-q)`` is +inf along an ascent
-    direction or a kernel direction with a nonzero slope."""
+    """``_combo_min`` at every t, with one batched eigendecomposition:
+    ``min q = -sup(-q)``, and ``sup(-q)`` is +inf along an ascent direction
+    or a kernel direction with a nonzero slope."""
     s = ts[:, None]
-    w, V = np.linalg.eigh(-_combo_matrices(phi1, phi2, ts))
     v = -(s * phi1.u + (1.0 - s) * phi2.u)
     k = -(ts * phi1.c + (1.0 - ts) * phi2.c)
-    scale = tol * np.maximum(1.0, np.max(np.abs(w), axis=1, initial=0.0))[:, None]
-    ktol = tol * np.maximum(1.0, np.max(np.abs(v), axis=1, initial=0.0))[:, None]
-    coeffs = np.einsum("tji,tj->ti", V, v)
-    neg = w < -scale
-    step = np.where(neg, -0.5 * coeffs / np.where(neg, w, -1.0), 0.0)
-    sup = k + ((step * coeffs).sum(axis=1) + (step * step * w).sum(axis=1))
-    escape = np.any(w > scale, axis=1) | np.any(
-        (np.abs(w) <= scale) & (np.abs(coeffs) > ktol), axis=1
-    )
-    return np.where(escape, -INF, -sup)
+    D = -_combo_matrices(phi1, phi2, ts)
+    return -_quadratic_sup_many(D, v[:, None, :], k, tol)[:, 0]
 
 
 def intersection_property(
@@ -300,34 +290,6 @@ def intersection_property(
     if best_t is None or best_val < alpha - value_tol:
         return None
     return IntersectionWitness(best_t, alpha, best_val)
-
-
-def intersection_property_bruteforce(
-    phi1: GeneralizedQuadratic,
-    phi2: GeneralizedQuadratic,
-    alpha: float,
-    grid,
-    t_points: int = 1001,
-) -> bool:
-    """Definition-level check on a finite grid: for every t in [0,1], the
-    strict sublevel set of the combination must miss one of the two strict
-    sublevel sets of phi1, phi2."""
-    X = grid.box.mesh(grid.points_per_axis)
-    v1 = np.asarray(phi1(X), dtype=float)
-    v2 = np.asarray(phi2(X), dtype=float)
-    m1 = v1 < alpha
-    m2 = v2 < alpha
-    ts = np.linspace(0.0, 1.0, t_points)
-    chunk = max(1, int(2_000_000 // max(1, len(X))))
-    for start in range(0, len(ts), chunk):
-        tb = ts[start : start + chunk][:, None]
-        combo = tb * v1[None, :] + (1.0 - tb) * v2[None, :]
-        mc = combo < alpha
-        hit1 = np.any(mc & m1[None, :], axis=1)
-        hit2 = np.any(mc & m2[None, :], axis=1)
-        if np.any(hit1 & hit2):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

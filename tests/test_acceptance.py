@@ -203,16 +203,17 @@ class TestAcceptance:
         else:
             scan = (f"BUT no support point certifies the zero gap for the member "
                     f"2y+1: 0/{len(candidates)} candidates hold (the sandwich "
-                    f"inequality pins x0=0.5, where both pointwise support "
-                    f"conditions fail)")
+                    f"needs x0 >= (3-sqrt 12)/2 ~ -0.23, the point condition "
+                    f"needs x0 <= -0.5)")
         emit(6, ok, f"primal/lagrange-dual/convexified all {p.value:.6g} "
                     f"({'ok' if values_ok else 'WRONG'}) {scan} "
                     f"({elapsed:.2f}s)")
         assert ok, (
             "support-point certification is unattainable here: the sandwich "
-            "condition f(x0)+psi(x0) <= -9.25 forces x0 = 0.5, while the "
-            "pointwise support conditions need psi(x0) <= 0 or g(x0) <= 0, "
-            "i.e. x0 <= -0.5; the admissible sets are disjoint"
+            "f(x0) <= -9.25 <= psi(x0) needs x0^2 - 3x0 - 10 <= -9.25, i.e. "
+            "x0 >= (3 - sqrt 12)/2 ~ -0.23, while the point condition "
+            "(g(x0) = 2x0 + 1 <= 0, or x0 in the support set) needs "
+            "x0 <= -0.5; the admissible sets are disjoint"
         )
 
     def test_criterion_07_random_weak_duality(self):

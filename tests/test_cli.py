@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from abconv import catalog_instance, global_tol, max_threads, report_json, run_report
+from abconv import catalog_instance, global_tol, report_json, run_report
 from abconv.cli import main, parse_epi_point, parse_member
 
 
@@ -289,14 +289,6 @@ class TestUsageAndEnvironment:
         monkeypatch.setenv("ABCONV_TOL", "-1")
         with pytest.raises(ValueError):
             global_tol()
-
-    def test_threads_env_override(self, monkeypatch):
-        monkeypatch.delenv("ABCONV_THREADS", raising=False)
-        assert max_threads() == 1
-        monkeypatch.setenv("ABCONV_THREADS", "4")
-        assert max_threads() == 4
-        monkeypatch.setenv("ABCONV_THREADS", "0")
-        assert max_threads() == 1
 
     @pytest.mark.skipif(
         shutil.which("abconv") is None,

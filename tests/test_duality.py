@@ -19,6 +19,7 @@ from abconv import (
     CurvatureSpec,
     EpiPoint,
     Family,
+    FamilySearchGrid,
     GapCertificate,
     GeneralizedQuadratic,
     GridSpec,
@@ -30,6 +31,7 @@ from abconv import (
     build_tangent_certificate,
     composite_condition_check,
     composite_inf_table,
+    conjugate_closed_form,
     coupling_value,
     dcp_value,
     decomposition_condition_check,
@@ -157,6 +159,46 @@ class TestDualSweep:
         for j in (0, 100, 200):
             vals = f.values(X) + slopes[j, 0] * X[:, 0]
             assert table[0, j] == pytest.approx(float(vals.min()), abs=1e-10)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_batched_tables_match_the_scalar_engine(self, dim):
+        # Curvatures -3 .. 0 hit every kind of row in both tables.  g*: rows
+        # above -1 have an ascent direction, -1 is an eigenvalue of g.A whose
+        # eigenspace (1,-1,0), plus e3 in 3-D, makes most slopes +inf, and
+        # the rest are plain.  inf f + psi: rows below -1 are unbounded, -1
+        # is an eigenvalue of -f.A with the same eigenspace, and the rest
+        # are plain.
+        gA = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, -1.0]])
+        fA = np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, 1.0]])
+        f = Objective.quadratic(GeneralizedQuadratic(
+            dim, fA[:dim, :dim], np.array([0.0, 1.0, -1.0])[:dim], 0.5))
+        g = Objective.quadratic(GeneralizedQuadratic(
+            dim, gA[:dim, :dim], np.array([1.0, -1.0, 2.0])[:dim], -0.25))
+        psi = Family(dim, CurvatureSpec.nonpos())
+        search = FamilySearchGrid(
+            psi, Box.cube(dim, -3.0, 3.0), 7, (-3.0, -2.0, -1.0, -0.5, 0.0)
+        )
+        inst = build(f, g, L=LinearMap.identity(dim), psi_spec=CurvatureSpec.nonpos(),
+                     psi_search=search)
+        inf_table = composite_inf_table(inst)
+        gstar_table = g_conjugate_table(inst)
+        slopes = search.slopes()
+        for table, scalar, bad in (
+            (inf_table,
+             lambda m: minimize_quadratic(f.quad + pullback(m, inst.L))[0], -INF),
+            (gstar_table, lambda m: conjugate_closed_form(g, m).value, INF),
+        ):
+            assert table.shape == (5, len(slopes))
+            expected = np.array([
+                [scalar(search.member(beta, s)) for s in slopes]
+                for beta in search.curvatures
+            ])
+            np.testing.assert_array_equal(table == bad, expected == bad)
+            ok = table != bad
+            np.testing.assert_allclose(table[ok], expected[ok], rtol=1e-9, atol=1e-9)
+            kinds = {(bool(np.all(row == bad)), bool(np.any(row == bad)))
+                     for row in table}
+            assert kinds == {(True, True), (False, True), (False, False)}
 
     def test_gstar_table_matches_closed_conjugates(self, inst47):
         table = g_conjugate_table(inst47)

@@ -9,6 +9,7 @@ from abconv import (
     Box,
     CurvatureSpec,
     Family,
+    GapCertificate,
     GeneralizedQuadratic,
     GridSpec,
     INF,
@@ -237,6 +238,14 @@ class TestCertificateFiles:
         assert thm43.psi.A[0, 0] == 0.0  # defaults: a = 0, c = 0
         assert thm43.psi.c == 0.0
         assert certificate_to_dict(thm43)["phi"]["u"] == [1.6]
+
+    def test_negative_zero_entries_round_trip_byte_exactly(self):
+        cert = GapCertificate(
+            "thm42", 1e-3, [-0.0], GeneralizedQuadratic.iso(1, -0.0, [2.0], -0.0)
+        )
+        text = dumps(certificate_to_dict(cert))
+        back = certificate_from_dict(json.loads(text), n=1, m=1)
+        assert dumps(certificate_to_dict(back)) == text
 
     def test_validation(self):
         with pytest.raises(InstanceParseError, match="thm42|thm43"):

@@ -29,7 +29,6 @@ from abconv import (
     convexification_preserves_value,
     dcp_value,
     intersection_property,
-    intersection_property_bruteforce,
     lagrangian_value,
     ld_value,
     lp_value,
@@ -183,11 +182,11 @@ class TestIntersectionProperty:
         assert not IntersectionWitness(0.5, 1.0, 0.0).holds
 
     def test_bruteforce_direct(self):
-        phi1 = GeneralizedQuadratic.affine([1.0])
-        phi2 = GeneralizedQuadratic.affine([-1.0])
-        grid = GridSpec.cube(1, points_per_axis=201)
-        assert intersection_property_bruteforce(phi1, phi2, -0.1, grid)
-        assert not intersection_property_bruteforce(phi1, phi2, 0.1, grid)
+        phi1 = ([[0.0]], [1.0], 0.0)  # x
+        phi2 = ([[0.0]], [-1.0], 0.0)  # -x
+        kw = dict(z_points=201, t_points=1001)
+        assert oracles.intersection_brute(phi1, phi2, -0.1, -10.0, 10.0, **kw)
+        assert not oracles.intersection_brute(phi1, phi2, 0.1, -10.0, 10.0, **kw)
 
     def test_search_agrees_with_independent_oracle(self, rng):
         def draw():
