@@ -5,7 +5,9 @@ For every generated instance the script checks, at tolerance --tol:
   * conjugate dual <= primal,
   * lagrange dual  <= convexified primal,
   * lagrange dual  == conjugate dual (they share parameter tables),
-  * the instance survives a serialization round trip bit-for-bit.
+  * the instance survives a serialization round trip bit-for-bit,
+  * the convexified primal, which prunes mesh points, has the value and the
+    first minimizer of f + g**(L.) with g** evaluated at every mesh point.
 
 Prints one PASS/FAIL line per batch and exits 0 only if no check failed.
 """
@@ -23,6 +25,7 @@ from abconv import (
     LagrangianContext,
     ProblemInstance,
     RandomSpec,
+    biconjugate_many,
     dcp_value,
     dumps,
     instance_from_dict,
@@ -66,6 +69,17 @@ def check_instance(inst: ProblemInstance, tol: float) -> list[str]:
         )
     if not (ld.value == d.value or (np.isnan(ld.value) and np.isnan(d.value))):
         problems.append(f"lagrange dual {ld.value!r} != conjugate dual {d.value!r}")
+    X = inst.x_search.box.mesh(inst.x_search.points_per_axis)
+    fv = inst.f.values(X)
+    feasible = fv != np.inf
+    total = np.full(len(X), np.inf)
+    gdd = biconjugate_many(inst.g, inst.L.apply(X), inst.psi_search, ctx.gstar_table())
+    total[feasible] = fv[feasible] + gdd[feasible]
+    idx = int(np.argmin(total))
+    if np.float64(lp.value).tobytes() != total[idx].tobytes() or (
+        lp.minimizer is not None and not np.array_equal(lp.minimizer, X[idx])
+    ):
+        problems.append(f"convexified primal {lp.value!r} != dense {float(total[idx])!r}")
     text = dumps(instance_to_dict(inst))
     import json
 

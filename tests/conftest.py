@@ -3,7 +3,19 @@
 import numpy as np
 import pytest
 
-from abconv import LagrangianContext, catalog_instance
+from abconv import (
+    Box,
+    FamilySearchGrid,
+    GridSpec,
+    LagrangianContext,
+    ProblemInstance,
+    RandomSpec,
+    catalog_instance,
+    random_instance,
+)
+
+# Every input/output dimension pair the fuzz gate runs.
+FUZZ_DIMS = [(n, m) for n in (1, 2, 3) for m in (1, 2, 3)]
 
 
 @pytest.fixture(scope="session")
@@ -49,3 +61,21 @@ def make_ctx():
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
+
+
+@pytest.fixture
+def fuzz_instance():
+    """Seeded random exact instance on the fuzz gate's grids: 201/41/11 x
+    points and 201/21/9 slope points per axis at dimension 1/2/3."""
+
+    def _make(n, m, seed):
+        raw = random_instance(RandomSpec(n=n, m=m), seed)
+        return ProblemInstance.build(
+            f=raw.f, g=raw.g, L=raw.L, phi=raw.phi, psi=raw.psi,
+            x_search=GridSpec(Box.cube(n), {1: 201, 2: 41, 3: 11}[n], 2),
+            psi_search=FamilySearchGrid.default(
+                raw.psi, slope_points={1: 201, 2: 21, 3: 9}[m]),
+            name=raw.name,
+        )
+
+    return _make

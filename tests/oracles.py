@@ -124,3 +124,37 @@ def dual_sweep_brute(fA, fu, fc, gA, gu, gc, L, curvatures, slopes, x_lo, x_hi,
                 continue
             best = max(best, inner - gs)
     return best
+
+
+def biconjugate_dense(X, slopes, curvatures, table, chunk=4096):
+    """Reference class biconjugate ``max over finite table entries of
+    beta*|x|^2 + s.x - table[beta, s]`` (-inf without one): the plain dense
+    loop over chunks of query points, every member at every point."""
+    X = np.asarray(X, dtype=float)
+    out = np.full(len(X), -INF)
+    for start in range(0, len(X), chunk):
+        stop = min(start + chunk, len(X))
+        Xb = X[start:stop]
+        sq = np.sum(Xb * Xb, axis=1)
+        lin = Xb @ slopes.T
+        best = np.full(stop - start, -INF)
+        for i, beta in enumerate(curvatures):
+            row = table[i]
+            finite = np.isfinite(row)
+            if not np.any(finite):
+                continue
+            vals = beta * sq[:, None] + lin[:, finite] - row[finite]
+            np.maximum(best, vals.max(axis=1), out=best)
+        out[start:stop] = best
+    return out
+
+
+def lp_dense(fv, LX, slopes, curvatures, table):
+    """Reference convexified primal on a mesh: ``(value, index)`` of the
+    first-index argmin of ``f + biconjugate_dense(L.)``, +inf where f is."""
+    gdd = biconjugate_dense(LX, slopes, curvatures, table)
+    total = np.full(len(fv), INF)
+    ok = fv != INF
+    total[ok] = fv[ok] + gdd[ok]
+    idx = int(np.argmin(total))
+    return float(total[idx]), idx

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import oracles
+from abconv.conjugates import _biconjugate_argmax
 from abconv import (
     Box,
     ConjugateValue,
@@ -30,6 +31,7 @@ from abconv import (
     is_phi_convex_at,
     minimize_quadratic,
 )
+from conftest import FUZZ_DIMS
 
 F_SHIFTED_SQUARE = GeneralizedQuadratic.iso(1, 1.0, [2.0], 1.0)  # (x+1)^2
 
@@ -280,6 +282,45 @@ class TestBiconjugates:
         f = Objective.quadratic(GeneralizedQuadratic.iso(1, -1.0))
         search = FamilySearchGrid.default(Family(1, CurvatureSpec.zero()))
         assert biconjugate_at(f, [0.0], search) == -INF
+
+    @pytest.mark.parametrize("n,m", FUZZ_DIMS)
+    def test_matches_the_dense_reference_bit_for_bit(self, n, m, fuzz_instance):
+        inst = fuzz_instance(n, m, seed=10 * n + m)
+        search = inst.psi_search
+        table = family_conjugate_table(inst.g, search)
+        LX = inst.L.apply(inst.x_search.box.mesh(inst.x_search.points_per_axis))
+        got = biconjugate_many(inst.g, LX, search, table)
+        want = oracles.biconjugate_dense(LX, search.slopes(), search.curvatures, table)
+        assert got.tobytes() == want.tobytes()
+
+    def test_non_finite_entries_are_skipped_like_the_dense_reference(self, rng):
+        search = FamilySearchGrid(
+            Family(1, CurvatureSpec.nonpos()), Box.cube(1, -2.0, 2.0), 5, (-1.0, -0.5, 0.0)
+        )
+        table = rng.normal(size=(3, 5))
+        table[0, 1] = -INF  # a grid-engine improper window
+        table[1, [0, 3]] = INF  # a partly excluded row
+        table[2] = INF
+        X = rng.uniform(-3.0, 3.0, size=(40, 1))
+        f = Objective.quadratic(F_SHIFTED_SQUARE)
+        got = biconjugate_many(f, X, search, table)
+        want = oracles.biconjugate_dense(X, search.slopes(), search.curvatures, table)
+        assert got.tobytes() == want.tobytes()
+        assert np.all(np.isfinite(got))
+
+    def test_the_reported_winner_attains_the_value(self, rng):
+        f = Objective.quadratic(F_SHIFTED_SQUARE)
+        search = FamilySearchGrid.default(Family(1, CurvatureSpec.nonpos()))
+        table = family_conjugate_table(f, search)
+        table[3, ::2] = INF
+        X = rng.uniform(-8.0, 8.0, size=(300, 1))
+        values, winner = _biconjugate_argmax(X, search, table)
+        i, j = np.divmod(winner, len(search.slopes()))
+        beta = np.asarray(search.curvatures)[i]
+        phi = beta * X[:, 0] ** 2 + search.slopes()[j, 0] * X[:, 0]
+        np.testing.assert_allclose(phi - table[i, j], values, rtol=1e-12, atol=1e-12)
+        _, none = _biconjugate_argmax(X, search, np.full_like(table, INF))
+        assert np.all(none == -1)
 
     def test_is_phi_convex_at(self):
         search = FamilySearchGrid.default(Family(1, CurvatureSpec.zero()))

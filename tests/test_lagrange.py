@@ -39,6 +39,8 @@ from abconv import (
     value_function,
 )
 
+from conftest import FUZZ_DIMS
+
 ID1 = LinearMap.identity(1)
 
 
@@ -50,6 +52,28 @@ def build(f, g, phi_kind=None, psi_kind=None, **kw):
     phi = Family(1, phi_kind or CurvatureSpec.nonpos())
     psi = Family(1, psi_kind or CurvatureSpec.zero())
     return ProblemInstance.build(f=f, g=g, L=ID1, phi=phi, psi=psi, **kw)
+
+
+def assert_dense_lp(ctx):
+    """lp_value equals the dense reference: value, first-index minimizer
+    and flags, bit for bit.  Returns the result."""
+    inst = ctx.instance
+    search = inst.psi_search
+    X = inst.x_search.box.mesh(inst.x_search.points_per_axis)
+    value, idx = oracles.lp_dense(
+        inst.f.values(X), inst.L.apply(X), search.slopes(), search.curvatures,
+        ctx.gstar_table(),
+    )
+    res = lp_value(ctx)
+    assert np.float64(res.value).tobytes() == np.float64(value).tobytes()
+    if value == INF:
+        assert res.minimizer is None
+        assert res.flags == ("grid_truncated", "infeasible_window")
+    else:
+        assert res.minimizer.tobytes() == X[idx].tobytes()
+        extra = ("biconjugate_minus_infinity",) if value == -INF else ()
+        assert res.flags == ("grid_truncated",) + extra
+    return res
 
 
 class TestLagrangianContext:
@@ -117,9 +141,62 @@ class TestLdLp:
 
     def test_lp_minus_infinity_when_biconjugate_collapses(self, make_ctx):
         ctx = make_ctx(build(quad_obj(1, 1.0), quad_obj(1, -1.0)))
-        res = lp_value(ctx)
+        assert np.all(ctx.gstar_table() == INF)
+        res = assert_dense_lp(ctx)
         assert res.value == -INF
         assert "biconjugate_minus_infinity" in res.flags
+
+    @pytest.mark.parametrize("n,m", FUZZ_DIMS)
+    def test_lp_matches_the_dense_reference_bit_for_bit(
+        self, n, m, fuzz_instance, make_ctx
+    ):
+        for seed in range(2):
+            assert_dense_lp(make_ctx(fuzz_instance(n, m, 100 * seed + 10 * n + m)))
+
+    def test_lp_matches_the_dense_reference_on_the_catalog(
+        self, inst47, inst47r, inst48, inst56, inst610, inst611, make_ctx
+    ):
+        for inst in (inst47, inst47r, inst48, inst56, inst610, inst611):
+            assert_dense_lp(make_ctx(inst))
+
+    def test_lp_ties_resolve_to_the_first_mesh_point(self, make_ctx):
+        # g = 0 over affine members: only the zero slope is finite, g** = 0.
+        zero = quad_obj(1, 0.0)
+        res = assert_dense_lp(make_ctx(build(zero, zero)))
+        assert res.value == 0.0 and res.minimizer.tolist() == [-10.0]
+        # f = x^2 + x ties at x = -1 and x = 0, neither in the strided sample.
+        f = quad_obj(1, 1.0, [1.0])
+        inst = build(f, zero, x_search=GridSpec(Box.cube(1, -16.0, 16.0), 33, 2))
+        res = assert_dense_lp(make_ctx(inst))
+        assert res.value == 0.0 and res.minimizer.tolist() == [-1.0]
+
+    @pytest.mark.filterwarnings("ignore:no feasible point found")
+    def test_lp_single_feasible_point(self, fuzz_instance, make_ctx):
+        # One point is one BLAS row, which must still round like the mesh.
+        for seed in (0, 1):
+            raw = fuzz_instance(2, 3, seed)
+            search = raw.psi_search
+            X = raw.x_search.box.mesh(raw.x_search.points_per_axis)
+            fv = raw.f.values(X)
+            gdd = oracles.biconjugate_dense(
+                raw.L.apply(X), search.slopes(), search.curvatures,
+                make_ctx(raw).gstar_table(),
+            )
+            for k in range(0, len(X), 97):
+                f = Objective.quadratic(raw.f.quad, domain_box=Box(X[k] - 0.1, X[k] + 0.1))
+                inst = ProblemInstance.build(
+                    f=f, g=raw.g, L=raw.L, phi=raw.phi, psi=raw.psi,
+                    x_search=raw.x_search, psi_search=search,
+                )
+                res = lp_value(make_ctx(inst))
+                assert np.float64(res.value).tobytes() == (fv[k] + gdd[k]).tobytes()
+                assert res.minimizer.tolist() == X[k].tolist()
+
+    def test_lp_infeasible_window(self, make_ctx):
+        with pytest.warns(UserWarning):
+            inst = build(quad_obj(1, 1.0, box=Box([50.0], [60.0])), quad_obj(1, 1.0))
+        res = assert_dense_lp(make_ctx(inst))
+        assert res.minimizer is None and "infeasible_window" in res.flags
 
     def test_convexification_check(self, inst47, inst611, make_ctx):
         assert convexification_preserves_value(make_ctx(inst47))
