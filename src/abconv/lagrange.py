@@ -43,8 +43,8 @@ from .quadratics import GeneralizedQuadratic, combine, pullback
 INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
 
 # lp_value evaluates g** exactly at every 32nd feasible mesh point first: 7,
-# 53 and 42 points of the 1-, 2- and 3-D fuzz meshes.  A denser sample costs
-# more than its tighter bound saves there and on the catalog.
+# 53 and 42 points of the 1-, 2- and 3-D fuzz meshes.  Every 16th was slower
+# there and on the catalog, every 64th slower on four catalog instances.
 _LP_SAMPLE_STRIDE = 32
 # Relative slack on the prune test, far above the few ulps by which a lower
 # bound computed in a different batch can exceed the exact value.
@@ -129,8 +129,9 @@ def lp_value(ctx: LagrangianContext) -> LpResult:
     dense evaluation: g** is evaluated exactly on a strided sample of the
     feasible mesh, the members winning there bound g** from below at the
     other points, and only points whose bound does not clear the sample's
-    best total are evaluated exactly.  A non-finite sample best (every
-    member excluded somewhere, or -inf) evaluates every feasible point."""
+    best total are evaluated exactly.  A sample best that is not finite
+    (no feasible point, or g** = -inf at one) evaluates every feasible
+    point."""
     inst = ctx.instance
     search, table = inst.psi_search, ctx.gstar_table()
     X = inst.x_search.box.mesh(inst.x_search.points_per_axis)
