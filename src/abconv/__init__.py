@@ -22,7 +22,6 @@ from .duality import (
     CertificateCheck,
     ConditionCheck,
     Decomposition,
-    DualityReport,
     DualResult,
     EpiPoint,
     GapCertificate,
@@ -35,7 +34,6 @@ from .duality import (
     coupling_value,
     dcp_value,
     decomposition_condition_check,
-    duality_report,
     epi_contains,
     epi_decompose,
     g_conjugate_table,
@@ -86,7 +84,6 @@ from .quadratics import (
     GeneralizedQuadratic,
     LinearMap,
     combine,
-    family_contains,
     pullback,
     pullback_shifted,
 )

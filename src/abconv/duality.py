@@ -78,16 +78,12 @@ class ProblemInstance:
             raise InvariantViolation("psi search grid dimension mismatch")
         if self.x_search.box.dim != n or self.y_search.box.dim != m:
             raise InvariantViolation("search box dimension mismatch")
-        if not self._is_exact():
-            X = self.x_search.box.mesh(min(self.x_search.points_per_axis, 21))
-            with np.errstate(invalid="ignore"):
-                total = self.f.values(X) + self.g.values(self.L.apply(X))
-            if not np.any(np.isfinite(total)):
-                warnings.warn(
-                    "no feasible point found on the sampling grid: dom g may "
-                    "never meet L(dom f)",
-                    stacklevel=2,
-                )
+        if not self._is_exact() and "infeasible_window" in _composite_min(self).flags:
+            warnings.warn(
+                "no feasible point found on the x search mesh: dom g may "
+                "never meet L(dom f)",
+                stacklevel=2,
+            )
 
     @classmethod
     def build(
@@ -364,25 +360,6 @@ def weak_duality_check(
     for a, b in zip(fpsi_star.ravel(), gstar.ravel()):
         best = min(best, _ext_add(float(a), float(b)))
     return lhs <= best + tol
-
-
-@dataclass(frozen=True)
-class DualityReport:
-    primal: float
-    dual_conjugate: float
-    gap: float
-    attaining_psi: GeneralizedQuadratic | None
-    flags: tuple[str, ...]
-
-
-def duality_report(instance: ProblemInstance, tol: float = 1e-6) -> DualityReport:
-    p = primal_value(instance)
-    d = dcp_value(instance)
-    gap = _ext_add(p.value, -d.value) if abs(d.value) != INF else INF
-    flags = p.flags + d.flags
-    if gap < -tol:
-        flags = flags + ("weak_duality_violated",)
-    return DualityReport(p.value, d.value, gap, d.attaining, flags)
 
 
 def composite_condition_check(

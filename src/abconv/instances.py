@@ -79,6 +79,18 @@ def _as_float(value, where: str) -> float:
     return float(value)
 
 
+def _as_int(value, where: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InstanceParseError(f"{where}: expected an integer, got {value!r}")
+    return value
+
+
+def _as_bool(value, where: str) -> bool:
+    if not isinstance(value, bool):
+        raise InstanceParseError(f"{where}: expected true or false, got {value!r}")
+    return value
+
+
 def _as_vector(value, where: str) -> np.ndarray:
     if not isinstance(value, list):
         raise InstanceParseError(f"{where}: expected a list")
@@ -175,7 +187,9 @@ def _family_from_dict(data, dim: int, where: str) -> Family:
         spec = CurvatureSpec.parse(str(data["curvature"]))
     except ValueError as exc:
         raise InstanceParseError(f"{where}.curvature: {exc}") from exc
-    includes = bool(data.get("includes_constants", True))
+    includes = _as_bool(
+        data.get("includes_constants", True), f"{where}.includes_constants"
+    )
     return Family(dim, spec, includes_constants=includes)
 
 
@@ -253,7 +267,7 @@ def instance_from_dict(data: dict) -> ProblemInstance:
         if fieldname not in data:
             raise InstanceParseError(f"missing field {fieldname!r}")
     n, m = data["n"], data["m"]
-    if not isinstance(n, int) or not isinstance(m, int) or n < 1 or m < 1:
+    if any(isinstance(v, bool) or not isinstance(v, int) or v < 1 for v in (n, m)):
         raise InstanceParseError("n, m must be positive integers")
     L_matrix = _as_matrix(data["L"], "L")
     if L_matrix.shape != (m, n):
@@ -267,10 +281,11 @@ def instance_from_dict(data: dict) -> ProblemInstance:
     search = data.get("search", {})
     if not isinstance(search, dict):
         raise InstanceParseError("search: expected an object")
-    points = search.get("points_per_axis", default_points_per_axis(n))
-    rounds = search.get("refine_rounds", 2)
-    if not isinstance(points, int) or not isinstance(rounds, int):
-        raise InstanceParseError("search: points_per_axis/refine_rounds must be integers")
+    points = _as_int(
+        search.get("points_per_axis", default_points_per_axis(n)),
+        "search.points_per_axis",
+    )
+    rounds = _as_int(search.get("refine_rounds", 2), "search.refine_rounds")
     x_box = (
         _box_from_dict(search["x_box"], "search.x_box")
         if "x_box" in search
@@ -289,14 +304,16 @@ def instance_from_dict(data: dict) -> ProblemInstance:
     default_grid = FamilySearchGrid.default(psi)
     if "psi_curv_grid" in search:
         curv = search["psi_curv_grid"]
-        if isinstance(curv, int):
-            curvatures = tuple(float(a) for a in psi.curvature.grid(points=curv))
-        else:
+        if isinstance(curv, list):
             curvatures = tuple(_as_float(a, "search.psi_curv_grid") for a in curv)
+        else:
+            points_curv = _as_int(curv, "search.psi_curv_grid")
+            curvatures = tuple(float(a) for a in psi.curvature.grid(points=points_curv))
     else:
         curvatures = default_grid.curvatures
-    slope_points = search.get(
-        "psi_slope_points_per_axis", default_grid.slope_points_per_axis
+    slope_points = _as_int(
+        search.get("psi_slope_points_per_axis", default_grid.slope_points_per_axis),
+        "search.psi_slope_points_per_axis",
     )
     try:
         psi_search = FamilySearchGrid(psi, slope_box, slope_points, curvatures)

@@ -40,8 +40,6 @@ from .errors import InvariantViolation
 from .objectives import INF
 from .quadratics import GeneralizedQuadratic, combine, pullback
 
-INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
-
 # lp_value evaluates g** exactly at every 32nd feasible mesh point first: 7,
 # 53 and 42 points of the 1-, 2- and 3-D fuzz meshes.  Every 16th was slower
 # there and on the catalog, every 64th slower on four catalog instances.
@@ -49,6 +47,8 @@ _LP_SAMPLE_STRIDE = 32
 # Relative slack on the prune test, far above the few ulps by which a lower
 # bound computed in a different batch can exceed the exact value.
 _LP_PRUNE_RTOL = 1e-12
+# Points per zoom round of intersection_property's searches.
+_ZOOM_POINTS = 65
 
 
 @dataclass
@@ -213,11 +213,6 @@ class IntersectionWitness:
         return self.min_value >= self.alpha
 
 
-def _combo_min(phi1: GeneralizedQuadratic, phi2: GeneralizedQuadratic, t: float) -> float:
-    value, _ = minimize_quadratic(combine(t, phi1, 1.0 - t, phi2))
-    return value
-
-
 def _combo_matrices(
     phi1: GeneralizedQuadratic, phi2: GeneralizedQuadratic, ts: np.ndarray
 ) -> np.ndarray:
@@ -231,14 +226,28 @@ def _combo_matrices(
 def _combo_min_many(
     phi1: GeneralizedQuadratic, phi2: GeneralizedQuadratic, ts: np.ndarray, tol: float
 ) -> np.ndarray:
-    """``_combo_min`` at every t, with one batched eigendecomposition:
-    ``min q = -sup(-q)``, and ``sup(-q)`` is +inf along an ascent direction
-    or a kernel direction with a nonzero slope."""
+    """``min_z [t*phi1 + (1-t)*phi2](z)`` at every t, with one batched
+    eigendecomposition: ``min q = -sup(-q)``, and ``sup(-q)`` is +inf along
+    an ascent direction or a kernel direction with a nonzero slope."""
     s = ts[:, None]
     v = -(s * phi1.u + (1.0 - s) * phi2.u)
     k = -(ts * phi1.c + (1.0 - ts) * phi2.c)
     D = -_combo_matrices(phi1, phi2, ts)
     return -_quadratic_sup_many(D, v[:, None, :], k, tol)[:, 0]
+
+
+def _zoom(a: float, b: float, locate, t_tol: float) -> tuple[float, float]:
+    """Shrink the bracket [a, b] to width t_tol.  Each round samples it at
+    ``_ZOOM_POINTS`` evenly spaced points ``ts`` in one batched call and keeps
+    ``[ts[i], ts[j]]`` for ``(i, j) = locate(ts)``; it stops early once no
+    float lies strictly inside the bracket."""
+    while b - a > t_tol:
+        ts = np.linspace(a, b, _ZOOM_POINTS)
+        i, j = locate(ts)
+        if ts[j] - ts[i] >= b - a:
+            break
+        a, b = float(ts[i]), float(ts[j])
+    return a, b
 
 
 def intersection_property(
@@ -251,20 +260,15 @@ def intersection_property(
     """Search for a convex combination globally above the level alpha.
 
     ``m(t) = min_z [t*phi1 + (1-t)*phi2](z)`` is concave on [0,1] (pointwise
-    infimum of functions affine in t), so a golden-section search converges;
-    candidates where m jumps from -inf (curvature sign change, slope
-    cancellation) are probed explicitly.  Returns the best witness when
-    ``max m >= alpha - value_tol``, ties toward smaller t0."""
+    infimum of functions affine in t), so zooming in on the best point of a
+    scan converges to its maximum; candidates where m jumps from -inf
+    (curvature sign change, slope cancellation) are probed explicitly.  Every
+    m(t) and least eigenvalue comes from one batched call per scan or zoom
+    round.  Returns the best witness when ``max m >= alpha - value_tol``,
+    ties toward smaller t0."""
     if phi1.dim != phi2.dim:
         raise InvariantViolation("dimension mismatch")
-    cache: dict[float, float] = {}
-
-    def m(t: float) -> float:
-        t = min(1.0, max(0.0, t))
-        if t not in cache:
-            cache[t] = _combo_min(phi1, phi2, t)
-        return cache[t]
-
+    tol = global_tol()
     candidates: set[float] = {0.0, 1.0}
 
     # slope cancellation: u(t) = t*u1 + (1-t)*u2 = 0 (needle maxima of m)
@@ -282,51 +286,39 @@ def intersection_property(
                 candidates.add(t)
 
     # least-eigenvalue sign changes of A(t) (boundary of the finite region)
-    def lam(t: float) -> float:
-        return combine(t, phi1, 1.0 - t, phi2).min_eigenvalue()
+    def negative(ts: np.ndarray) -> np.ndarray:
+        return np.linalg.eigvalsh(_combo_matrices(phi1, phi2, ts))[:, 0] < 0.0
+
+    def sign_change(ts: np.ndarray) -> tuple[int, int]:
+        neg = negative(ts)
+        j = int(np.argmax(neg != neg[0]))
+        return j - 1, j
 
     scan = np.linspace(0.0, 1.0, 101)
-    lam_vals = np.linalg.eigvalsh(_combo_matrices(phi1, phi2, scan))[:, 0]
-    for i in range(len(scan) - 1):
-        if (lam_vals[i] < 0.0) != (lam_vals[i + 1] < 0.0):
-            a, b = float(scan[i]), float(scan[i + 1])
-            # a only moves to points of its own sign, so one lam(a) serves.
-            a_negative = lam(a) < 0.0
-            for _ in range(60):
-                mid = 0.5 * (a + b)
-                if a_negative == (lam(mid) < 0.0):
-                    a = mid
-                else:
-                    b = mid
-            candidates.add(a)
-            candidates.add(b)
+    neg = negative(scan)
+    for i in np.flatnonzero(neg[:-1] != neg[1:]):
+        candidates.update(_zoom(float(scan[i]), float(scan[i + 1]), sign_change, t_tol))
 
-    # coarse scan for a finite bracket, then golden section
+    # coarse scan for a finite bracket, then zoom in on its best point
+    def around_max(ts: np.ndarray) -> tuple[int, int]:
+        i = int(np.argmax(_combo_min_many(phi1, phi2, ts, tol)))
+        return max(i - 1, 0), min(i + 1, len(ts) - 1)
+
     tgrid = np.linspace(0.0, 1.0, 1001)
-    scan_vals = _combo_min_many(phi1, phi2, tgrid, global_tol())
+    scan_vals = _combo_min_many(phi1, phi2, tgrid, tol)
     best_idx = int(np.argmax(scan_vals))
     if np.isfinite(scan_vals[best_idx]):
-        step = float(tgrid[1] - tgrid[0])
-        a = max(0.0, float(tgrid[best_idx]) - step)
-        b = min(1.0, float(tgrid[best_idx]) + step)
-        while b - a > t_tol:
-            c = b - INV_PHI * (b - a)
-            d = a + INV_PHI * (b - a)
-            if m(c) >= m(d):
-                b = d
-            else:
-                a = c
+        lo, hi = max(best_idx - 1, 0), min(best_idx + 1, len(tgrid) - 1)
+        a, b = _zoom(float(tgrid[lo]), float(tgrid[hi]), around_max, t_tol)
         candidates.add(0.5 * (a + b))
         candidates.add(float(tgrid[best_idx]))
 
-    best_t, best_val = None, -INF
-    for t in sorted(candidates):
-        val = m(t)
-        if val > best_val:
-            best_t, best_val = t, val
-    if best_t is None or best_val < alpha - value_tol:
+    ts = np.array(sorted(candidates))
+    vals = _combo_min_many(phi1, phi2, ts, tol)
+    k = int(np.argmax(vals))  # the first maximum: the smallest t0
+    if vals[k] == -INF or vals[k] < alpha - value_tol:
         return None
-    return IntersectionWitness(best_t, alpha, best_val)
+    return IntersectionWitness(float(ts[k]), alpha, float(vals[k]))
 
 
 # ---------------------------------------------------------------------------
@@ -374,29 +366,29 @@ def lsc_probe_at_zero(
     """Sampled lower-semicontinuity of V at 0.
 
     Lower semicontinuity only asks for *some* neighborhood of 0 on which
-    ``V(y) > V(0) - eps``, so the ladder walks shrinking radii to exhibit the
-    limit and the verdict comes from the smallest one: true iff every sample
-    there (uniform sphere directions plus axis points) clears the bound.  A
-    violation that persists down to the smallest radius is a genuine drop at
-    0; violations only at large radii are ordinary far-field decrease."""
+    ``V(y) > V(0) - eps``, so V is evaluated only at the smallest radius of
+    the ladder: true iff every sample there (uniform sphere directions plus
+    axis points) clears the bound.  A violation there is a genuine drop at 0;
+    violations only at larger radii would be ordinary far-field decrease."""
     probe = ValueFunctionProbe() if probe is None else probe
     v0 = value_function(ctx, np.zeros(ctx.instance.L.out_dim))
     if not np.isfinite(v0):
         raise InvariantViolation(f"V(0) = {v0}; the probe needs a finite value")
     m = ctx.instance.L.out_dim
-    rng = np.random.default_rng(0)
-    ok_at_radius = True
-    for r in probe.radius_ladder:
-        dirs = rng.normal(size=(probe.samples_per_radius, m))
-        norms = np.linalg.norm(dirs, axis=1, keepdims=True)
-        norms[norms == 0.0] = 1.0
-        dirs = dirs / norms
-        axes = np.concatenate([np.eye(m), -np.eye(m)], axis=0)
-        ok_at_radius = all(
-            value_function(ctx, r * d) > v0 - probe.eps
-            for d in np.concatenate([dirs, axes], axis=0)
-        )
-    return ok_at_radius
+    # One block of directions per radius, drawn in ladder order; only the
+    # smallest radius's block is evaluated.
+    dirs = np.random.default_rng(0).normal(
+        size=(len(probe.radius_ladder), probe.samples_per_radius, m)
+    )[-1]
+    norms = np.linalg.norm(dirs, axis=1, keepdims=True)
+    norms[norms == 0.0] = 1.0
+    dirs = dirs / norms
+    axes = np.concatenate([np.eye(m), -np.eye(m)], axis=0)
+    r = probe.radius_ladder[-1]
+    return all(
+        value_function(ctx, r * d) > v0 - probe.eps
+        for d in np.concatenate([dirs, axes], axis=0)
+    )
 
 
 # ---------------------------------------------------------------------------

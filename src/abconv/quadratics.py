@@ -299,12 +299,6 @@ class Family:
         return float(np.max(np.abs(off), initial=0.0)) <= tol
 
 
-def family_contains(
-    family: Family, q: GeneralizedQuadratic, tol: float | None = None
-) -> bool:
-    return family.contains(q, tol)
-
-
 # ---------------------------------------------------------------------------
 # Linear maps
 

@@ -39,6 +39,15 @@ def min_quad_1d(a: float, b: float, c: float) -> float:
     return -max_quad_1d(-a, -b, -c)
 
 
+def iso_combo_min(p1, p2, t: float) -> float:
+    """Exact ``min_z [t*p1 + (1-t)*p2](z)`` for (A, u, c) triples with
+    ``A = a*I``: the combination splits into one 1-d quadratic per axis."""
+    a = t * p1[0][0][0] + (1.0 - t) * p2[0][0][0]
+    u = t * np.asarray(p1[1], dtype=float) + (1.0 - t) * np.asarray(p2[1], dtype=float)
+    c = t * p1[2] + (1.0 - t) * p2[2]
+    return c + sum(min_quad_1d(a, ui, 0.0) for ui in u)
+
+
 def refine_max(fn, lo, hi, points=401, rounds=3, shrink=0.05):
     """Brute-force maximum of a scalar function over a box, with shrinking
     re-meshing around the incumbent. Returns (value, argmax)."""

@@ -257,6 +257,23 @@ class TestRandom:
         assert main(["random", "--seed", "1", "--spec", str(tmp_path / "no.json"),
                      "-o", str(tmp_path / "x.json")]) == 2
 
+    @pytest.mark.parametrize("block, field, value", [
+        ("search", "psi_slope_points_per_axis", 5.0),
+        ("search", "psi_slope_points_per_axis", "5"),
+        (None, "n", True),
+        ("psi", "includes_constants", "false"),
+        ("search", "psi_curv_grid", True),
+    ])
+    def test_malformed_field_exits_2(self, tmp_path, capsys, block, field, value):
+        path = tmp_path / "inst.json"
+        main(["random", "--seed", "3", "-o", str(path)])
+        data = json.loads(path.read_text())
+        (data if block is None else data[block])[field] = value
+        path.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["gap", str(path)]) == 2
+        assert field in capsys.readouterr().err
+
     def test_generated_instance_is_loadable(self, tmp_path, capsys):
         out_file = tmp_path / "inst.json"
         main(["random", "--seed", "11", "-o", str(out_file)])

@@ -35,7 +35,6 @@ from abconv import (
     coupling_value,
     dcp_value,
     decomposition_condition_check,
-    duality_report,
     epi_contains,
     epi_decompose,
     g_conjugate_table,
@@ -43,6 +42,7 @@ from abconv import (
     perturbation_conjugate_zero,
     primal_value,
     pullback,
+    run_report,
     verify_gap_certificate,
     verify_optimality_at,
     weak_duality_check,
@@ -73,6 +73,17 @@ class TestProblemInstance:
         g = quad_obj(1, 1.0, box=Box([50.0], [60.0]))
         with pytest.warns(UserWarning, match="no feasible point"):
             build(quad_obj(1, 1.0), g)
+
+    def test_no_warning_when_only_the_search_mesh_is_feasible(self):
+        # dom f holds (0.5, 0.5), a point of the 41-point mesh of [-10, 10]^2,
+        # and no point of a 21-point mesh of the same box.
+        f = quad_obj(2, 1.0, box=Box([0.4, 0.4], [0.6, 0.6]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            inst = build(f, quad_obj(2, 1.0), L=LinearMap.identity(2),
+                         x_search=GridSpec(Box.cube(2), 41, 2))
+        res = primal_value(inst)
+        assert res.value == 1.0 and res.minimizer.tolist() == [0.5, 0.5]
 
     def test_composite_quad_frozen(self, inst48):
         comp = inst48.composite_quad()
@@ -248,15 +259,15 @@ class TestDualSweep:
 
     def test_weak_duality_on_frozen_instances(self, inst47, inst48):
         for inst in (inst47, inst48):
-            rep = duality_report(inst)
-            assert rep.gap >= -1e-9
-            assert "weak_duality_violated" not in rep.flags
+            rep = run_report(inst, certificates=False)
+            assert rep["gap"] >= -1e-9
+            assert "weak_duality_violated" not in rep["flags"]
 
     def test_report_gap_is_inf_when_dual_diverges(self):
         inst = build(Objective.quadratic(GeneralizedQuadratic.affine([1.0])), quad_obj(1, 0.0))
-        rep = duality_report(inst)
-        assert rep.dual_conjugate == -INF and rep.gap == INF
-        assert "weak_duality_violated" not in rep.flags
+        rep = run_report(inst, certificates=False)
+        assert rep["dcp"] == -INF and rep["gap"] == INF
+        assert "weak_duality_violated" not in rep["flags"]
 
 
 class TestPerturbationConjugate:

@@ -1,6 +1,7 @@
 """Serialization, the bundled catalog, seeded generation, and reports."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,6 +39,7 @@ from abconv import (
 )
 
 ALL_NAMES = ("ex4.7", "ex4.7-reversed", "ex4.8", "ex5.6", "ex6.10", "ex6.11")
+GAP_REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference" / "gap"
 
 
 class TestDumps:
@@ -410,6 +412,11 @@ class TestReports:
         assert a == b
         assert a.startswith('{\n  "name": "ex4.7"')
         assert a.endswith("}\n")
+
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    def test_json_matches_the_recorded_reference_bytes(self, name):
+        text = report_json(run_report(catalog_instance(name)))
+        assert text == (GAP_REFERENCE / f"{name}.json").read_text()
 
     def test_table_rendering(self, inst47):
         text = report_table(run_report(inst47))

@@ -170,7 +170,6 @@ class TestLdLp:
         res = assert_dense_lp(make_ctx(inst))
         assert res.value == 0.0 and res.minimizer.tolist() == [-1.0]
 
-    @pytest.mark.filterwarnings("ignore:no feasible point found")
     def test_lp_single_feasible_point(self, fuzz_instance, make_ctx):
         # One point is one BLAS row, which must still round like the mesh.
         for seed in (0, 1):
@@ -286,6 +285,37 @@ class TestIntersectionProperty:
             assert oracles.intersection_brute(p1, p2, peak - 0.15, -30.0, 30.0)
             assert intersection_property(phi1, phi2, peak + 0.15) is None
             assert not oracles.intersection_brute(p1, p2, peak + 0.15, -30.0, 30.0)
+
+    def test_2d_search_agrees_with_independent_oracle(self, rng):
+        # Curvatures of either sign, so the least eigenvalue of the
+        # combination often changes sign on [0, 1]; alpha sits 0.05-1 off the
+        # best level.
+        def draw():
+            a = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.3, 1.5))
+            u = rng.uniform(-2.0, 2.0, size=2)
+            c = float(rng.uniform(-1.0, 1.0))
+            return GeneralizedQuadratic.iso(2, a, u, c), (a * np.eye(2), u, c)
+
+        witnesses = 0
+        for k in range(16):
+            phi1, p1 = draw()
+            phi2, p2 = draw()
+            peak = max(oracles.iso_combo_min(p1, p2, t) for t in np.linspace(0.0, 1.0, 2001))
+            offset = rng.uniform(0.05, 1.0)
+            if peak == -INF:
+                alpha = -20.0
+            else:
+                alpha = peak - offset if k % 2 == 0 else peak + offset
+            wit = intersection_property(phi1, phi2, alpha)
+            brute = oracles.intersection_brute(p1, p2, alpha, [-10.0, -10.0], [10.0, 10.0],
+                                               z_points=2601, t_points=201)
+            assert (wit is not None) == brute, (k, alpha)
+            if wit is not None:
+                witnesses += 1
+                exact = oracles.iso_combo_min(p1, p2, wit.t0)
+                assert exact >= alpha - 1e-9
+                assert wit.min_value == pytest.approx(exact, abs=1e-9)
+        assert 0 < witnesses < 16
 
 
 class TestValueFunction:

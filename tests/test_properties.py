@@ -23,7 +23,6 @@ from abconv import (
     conjugate_value,
     dumps,
     eps_subdiff_contains,
-    family_contains,
     instance_from_dict,
     instance_to_dict,
     lagrangian_value,
@@ -164,12 +163,12 @@ class TestQuadraticAlgebra:
     @given(a=st.floats(-3.0, 3.0), u=st.floats(-3.0, 3.0), c=st.floats(-2.0, 2.0))
     def test_family_membership_matches_curvature_sign(self, a, u, c):
         fam = Family(1, CurvatureSpec.nonpos())  # constants allowed
-        assert family_contains(fam, iso1(a, u, c)) == (a <= 1e-9)
+        assert fam.contains(iso1(a, u, c)) == (a <= 1e-9)
 
     @given(a=st.floats(-3.0, 0.0), u=st.floats(-3.0, 3.0), c=st.floats(-2.0, 2.0))
     def test_constant_free_family_rejects_offsets(self, a, u, c):
         fam = Family(1, CurvatureSpec.nonpos(), includes_constants=False)
-        assert family_contains(fam, iso1(a, u, c)) == (abs(c) <= 1e-9)
+        assert fam.contains(iso1(a, u, c)) == (abs(c) <= 1e-9)
 
 
 class TestLagrangianShape:
