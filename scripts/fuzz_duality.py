@@ -7,7 +7,12 @@ For every generated instance the script checks, at tolerance --tol:
   * lagrange dual  == conjugate dual (they share parameter tables),
   * the instance survives a serialization round trip bit-for-bit,
   * the convexified primal, which prunes mesh points, has the value and the
-    first minimizer of f + g**(L.) with g** evaluated at every mesh point.
+    first minimizer of f + g**(L.) with g** evaluated at every mesh point,
+  * the grid engine's table of g, searched over the default grid with no
+    domain box, is at most the exact closed-form table (relative slack
+    CROSS_TOL), and where the exact maximizer lies inside the grid box it is
+    within the first mesh's resolution of it: ||D|| * m * (h/2)^2 for the
+    member's difference matrix D and mesh spacing h.
 
 Prints one PASS/FAIL line per batch and exits 0 only if no check failed.
 """
@@ -23,10 +28,13 @@ from abconv import (
     FamilySearchGrid,
     GridSpec,
     LagrangianContext,
+    Objective,
     ProblemInstance,
     RandomSpec,
     biconjugate_many,
+    conjugate_closed_form,
     dcp_value,
+    family_conjugate_table,
     dumps,
     instance_from_dict,
     instance_to_dict,
@@ -35,9 +43,14 @@ from abconv import (
     primal_value,
     random_instance,
 )
+from abconv.conjugates import default_points_per_axis
 
 X_POINTS = {1: 201, 2: 41, 3: 11}
 SLOPE_POINTS = {1: 201, 2: 21, 3: 9}
+# The grid-vs-closed check runs the grid engine on a smaller member grid.
+CROSS_SLOPE_POINTS = {1: 9, 2: 3, 3: 2}
+CROSS_CURVATURE_POINTS = 3
+CROSS_TOL = 1e-9
 
 
 def sized_instance(spec: RandomSpec, seed: int) -> ProblemInstance:
@@ -52,6 +65,37 @@ def sized_instance(spec: RandomSpec, seed: int) -> ProblemInstance:
         ),
         name=raw.name,
     )
+
+
+def grid_vs_closed(inst: ProblemInstance) -> list[str]:
+    """Cross-check the two conjugate engines on g, which has no domain box:
+    the grid engine sees it through a whole-space box."""
+    g, m = inst.g, inst.L.out_dim
+    search = FamilySearchGrid.default(
+        inst.psi, slope_points=CROSS_SLOPE_POINTS[m],
+        curvature_points=CROSS_CURVATURE_POINTS)
+    grid = GridSpec(Box.cube(m), default_points_per_axis(m))
+    whole = Box(np.full(m, -np.inf), np.full(m, np.inf))
+    gridded = family_conjugate_table(
+        Objective.quadratic(g.quad, domain_box=whole), search, grid=grid)
+    closed = family_conjugate_table(g, search)
+    h = (grid.box.upper[0] - grid.box.lower[0]) / (grid.points_per_axis - 1)
+    eigs = np.linalg.eigvalsh(g.quad.A)
+    problems = []
+    for i, beta in enumerate(search.curvatures):
+        norm_d = float(np.max(np.abs(beta - eigs)))
+        for j, slope in enumerate(search.slopes()):
+            low, exact = float(gridded[i, j]), float(closed[i, j])
+            slack = CROSS_TOL * (1.0 + abs(exact))
+            where = f"member beta={beta:g}, slope={slope.tolist()}"
+            if low > exact + slack:
+                problems.append(f"grid conjugate {low!r} exceeds closed {exact!r} at {where}")
+            res = conjugate_closed_form(g, search.member(beta, slope))
+            if res.maximizer is not None and grid.box.contains(res.maximizer):
+                if low < res.value - norm_d * m * (h / 2) ** 2 - slack:
+                    problems.append(f"grid conjugate {low!r} is not within the mesh "
+                                    f"resolution of closed {res.value!r} at {where}")
+    return problems
 
 
 def check_instance(inst: ProblemInstance, tol: float) -> list[str]:
@@ -85,7 +129,7 @@ def check_instance(inst: ProblemInstance, tol: float) -> list[str]:
 
     if dumps(instance_to_dict(instance_from_dict(json.loads(text)))) != text:
         problems.append("serialization round trip is not stable")
-    return problems
+    return problems + grid_vs_closed(inst)
 
 
 def main(argv=None) -> int:

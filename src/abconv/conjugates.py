@@ -15,7 +15,7 @@ import numpy as np
 
 from .config import global_tol
 from .errors import InvariantViolation
-from .objectives import INF, Box, Objective
+from .objectives import INF, Box, Objective, shrink_windows
 from .quadratics import Family, GeneralizedQuadratic
 
 
@@ -165,6 +165,73 @@ def _quadratic_sup_many(
 # Grid engine
 
 
+# Member rows per block of the (members, window points) value matrix: 2**18
+# entries, 2 MB, however many members share a window.
+_VALUE_BLOCK = 1 << 18
+
+
+def _window_groups(lower: np.ndarray, upper: np.ndarray) -> list[np.ndarray]:
+    """Row indices grouped by identical windows.  The key is the bytes of
+    the bounds, so windows that differ only in the sign of a zero bound
+    (meshes that differ in the sign of a zero coordinate) stay apart."""
+    groups: dict[bytes, list[int]] = {}
+    for i, key in enumerate(np.concatenate([lower, upper], axis=1)):
+        groups.setdefault(key.tobytes(), []).append(i)
+    return [np.array(rows) for rows in groups.values()]
+
+
+def _grid_sup_table(
+    f: Objective,
+    mats: list[np.ndarray],
+    U: np.ndarray,
+    c: float,
+    grid: GridSpec,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Refining-grid lower bounds of ``sup_x x.A x + u.x + c - f(x)`` for
+    every matrix ``A`` in ``mats`` paired with every row ``u`` of ``U``.
+
+    Every member starts on ``grid.box`` and, after each round, shrinks its
+    window 10x around its incumbent; a later round replaces the incumbent
+    only when strictly better, and a member whose first window is wholly
+    infeasible stops with -inf.  Each round meshes and evaluates f once per
+    distinct window.  A member's value is ``einsum + X @ u + c - f(X)`` on
+    its window mesh, the arithmetic of ``GeneralizedQuadratic.__call__``,
+    with one matrix-vector product per member: a batched ``X @ U.T`` would
+    round differently.  Returns values of shape (len(mats), len(U)) and the
+    maximizers (NaN rows where the value is -inf)."""
+    n_lin = len(U)
+    size = len(mats) * n_lin
+    best = np.full(size, -INF)
+    best_x = np.full((size, f.dim), np.nan)
+    lower = np.tile(grid.box.lower, (size, 1))
+    upper = np.tile(grid.box.upper, (size, 1))
+    live = np.arange(size)
+    for r in range(grid.refine_rounds + 1):
+        if r:
+            lower[live], upper[live] = shrink_windows(
+                lower[live], upper[live], best_x[live], 0.1)
+        for rows in _window_groups(lower[live], upper[live]):
+            members = live[rows]
+            X = Box(lower[members[0]], upper[members[0]]).mesh(grid.points_per_axis)
+            fX = f.values(X)
+            ks, k_of = np.unique(members // n_lin, return_inverse=True)
+            quad = np.stack([np.einsum("ni,ij,nj->n", X, mats[k], X) for k in ks])
+            step = max(1, _VALUE_BLOCK // len(X))
+            for b in range(0, len(members), step):
+                block = members[b:b + step]
+                lin = np.stack([X @ U[j] for j in block % n_lin])
+                vals = quad[k_of[b:b + step]] + lin + c - fX
+                idx = vals.argmax(axis=1)
+                top = vals[np.arange(len(block)), idx]
+                up = top > best[block]
+                best[block[up]] = top[up]
+                best_x[block[up]] = X[idx[up]]
+        if r == 0:
+            live = np.flatnonzero(best > -INF)
+    shape = (len(mats), n_lin)
+    return best.reshape(shape), best_x.reshape(shape + (f.dim,))
+
+
 def conjugate_grid(
     f: Objective,
     phi: GeneralizedQuadratic,
@@ -174,22 +241,10 @@ def conjugate_grid(
     skipped. Returns -inf with a note when every window point is infeasible."""
     if f.dim != phi.dim:
         raise InvariantViolation("dimension mismatch in conjugate")
-    window = grid.box
-    best_val = -INF
-    best_x: np.ndarray | None = None
-    for _ in range(grid.refine_rounds + 1):
-        X = window.mesh(grid.points_per_axis)
-        vals = np.asarray(phi(X), dtype=float) - f.values(X)
-        idx = int(np.argmax(vals))
-        if float(vals[idx]) > best_val:
-            best_val = float(vals[idx])
-            best_x = X[idx]
-        if best_x is None:
-            break
-        window = window.shrink_around(best_x, 0.1)
-    if best_val == -INF:
+    values, maximizers = _grid_sup_table(f, [phi.A], phi.u[None], phi.c, grid)
+    if values[0, 0] == -INF:
         return ConjugateValue(-INF, None, "grid", "improper-window")
-    return ConjugateValue(best_val, best_x, "grid")
+    return ConjugateValue(float(values[0, 0]), maximizers[0, 0], "grid")
 
 
 def conjugate_value(
@@ -289,9 +344,12 @@ def family_conjugate_table(
 ) -> np.ndarray:
     """Conjugate values of f at every member of the search grid.
 
-    Shape ``(len(curvatures), n_slopes)``; entries may be +inf.  Uses one
-    batched eigendecomposition over the curvatures when f is an unconstrained
-    quadratic, otherwise falls back to the grid engine per member.
+    Shape ``(len(curvatures), n_slopes)``.  When f is an unconstrained
+    quadratic, one batched eigendecomposition over the curvatures gives the
+    exact values, +inf where unbounded.  Otherwise the grid engine refines
+    every member at once, meshing and evaluating f once per distinct window,
+    and each entry equals ``conjugate_grid`` at that member: a lower bound,
+    -inf where the member's first window is wholly infeasible.
     """
     slopes = search.slopes()
     if f.is_quadratic and f.domain_box is None:
@@ -300,13 +358,11 @@ def family_conjugate_table(
         betas = np.asarray(search.curvatures)[:, None, None]
         D = betas * np.eye(q.dim) - q.A
         return _quadratic_sup_many(D, slopes - q.u, -q.c, tol)
-    n = len(slopes)
-    out = np.empty((len(search.curvatures), n))
+    if f.dim != search.family.dim:
+        raise InvariantViolation("dimension mismatch in conjugate")
+    mats = [GeneralizedQuadratic.iso(f.dim, beta).A for beta in search.curvatures]
     g = grid if grid is not None else _default_grid(f.dim)
-    for i, beta in enumerate(search.curvatures):
-        for j in range(n):
-            out[i, j] = conjugate_grid(f, search.member(beta, slopes[j]), g).value
-    return out
+    return _grid_sup_table(f, mats, slopes, 0.0, g)[0]
 
 
 # Query points per block.  A block's (points, slopes) arrays, 1.5 MB each at

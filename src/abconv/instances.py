@@ -308,6 +308,9 @@ def instance_from_dict(data: dict) -> ProblemInstance:
             curvatures = tuple(_as_float(a, "search.psi_curv_grid") for a in curv)
         else:
             points_curv = _as_int(curv, "search.psi_curv_grid")
+            if points_curv < 1:
+                raise InstanceParseError(
+                    f"search.psi_curv_grid: expected a count >= 1, got {points_curv}")
             curvatures = tuple(float(a) for a in psi.curvature.grid(points=points_curv))
     else:
         curvatures = default_grid.curvatures

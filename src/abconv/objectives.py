@@ -61,11 +61,7 @@ class Box:
         clipped so it never leaves the original box. Finite boxes only."""
         if not self.is_finite:
             raise InvariantViolation("cannot shrink an infinite box")
-        center = self.clip(center)
-        half = 0.5 * factor * (self.upper - self.lower)
-        lo = np.maximum(self.lower, center - half)
-        hi = np.minimum(self.upper, center + half)
-        return Box(lo, hi)
+        return Box(*shrink_windows(self.lower, self.upper, center, factor))
 
     def mesh(self, points_per_axis: int) -> np.ndarray:
         """All grid points, shape (points_per_axis**dim, dim), C order."""
@@ -82,6 +78,15 @@ class Box:
         if not self.is_finite:
             raise InvariantViolation("cannot sample an infinite box")
         return rng.uniform(self.lower, self.upper, size=(n, self.dim))
+
+
+def shrink_windows(lower, upper, centers, factor: float):
+    """``Box.shrink_around`` on stacked windows: rows of ``lower``/``upper``
+    are finite windows and rows of ``centers`` their centers.  Elementwise,
+    so each row gets the same bits as the one-box call."""
+    center = np.clip(centers, lower, upper)
+    half = 0.5 * factor * (upper - lower)
+    return np.maximum(lower, center - half), np.minimum(upper, center + half)
 
 
 @dataclass(frozen=True)

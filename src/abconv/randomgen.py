@@ -12,6 +12,7 @@ import numpy as np
 
 from .duality import ProblemInstance
 from .errors import InstanceParseError
+from .instances import _as_float, _as_int
 from .objectives import Objective
 from .quadratics import CurvatureSpec, Family, GeneralizedQuadratic, LinearMap
 
@@ -32,6 +33,9 @@ class RandomSpec:
     slope_scale: float = 2.0
 
     def __post_init__(self) -> None:
+        numbers = (*self.f_modulus, *self.g_modulus, self.l_scale, self.slope_scale)
+        if not np.all(np.isfinite(numbers)):
+            raise InstanceParseError("ranges and scales must be finite")
         if self.n < 1 or self.m < 1:
             raise InstanceParseError("dimensions must be positive")
         for lo, hi in (self.f_modulus, self.g_modulus):
@@ -47,18 +51,16 @@ class RandomSpec:
         kwargs = {}
         for key in ("n", "m"):
             if key in data:
-                if not isinstance(data[key], int):
-                    raise InstanceParseError(f"{key} must be an integer")
-                kwargs[key] = data[key]
+                kwargs[key] = _as_int(data[key], key)
         for key in ("f_modulus", "g_modulus"):
             if key in data:
                 pair = data[key]
                 if not isinstance(pair, list) or len(pair) != 2:
                     raise InstanceParseError(f"{key} must be [lo, hi]")
-                kwargs[key] = (float(pair[0]), float(pair[1]))
+                kwargs[key] = (_as_float(pair[0], key), _as_float(pair[1], key))
         for key in ("l_scale", "slope_scale"):
             if key in data:
-                kwargs[key] = float(data[key])
+                kwargs[key] = _as_float(data[key], key)
         return cls(**kwargs)
 
 

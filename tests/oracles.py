@@ -167,3 +167,40 @@ def lp_dense(fv, LX, slopes, curvatures, table):
     total[ok] = fv[ok] + gdd[ok]
     idx = int(np.argmin(total))
     return float(total[idx]), idx
+
+
+def conjugate_grid_dense(f, phi, grid):
+    """Reference refining grid search for ``sup_x phi(x) - f(x)``, one
+    member: mesh the window, take the first-index argmax, keep it only when
+    strictly better, shrink 10x around the incumbent (clipped to the
+    window), and stop at once if the first window is wholly infeasible.
+    Returns ``(value, maximizer, note)``; ``f`` is an ``Objective``."""
+    lo, hi = grid.box.lower.copy(), grid.box.upper.copy()
+    best_val, best_x = -INF, None
+    for _ in range(grid.refine_rounds + 1):
+        axes = [np.linspace(lo[i], hi[i], grid.points_per_axis) for i in range(len(lo))]
+        X = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
+        vals = np.asarray(phi(X), dtype=float) - f.values(X)
+        idx = int(np.argmax(vals))
+        if float(vals[idx]) > best_val:
+            best_val = float(vals[idx])
+            best_x = X[idx]
+        if best_x is None:
+            break
+        center = np.clip(best_x, lo, hi)
+        half = 0.5 * 0.1 * (hi - lo)
+        lo, hi = np.maximum(lo, center - half), np.minimum(hi, center + half)
+    if best_val == -INF:
+        return -INF, None, "improper-window"
+    return best_val, best_x, ""
+
+
+def conjugate_table_dense(f, search, grid):
+    """Reference grid-engine table: ``conjugate_grid_dense`` at every
+    (curvature, slope) member of the search grid, one member at a time."""
+    slopes = search.slopes()
+    out = np.empty((len(search.curvatures), len(slopes)))
+    for i, beta in enumerate(search.curvatures):
+        for j in range(len(slopes)):
+            out[i, j] = conjugate_grid_dense(f, search.member(beta, slopes[j]), grid)[0]
+    return out

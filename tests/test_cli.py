@@ -257,12 +257,31 @@ class TestRandom:
         assert main(["random", "--seed", "1", "--spec", str(tmp_path / "no.json"),
                      "-o", str(tmp_path / "x.json")]) == 2
 
+    @pytest.mark.parametrize("spec", [
+        '{"n": true}',
+        '{"l_scale": "x"}',
+        '{"slope_scale": [1]}',
+        '{"f_modulus": ["a", 1]}',
+        '{"g_modulus": [0, "inf"]}',
+    ])
+    def test_malformed_spec_exits_2(self, tmp_path, capsys, spec):
+        path = tmp_path / "spec.json"
+        path.write_text(spec)
+        assert main(["random", "--seed", "1", "--spec", str(path),
+                     "-o", str(tmp_path / "x.json")]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
+
     @pytest.mark.parametrize("block, field, value", [
         ("search", "psi_slope_points_per_axis", 5.0),
         ("search", "psi_slope_points_per_axis", "5"),
         (None, "n", True),
         ("psi", "includes_constants", "false"),
         ("search", "psi_curv_grid", True),
+        ("search", "psi_curv_grid", -1),
+        ("search", "psi_curv_grid", 0),
+        ("search", "refine_rounds", 0.5),
+        ("f", "c", [1]),
     ])
     def test_malformed_field_exits_2(self, tmp_path, capsys, block, field, value):
         path = tmp_path / "inst.json"

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import oracles
-from abconv.conjugates import _biconjugate_argmax
+from abconv.conjugates import _biconjugate_argmax, _window_groups
 from abconv import (
     Box,
     ConjugateValue,
@@ -20,6 +20,7 @@ from abconv import (
     INF,
     InvariantViolation,
     Objective,
+    RandomSpec,
     biconjugate_at,
     biconjugate_many,
     conjugate_closed_form,
@@ -30,6 +31,7 @@ from abconv import (
     family_conjugate_table,
     is_phi_convex_at,
     minimize_quadratic,
+    random_instance,
 )
 from conftest import FUZZ_DIMS
 
@@ -254,6 +256,145 @@ class TestFamilyConjugateTable:
         table = family_conjugate_table(f, search, grid=GridSpec.cube(1))
         slopes = search.slopes()[:, 0]
         np.testing.assert_allclose(table[0], slopes**2 / 4.0, atol=1e-10)
+
+
+def _bits(a) -> np.ndarray:
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+def _boxed_g(m: int, callable_g: bool, seed: int) -> Objective:
+    """A random weakly convex quadratic on a random box around the origin,
+    as a quadratic or through an opaque callable."""
+    rng = np.random.default_rng(seed)
+    q = random_instance(RandomSpec(n=1, m=m), seed).g.quad
+    box = Box(-rng.uniform(0.5, 6.0, m), rng.uniform(0.5, 6.0, m))
+    if callable_g:
+        return Objective.from_callable(m, lambda y: float(q(y)), domain_box=box)
+    return Objective.quadratic(q, domain_box=box)
+
+
+def _plateau(x) -> float:
+    """0 on [-0.95, 0.95], rising outside: phi = 0 ties along the plateau,
+    and the first-index maximizer moves left as the mesh refines."""
+    return max(0.0, abs(float(x[0])) - 0.95)
+
+
+def _search(m: int, slope_points: int) -> FamilySearchGrid:
+    return FamilySearchGrid.default(
+        Family(m, CurvatureSpec.nonpos()), slope_points=slope_points,
+        curvature_points=5)
+
+
+class TestGridTable:
+    """The batched grid engine against the per-member reference loop
+    ``oracles.conjugate_table_dense``, bit for bit."""
+
+    @pytest.mark.parametrize("callable_g", [False, True])
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("seed", [3, 8])
+    def test_matches_the_dense_reference_bit_for_bit(self, m, callable_g, seed):
+        g = _boxed_g(m, callable_g, seed)
+        search = _search(m, {1: 15, 2: 5}[m])
+        grid = GridSpec(Box.cube(m), {1: 41, 2: 11}[m], 2)
+        table = family_conjugate_table(g, search, grid=grid)
+        ref = oracles.conjugate_table_dense(g, search, grid)
+        assert np.isfinite(table).all()
+        np.testing.assert_array_equal(_bits(table), _bits(ref))
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_partly_infeasible_windows(self, m):
+        # dom g covers a corner of the search box, so windows near its edge
+        # are partly infeasible and members pushed outward end at the edge.
+        q = GeneralizedQuadratic.iso(m, -0.5, np.linspace(0.3, -0.7, m), 0.25)
+        g = Objective.quadratic(q, domain_box=Box.cube(m, 0.3, 4.0))
+        search = _search(m, {1: 21, 2: 5}[m])
+        grid = GridSpec(Box.cube(m, -1.0, 1.0), {1: 41, 2: 11}[m], 3)
+        table = family_conjugate_table(g, search, grid=grid)
+        ref = oracles.conjugate_table_dense(g, search, grid)
+        np.testing.assert_array_equal(_bits(table), _bits(ref))
+        assert np.isfinite(table).all()
+
+    def test_a_fine_mesh_splits_members_into_blocks(self):
+        g = _boxed_g(1, False, 9)
+        search = _search(1, 9)
+        grid = GridSpec(Box.cube(1), 20001, 2)  # 13 members per value block
+        table = family_conjugate_table(g, search, grid=grid)
+        np.testing.assert_array_equal(
+            _bits(table), _bits(oracles.conjugate_table_dense(g, search, grid)))
+
+    def test_callable_with_infeasible_holes(self):
+        g = Objective.from_callable(
+            1, lambda y: INF if 0.2 < y[0] < 0.45 else float(y[0] ** 4 - y[0]))
+        search = _search(1, 31)
+        grid = GridSpec(Box.cube(1, -2.0, 2.0), 41, 2)
+        table = family_conjugate_table(g, search, grid=grid)
+        np.testing.assert_array_equal(
+            _bits(table), _bits(oracles.conjugate_table_dense(g, search, grid)))
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_wholly_infeasible_box_gives_minus_inf(self, m):
+        g = Objective.quadratic(GeneralizedQuadratic.iso(m, 1.0),
+                                domain_box=Box.cube(m, 5.0, 6.0))
+        search = _search(m, 3)
+        table = family_conjugate_table(g, search, grid=GridSpec.cube(m, -1.0, 1.0, 11))
+        assert np.all(table == -INF)
+        np.testing.assert_array_equal(
+            _bits(table),
+            _bits(oracles.conjugate_table_dense(g, search, GridSpec.cube(m, -1.0, 1.0, 11))))
+
+    def test_ties_keep_the_first_index_and_the_earlier_round(self):
+        g = Objective.from_callable(1, _plateau)
+        search = FamilySearchGrid(Family(1, CurvatureSpec.nonpos()),
+                                  Box.cube(1, -1.0, 1.0), 5, (-1.0, 0.0))
+        grid = GridSpec.cube(1, points_per_axis=201)
+        table = family_conjugate_table(g, search, grid=grid)
+        np.testing.assert_array_equal(
+            _bits(table), _bits(oracles.conjugate_table_dense(g, search, grid)))
+        assert table[1, 2] == 0.0  # phi = 0: the whole plateau ties
+
+    @pytest.mark.parametrize("case", ["quadratic", "callable-2d", "hole",
+                                      "infeasible", "plateau", "general-phi"])
+    def test_conjugate_grid_is_the_one_member_call(self, case):
+        grid = GridSpec.cube(1, points_per_axis=201)
+        phi = GeneralizedQuadratic.zero(1)
+        if case == "quadratic":
+            f, phi = _boxed_g(1, False, 5), member(-0.5, 1.5)
+        elif case == "callable-2d":
+            f, grid = _boxed_g(2, True, 6), GridSpec.cube(2, -3.0, 3.0, 11)
+            phi = GeneralizedQuadratic.iso(2, -0.25, [0.5, -1.0])
+        elif case == "hole":
+            f = Objective.from_callable(1, lambda y: INF if y[0] < 0.3 else float(y[0]))
+        elif case == "infeasible":
+            f = Objective.quadratic(GeneralizedQuadratic.iso(1, 1.0),
+                                    domain_box=Box([11.0], [12.0]))
+        elif case == "plateau":
+            f = Objective.from_callable(1, _plateau)
+        else:
+            f = _boxed_g(2, False, 7)
+            phi = GeneralizedQuadratic(2, [[-1.0, 0.3], [0.3, 0.5]], [1.0, 2.0], -0.7)
+            grid = GridSpec.cube(2, -3.0, 3.0, 11)
+        res = conjugate_grid(f, phi, grid)
+        value, x, note = oracles.conjugate_grid_dense(f, phi, grid)
+        assert res.engine == "grid" and res.note == note
+        assert _bits(res.value) == _bits(value)
+        if x is None:
+            assert res.maximizer is None and res.value == -INF
+        else:
+            np.testing.assert_array_equal(_bits(res.maximizer), _bits(x))
+        if case == "plateau":
+            # round 0 finds -0.9; round 1 ties at about -0.95 and must not win
+            assert res.value == 0.0 and res.maximizer[0] == pytest.approx(-0.9)
+
+    def test_windows_that_differ_in_a_zero_sign_stay_apart(self):
+        lower = np.array([[-0.0, 1.0], [0.0, 1.0], [-0.0, 1.0], [0.0, 2.0]])
+        upper = np.array([[1.0, 3.0], [1.0, 3.0], [1.0, 3.0], [1.0, 3.0]])
+        groups = _window_groups(lower, upper)
+        assert sorted(map(list, groups)) == [[0, 2], [1], [3]]
+
+    def test_dimension_mismatch(self):
+        g = Objective.from_callable(2, lambda y: 0.0, domain_box=Box.cube(2))
+        with pytest.raises(InvariantViolation):
+            family_conjugate_table(g, _search(1, 3))
 
 
 class TestBiconjugates:

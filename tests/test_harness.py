@@ -1,5 +1,6 @@
 """Serialization, the bundled catalog, seeded generation, and reports."""
 
+import copy
 import json
 from pathlib import Path
 
@@ -15,6 +16,7 @@ from abconv import (
     GridSpec,
     INF,
     InstanceParseError,
+    InvariantViolation,
     LinearMap,
     Objective,
     ProblemInstance,
@@ -379,6 +381,64 @@ class TestRandomGen:
             RandomSpec.from_dict({"g_modulus": [1.0]})
         with pytest.raises(InstanceParseError):
             RandomSpec.from_dict("n=2")
+
+
+# The values every node of a file is set to, one at a time.
+BAD_LEAVES = (None, "x", True, [1], -1, 0, 0.5)
+SEEDED_SPEC = {"n": 2, "m": 1, "f_modulus": [0.0, 2.0], "g_modulus": [0.5, 1.0],
+               "l_scale": 1.0, "slope_scale": 2.0}
+
+
+def _node_paths(node, path=()):
+    """Key/index paths of every value below the root of a JSON tree: the
+    scalars and the objects and lists that hold them."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield path + (key,)
+        yield from _node_paths(child, path + (key,))
+
+
+def _mutants(data):
+    for path in _node_paths(data):
+        for value in BAD_LEAVES:
+            mutant = copy.deepcopy(data)
+            node = mutant
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = value
+            yield path, value, mutant
+
+
+class TestMalformedLeaves:
+    """Every value in a seeded file, leaf or container, set to each bad
+    value either loads or raises a typed error, never anything else."""
+
+    def test_instance_file(self):
+        data = instance_to_dict(random_instance(RandomSpec(), 4))
+        loaded = rejected = 0
+        for path, value, mutant in _mutants(data):
+            try:
+                instance_from_dict(mutant)
+                loaded += 1
+            except (InstanceParseError, InvariantViolation):
+                rejected += 1
+            except Exception as exc:
+                pytest.fail(f"{path} = {value!r}: {type(exc).__name__}: {exc}")
+        assert loaded > 20 and rejected > 200
+
+    def test_random_spec(self):
+        for path, value, mutant in _mutants(SEEDED_SPEC):
+            try:
+                random_instance(RandomSpec.from_dict(mutant), 1)
+            except (InstanceParseError, InvariantViolation):
+                pass
+            except Exception as exc:
+                pytest.fail(f"{path} = {value!r}: {type(exc).__name__}: {exc}")
 
 
 class TestReports:
