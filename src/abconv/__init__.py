@@ -59,6 +59,7 @@ from .lagrange import (
     LagrangianContext,
     LpResult,
     SupportPointCheck,
+    SupportPointScan,
     ValueFunctionProbe,
     convexification_preserves_value,
     intersection_property,
@@ -67,6 +68,7 @@ from .lagrange import (
     lp_value,
     lsc_probe_at_zero,
     psi_convexity_at_optimum,
+    support_point_scan,
     support_point_zero_gap_check,
     value_function,
 )

@@ -31,7 +31,7 @@ from .lagrange import (
     lagrangian_value,
     ld_value,
     lp_value,
-    support_point_zero_gap_check,
+    support_point_scan,
 )
 from .objectives import INF, Objective
 from .quadratics import (
@@ -342,18 +342,16 @@ def _checks_ex611(inst: ProblemInstance) -> list[CheckRow]:
     # support member 2x + b needs b <= 1, which caps the level at
     # alpha <= inf(f + psi o L) = b - 41/4 <= -37/4, while the point
     # condition forces g(x0) <= 0, i.e. x0 <= -1/2, where f >= -33/4 — so
-    # the sandwich f(x0) <= alpha can never close.
+    # the sandwich f(x0) <= alpha can never close.  One scan per member, over
+    # about 100 evenly spaced mesh points.
     X = inst.x_search.box.mesh(inst.x_search.points_per_axis)
+    X0 = X[:: max(1, len(X) // 100)]
     found = None
     for b in (1.0, 0.0):
         member = GeneralizedQuadratic.affine([2.0], b)
-        alpha = b - 41.0 / 4.0
-        for x0 in X[:: max(1, len(X) // 100)]:
-            chk = support_point_zero_gap_check(ctx, member, x0, alpha)
-            if chk.holds:
-                found = (b, float(x0[0]))
-                break
-        if found:
+        hits = np.flatnonzero(support_point_scan(ctx, member, X0, b - 41.0 / 4.0).holds)
+        if hits.size:
+            found = (b, float(X0[hits[0], 0]))
             break
     rows.append(
         _bool_row(

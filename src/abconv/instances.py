@@ -412,11 +412,10 @@ def load_certificate_file(path, n: int, m: int) -> dict:
         x = _as_vector(data["x"], "x")
         if x.shape != (n,):
             raise InstanceParseError(f"certificate x: length {x.shape[0]} != {n}")
-        ladder = tuple(
-            _as_float(e, "ladder") for e in data.get("ladder", [1.0, 1e-2, 1e-4, 1e-6])
-        )
-        certs = [
-            certificate_from_dict(c, n, m) for c in data.get("certs", [])
-        ]
+        ladder, certs = data.get("ladder", [1.0, 1e-2, 1e-4, 1e-6]), data.get("certs", [])
+        if not isinstance(ladder, list) or not isinstance(certs, list):
+            raise InstanceParseError("thm44 ladder and certs must be JSON lists")
+        ladder = tuple(_as_float(e, "ladder") for e in ladder)
+        certs = [certificate_from_dict(c, n, m) for c in certs]
         return {"kind": kind, "x": x, "ladder": ladder, "certs": certs}
     raise InstanceParseError(f"certificate kind: expected thm42|thm43|thm44, got {kind!r}")

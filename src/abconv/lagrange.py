@@ -17,10 +17,10 @@ import numpy as np
 
 from .config import global_tol
 from .conjugates import (
+    _VALUE_BLOCK,
     _biconjugate_argmax,
     _biconjugate_lower_bound,
     _quadratic_sup_many,
-    biconjugate_at,
     biconjugate_many,
     conjugate_value,
     is_phi_convex_at,
@@ -121,6 +121,12 @@ class LpResult:
     flags: tuple[str, ...] = ()
 
 
+def _never_one_row(X: np.ndarray) -> np.ndarray:
+    """X, with a lone row repeated: BLAS rounds a one-row product
+    differently from the batched product the same row gets in a longer X."""
+    return np.repeat(X, 2, axis=0) if len(X) == 1 else X
+
+
 def lp_value(ctx: LagrangianContext) -> LpResult:
     """``inf_x [f(x) + g**(Lx)]`` over the x search mesh, with the class
     biconjugate of g taken over the shared member grid (grid-truncated).
@@ -137,17 +143,11 @@ def lp_value(ctx: LagrangianContext) -> LpResult:
     X = inst.x_search.box.mesh(inst.x_search.points_per_axis)
     fv = inst.f.values(X)
     LX = inst.L.apply(X)
-
-    def rows(idx: np.ndarray) -> np.ndarray:
-        # Never a one-row batch: BLAS rounds a one-row product differently
-        # from the full-mesh product of the dense evaluation.
-        return LX[np.repeat(idx, 2) if len(idx) == 1 else idx]
-
     total = np.full(len(X), INF)
     feasible = np.flatnonzero(fv != INF)
     sample = feasible[::_LP_SAMPLE_STRIDE]
     rest = np.delete(feasible, np.s_[::_LP_SAMPLE_STRIDE])
-    gdd, winner = _biconjugate_argmax(rows(sample), search, table)
+    gdd, winner = _biconjugate_argmax(_never_one_row(LX[sample]), search, table)
     total[sample] = fv[sample] + gdd[:len(sample)]
     incumbent = np.min(total[sample], initial=INF)
     if np.isfinite(incumbent) and len(rest):
@@ -157,7 +157,7 @@ def lp_value(ctx: LagrangianContext) -> LpResult:
         slack = _LP_PRUNE_RTOL * (np.abs(fv[rest]) + scale + abs(incumbent))
         rest = rest[~(fv[rest] + lower > incumbent + slack)]
     total[rest] = fv[rest] + biconjugate_many(
-        inst.g, rows(rest), search, table)[:len(rest)]
+        inst.g, _never_one_row(LX[rest]), search, table)[:len(rest)]
     idx = int(np.argmin(total))
     value = float(total[idx])
     flags: tuple[str, ...] = ("grid_truncated",)
@@ -334,6 +334,32 @@ def value_function(ctx: LagrangianContext, y) -> float:
     return _composite_min(ctx.instance, y).value
 
 
+def _value_function_many(ctx: LagrangianContext, Y: np.ndarray) -> np.ndarray:
+    """V at every row of Y.  On an exact instance f + g(L. + y) has one
+    matrix for every y, so one ``_quadratic_sup_many`` call serves all rows
+    (each row's constant added after it, as the kernel would add it).  On a
+    grid instance g is evaluated on the shifted images in stacked blocks,
+    each value as ``value_function`` computes it."""
+    inst = ctx.instance
+    if inst._is_exact():
+        A, gq = inst.composite_quad().A, inst.g.quad
+        U = inst.f.quad.u + (2.0 * (Y @ gq.A) + gq.u) @ inst.L.matrix
+        C = inst.f.quad.c + gq(Y)
+        # V = -sup(0 - q_y), the differences formed as minimize_quadratic forms them
+        sup = _quadratic_sup_many((0.0 - A)[None], 0.0 - U, 0.0, global_tol())[0]
+        return -((0.0 - C) + sup)
+    X = inst.x_search.box.mesh(inst.x_search.points_per_axis)
+    fv, LX = inst.f.values(X), inst.L.apply(X)
+    out = np.empty(len(Y))
+    step = max(1, _VALUE_BLOCK // len(X))
+    for start in range(0, len(Y), step):
+        Yb = Y[start:start + step]
+        shifted = (LX[None] + Yb[:, None]).reshape(-1, LX.shape[1])
+        total = fv + inst.g.values(shifted).reshape(len(Yb), len(X))
+        out[start:start + len(Yb)] = total[np.arange(len(Yb)), total.argmin(axis=1)]
+    return out
+
+
 @dataclass(frozen=True)
 class ValueFunctionProbe:
     """Sampling plan for the lsc test: strictly decreasing radii, at least 8
@@ -384,11 +410,8 @@ def lsc_probe_at_zero(
     norms[norms == 0.0] = 1.0
     dirs = dirs / norms
     axes = np.concatenate([np.eye(m), -np.eye(m)], axis=0)
-    r = probe.radius_ladder[-1]
-    return all(
-        value_function(ctx, r * d) > v0 - probe.eps
-        for d in np.concatenate([dirs, axes], axis=0)
-    )
+    Y = probe.radius_ladder[-1] * np.concatenate([dirs, axes], axis=0)
+    return bool(np.all(_value_function_many(ctx, Y) > v0 - probe.eps))
 
 
 # ---------------------------------------------------------------------------
@@ -402,25 +425,49 @@ class SupportPointCheck:
     details: dict[str, float]
 
 
-def support_point_zero_gap_check(
+@dataclass(frozen=True)
+class SupportPointScan:
+    """``support_point_zero_gap_check`` at every candidate base point: one
+    flag and one value per candidate under the same keys."""
+
+    holds: np.ndarray
+    conditions: dict[str, np.ndarray]
+    details: dict[str, np.ndarray]
+
+    def check(self, i: int) -> SupportPointCheck:
+        return SupportPointCheck(
+            bool(self.holds[i]),
+            {k: bool(v[i]) for k, v in self.conditions.items()},
+            {k: float(v[i]) for k, v in self.details.items()},
+        )
+
+
+def support_point_scan(
     ctx: LagrangianContext,
     psi: GeneralizedQuadratic,
-    x0,
+    X0,
     alpha: float,
     tol: float | None = None,
-) -> SupportPointCheck:
-    """Zero-gap sufficient conditions built on a support member and a point.
+) -> SupportPointScan:
+    """Zero-gap sufficient conditions built on a support member and a point,
+    for every row of X0 (candidate base points, shape (N, n)).
 
     (support) psi <= g everywhere; (level) alpha <= inf_x f + psi o L;
     (sandwich) f(x0) <= alpha <= psi(L x0); (point) either
     ``sup over members of [psi'(L x0) - g*(psi')] <= 0`` or the variant
-    ``g(L x0) <= 0``.  All four certify sup-inf == inf-sup."""
+    ``g(L x0) <= 0``.  All four certify sup-inf == inf-sup.  The first two
+    depend on psi only and are computed once; the point conditions come
+    from one batched evaluation over L X0."""
     tol = global_tol() if tol is None else tol
     inst = ctx.instance
-    x0 = np.asarray(x0, dtype=float).reshape(-1)
-    Lx0 = inst.L.apply(x0)
-    conditions: dict[str, bool] = {}
-    details: dict[str, float] = {}
+    X0 = np.asarray(X0, dtype=float)
+    if X0.ndim != 2 or X0.shape[1] != inst.L.in_dim:
+        raise InvariantViolation(f"base points shape {X0.shape} != (N, {inst.L.in_dim})")
+    # A lone base point is evaluated as two rows, so that it gets the values
+    # it would get among other candidates.
+    n = len(X0)
+    X0 = _never_one_row(X0)
+    LX0 = inst.L.apply(X0)
 
     # (support): min (g - psi) >= 0
     if inst.g.is_quadratic and inst.g.domain_box is None:
@@ -430,8 +477,6 @@ def support_point_zero_gap_check(
         gv = inst.g.values(Y)
         ok = np.isfinite(gv)
         low = float(np.min(gv[ok] - np.asarray(psi(Y[ok])))) if np.any(ok) else INF
-    conditions["psi_supports_g"] = low >= -tol
-    details["support_slack"] = low
 
     # (level): alpha <= inf_x f + psi o L
     if inst.f.is_quadratic and inst.f.domain_box is None:
@@ -442,30 +487,42 @@ def support_point_zero_gap_check(
         ok = np.isfinite(fv)
         pb = pullback(psi, inst.L)
         inf_fpsi = float(np.min(fv[ok] + np.asarray(pb(X[ok])))) if np.any(ok) else INF
-    conditions["alpha_below_inf"] = alpha <= inf_fpsi + tol
-    details["inf_f_plus_psi"] = inf_fpsi
 
-    # (sandwich): f(x0) <= alpha <= psi(L x0)
-    fx0 = inst.f.value(x0)
-    psi_at = float(psi(Lx0))
-    conditions["sandwich"] = fx0 <= alpha + tol and alpha <= psi_at + tol
-    details["f_at_x0"] = fx0
-    details["psi_at_Lx0"] = psi_at
-
-    # (point): L x0 supported by g* over the member grid, or g(L x0) <= 0
-    sup_a = biconjugate_at(inst.g, Lx0, inst.psi_search, table=ctx.gstar_table())
-    g_at = inst.g.value(Lx0)
-    point_in_a = sup_a <= tol
-    g_nonpos = g_at <= tol
-    conditions["point_in_support_set"] = point_in_a
-    conditions["g_nonpositive_at_point"] = g_nonpos
-    details["sup_member_minus_gstar"] = sup_a
-    details["g_at_Lx0"] = g_at
-
+    # (sandwich) and (point): L x0 supported by g* over the member grid, or
+    # g(L x0) <= 0
+    fx0, psi_at, g_at = inst.f.values(X0)[:n], psi(LX0)[:n], inst.g.values(LX0)[:n]
+    sup_a = biconjugate_many(inst.g, LX0, inst.psi_search, ctx.gstar_table())[:n]
+    conditions = {
+        "psi_supports_g": np.full(n, low >= -tol),
+        "alpha_below_inf": np.full(n, alpha <= inf_fpsi + tol),
+        "sandwich": (fx0 <= alpha + tol) & (alpha <= psi_at + tol),
+        "point_in_support_set": sup_a <= tol,
+        "g_nonpositive_at_point": g_at <= tol,
+    }
+    details = {
+        "support_slack": np.full(n, low),
+        "inf_f_plus_psi": np.full(n, inf_fpsi),
+        "f_at_x0": fx0,
+        "psi_at_Lx0": psi_at,
+        "sup_member_minus_gstar": sup_a,
+        "g_at_Lx0": g_at,
+    }
     holds = (
         conditions["psi_supports_g"]
-        and conditions["alpha_below_inf"]
-        and conditions["sandwich"]
-        and (point_in_a or g_nonpos)
+        & conditions["alpha_below_inf"]
+        & conditions["sandwich"]
+        & (conditions["point_in_support_set"] | conditions["g_nonpositive_at_point"])
     )
-    return SupportPointCheck(holds, conditions, details)
+    return SupportPointScan(holds, conditions, details)
+
+
+def support_point_zero_gap_check(
+    ctx: LagrangianContext,
+    psi: GeneralizedQuadratic,
+    x0,
+    alpha: float,
+    tol: float | None = None,
+) -> SupportPointCheck:
+    """``support_point_scan`` at the one base point x0."""
+    x0 = np.asarray(x0, dtype=float).reshape(1, -1)
+    return support_point_scan(ctx, psi, x0, alpha, tol).check(0)

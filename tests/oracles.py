@@ -3,11 +3,24 @@
 Everything here is deliberately written from scratch against the plain
 mathematical definitions (loops over dense meshes, scalar formulas), sharing
 no code with the package, so agreement is evidence rather than tautology.
+The exception is the ``*_dense`` references of batched kernels: each keeps
+the package's loop from before the batching, so that the batched path can be
+compared with it verdict for verdict or bit for bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from abconv.config import global_tol
+from abconv.conjugates import biconjugate_at, minimize_quadratic
+from abconv.errors import InvariantViolation
+from abconv.lagrange import (
+    SupportPointCheck,
+    ValueFunctionProbe,
+    value_function,
+)
+from abconv.quadratics import combine, pullback
 
 INF = float("inf")
 
@@ -204,3 +217,93 @@ def conjugate_table_dense(f, search, grid):
         for j in range(len(slopes)):
             out[i, j] = conjugate_grid_dense(f, search.member(beta, slopes[j]), grid)[0]
     return out
+
+
+def support_point_dense(ctx, psi, x0, alpha, tol=None):
+    """Reference support-point zero-gap check: the scalar check as it was
+    before ``support_point_scan``, one base point per call, recomputing the
+    psi-only conditions and taking g** at L x0 from a one-row batch."""
+    tol = global_tol() if tol is None else tol
+    inst = ctx.instance
+    x0 = np.asarray(x0, dtype=float).reshape(-1)
+    Lx0 = inst.L.apply(x0)
+    conditions: dict[str, bool] = {}
+    details: dict[str, float] = {}
+
+    # (support): min (g - psi) >= 0
+    if inst.g.is_quadratic and inst.g.domain_box is None:
+        low, _ = minimize_quadratic(combine(1.0, inst.g.quad, -1.0, psi))
+    else:
+        Y = inst.y_search.box.mesh(inst.y_search.points_per_axis)
+        gv = inst.g.values(Y)
+        ok = np.isfinite(gv)
+        low = float(np.min(gv[ok] - np.asarray(psi(Y[ok])))) if np.any(ok) else INF
+    conditions["psi_supports_g"] = low >= -tol
+    details["support_slack"] = low
+
+    # (level): alpha <= inf_x f + psi o L
+    if inst.f.is_quadratic and inst.f.domain_box is None:
+        inf_fpsi, _ = minimize_quadratic(inst.f.quad + pullback(psi, inst.L))
+    else:
+        X = inst.x_search.box.mesh(inst.x_search.points_per_axis)
+        fv = inst.f.values(X)
+        ok = np.isfinite(fv)
+        pb = pullback(psi, inst.L)
+        inf_fpsi = float(np.min(fv[ok] + np.asarray(pb(X[ok])))) if np.any(ok) else INF
+    conditions["alpha_below_inf"] = alpha <= inf_fpsi + tol
+    details["inf_f_plus_psi"] = inf_fpsi
+
+    # (sandwich): f(x0) <= alpha <= psi(L x0)
+    fx0 = inst.f.value(x0)
+    psi_at = float(psi(Lx0))
+    conditions["sandwich"] = fx0 <= alpha + tol and alpha <= psi_at + tol
+    details["f_at_x0"] = fx0
+    details["psi_at_Lx0"] = psi_at
+
+    # (point): L x0 supported by g* over the member grid, or g(L x0) <= 0
+    sup_a = biconjugate_at(inst.g, Lx0, inst.psi_search, table=ctx.gstar_table())
+    g_at = inst.g.value(Lx0)
+    point_in_a = sup_a <= tol
+    g_nonpos = g_at <= tol
+    conditions["point_in_support_set"] = point_in_a
+    conditions["g_nonpositive_at_point"] = g_nonpos
+    details["sup_member_minus_gstar"] = sup_a
+    details["g_at_Lx0"] = g_at
+
+    holds = (
+        conditions["psi_supports_g"]
+        and conditions["alpha_below_inf"]
+        and conditions["sandwich"]
+        and (point_in_a or g_nonpos)
+    )
+    return SupportPointCheck(holds, conditions, details)
+
+
+def lsc_samples(ctx, probe=None):
+    """The perturbations y at which the lsc probe evaluates V: the smallest
+    radius of the ladder times unit sphere directions, then the axis points."""
+    probe = ValueFunctionProbe() if probe is None else probe
+    m = ctx.instance.L.out_dim
+    # One block of directions per radius, drawn in ladder order; only the
+    # smallest radius's block is evaluated.
+    dirs = np.random.default_rng(0).normal(
+        size=(len(probe.radius_ladder), probe.samples_per_radius, m)
+    )[-1]
+    norms = np.linalg.norm(dirs, axis=1, keepdims=True)
+    norms[norms == 0.0] = 1.0
+    dirs = dirs / norms
+    axes = np.concatenate([np.eye(m), -np.eye(m)], axis=0)
+    r = probe.radius_ladder[-1]
+    return [r * d for d in np.concatenate([dirs, axes], axis=0)]
+
+
+def lsc_probe_dense(ctx, probe=None):
+    """Reference lsc probe: the per-sample loop as it was before the batched
+    V(y) samples, one ``value_function`` call per perturbation."""
+    probe = ValueFunctionProbe() if probe is None else probe
+    v0 = value_function(ctx, np.zeros(ctx.instance.L.out_dim))
+    if not np.isfinite(v0):
+        raise InvariantViolation(f"V(0) = {v0}; the probe needs a finite value")
+    return all(
+        value_function(ctx, y) > v0 - probe.eps for y in lsc_samples(ctx, probe)
+    )

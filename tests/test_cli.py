@@ -176,6 +176,13 @@ class TestCertify:
         assert parsed["primal value"] == "0.8"
         assert parsed["verdict"] == "holds"
 
+    @pytest.mark.parametrize("field,value", [("ladder", None), ("certs", True),
+                                             ("ladder", 0.5)])
+    def test_ladder_that_is_not_a_list_exits_2(self, field, value, tmp_path, capsys):
+        cert = self.write(tmp_path, {"kind": "thm44", "x": [-0.2], field: value})
+        assert main(["certify", "ex4.7", "--cert", cert, "--kind", "thm44"]) == 2
+        assert "must be JSON lists" in capsys.readouterr().err
+
     def test_missing_cert_file_exits_2(self, capsys):
         assert main(["certify", "ex4.7", "--cert", "absent.json",
                      "--kind", "thm42"]) == 2

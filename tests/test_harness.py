@@ -17,6 +17,7 @@ from abconv import (
     INF,
     InstanceParseError,
     InvariantViolation,
+    LagrangianContext,
     LinearMap,
     Objective,
     ProblemInstance,
@@ -31,6 +32,7 @@ from abconv import (
     instance_to_dict,
     load_certificate_file,
     load_instance,
+    lsc_probe_at_zero,
     primal_value,
     random_instance,
     report_json,
@@ -42,6 +44,7 @@ from abconv import (
 
 ALL_NAMES = ("ex4.7", "ex4.7-reversed", "ex4.8", "ex5.6", "ex6.10", "ex6.11")
 GAP_REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference" / "gap"
+CATALOG_FACTS = GAP_REFERENCE.parent / "catalog_facts.json"
 
 
 class TestDumps:
@@ -318,6 +321,15 @@ class TestCatalog:
         failed = [r for r in rows if not r.passed]
         assert not failed, f"failing rows: {[(r.label, r.detail) for r in failed]}"
 
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    def test_the_benchmark_catalog_facts_hold(self, name):
+        facts = json.loads(CATALOG_FACTS.read_text())[name]
+        rows = reproduce_checks(name)
+        assert len(rows) == facts["checks"]
+        assert all(row.passed for row in rows), [(r.label, r.detail) for r in rows]
+        ctx = LagrangianContext(catalog_instance(name))
+        assert lsc_probe_at_zero(ctx) == facts["lsc"]
+
     def test_reproduce_check_counts(self):
         counts = {name: len(reproduce_checks(name)) for name in ALL_NAMES}
         assert counts == {
@@ -439,6 +451,43 @@ class TestMalformedLeaves:
                 pass
             except Exception as exc:
                 pytest.fail(f"{path} = {value!r}: {type(exc).__name__}: {exc}")
+
+    def test_certificate_objects(self):
+        thm42 = certificate_to_dict(GapCertificate(
+            "thm42", 1e-3, [-2.0, 3.0], GeneralizedQuadratic.iso(1, -1.0, [2.0], 0.5)))
+        thm43 = certificate_to_dict(GapCertificate(
+            "thm43", 0.0, [-0.2, 1.0], GeneralizedQuadratic.affine([-1.6]),
+            GeneralizedQuadratic.iso(2, 0.0, [1.6, 0.3], 0.0)))
+        loaded = rejected = 0
+        for data in (thm42, thm43):
+            for path, value, mutant in _mutants(data):
+                try:
+                    certificate_from_dict(mutant, n=2, m=1)
+                    loaded += 1
+                except (InstanceParseError, InvariantViolation):
+                    rejected += 1
+                except Exception as exc:
+                    pytest.fail(f"{path} = {value!r}: {type(exc).__name__}: {exc}")
+        assert loaded > 30 and rejected > 100
+
+    def test_certificate_ladder_file(self, tmp_path):
+        member = {"a": -1.0, "u": [2.0], "c": 0.0}
+        data = {"kind": "thm44", "x": [-2.0, 3.0], "ladder": [1.0, 1e-3],
+                "certs": [{"kind": "thm42", "eps": 1.0, "x": [-2.0, 3.0], "psi": member},
+                          {"kind": "thm43", "eps": 1e-3, "x": [-2.0, 3.0], "psi": member,
+                           "phi": {"a": 0.0, "u": [1.0, -1.0], "c": 0.0}}]}
+        path = tmp_path / "ladder.json"
+        loaded = rejected = 0
+        for where, value, mutant in _mutants(data):
+            path.write_text(json.dumps(mutant))
+            try:
+                load_certificate_file(path, n=2, m=1)
+                loaded += 1
+            except (InstanceParseError, InvariantViolation):
+                rejected += 1
+            except Exception as exc:
+                pytest.fail(f"{where} = {value!r}: {type(exc).__name__}: {exc}")
+        assert loaded > 40 and rejected > 150
 
 
 class TestReports:

@@ -16,6 +16,7 @@ from abconv import (
     Box,
     CurvatureSpec,
     Family,
+    FamilySearchGrid,
     GeneralizedQuadratic,
     GridSpec,
     INF,
@@ -25,7 +26,10 @@ from abconv import (
     LinearMap,
     Objective,
     ProblemInstance,
+    RandomSpec,
     ValueFunctionProbe,
+    catalog_instance,
+    catalog_names,
     convexification_preserves_value,
     dcp_value,
     intersection_property,
@@ -35,9 +39,12 @@ from abconv import (
     lsc_probe_at_zero,
     primal_value,
     psi_convexity_at_optimum,
+    random_instance,
+    support_point_scan,
     support_point_zero_gap_check,
     value_function,
 )
+from abconv.lagrange import _value_function_many
 
 from conftest import FUZZ_DIMS
 
@@ -52,6 +59,36 @@ def build(f, g, phi_kind=None, psi_kind=None, **kw):
     phi = Family(1, phi_kind or CurvatureSpec.nonpos())
     psi = Family(1, psi_kind or CurvatureSpec.zero())
     return ProblemInstance.build(f=f, g=g, L=ID1, phi=phi, psi=psi, **kw)
+
+
+def boxed_instance(n, m, kind, seed):
+    """Gridbox-style instance from a random one: a boxed f (kind "f"), a
+    boxed g ("g") or a boxed callable g ("callable"); the boxes hold 0."""
+    rng = np.random.default_rng(seed)
+    raw = random_instance(RandomSpec(n=n, m=m), seed)
+    f_box = Box(-rng.uniform(1.0, 6.0, n), rng.uniform(1.0, 6.0, n))
+    g_box = Box(-rng.uniform(1.0, 6.0, m), rng.uniform(1.0, 6.0, m))
+    f, g = raw.f, raw.g
+    if kind == "f":
+        f = Objective.quadratic(raw.f.quad, domain_box=f_box)
+    elif kind == "g":
+        g = Objective.quadratic(raw.g.quad, domain_box=g_box)
+    else:
+        g = Objective.from_callable(
+            m, lambda y, q=raw.g.quad: float(q(np.asarray(y, dtype=float))),
+            domain_box=g_box)
+    return ProblemInstance.build(
+        f=f, g=g, L=raw.L, phi=raw.phi, psi=raw.psi,
+        psi_search=FamilySearchGrid.default(
+            raw.psi, slope_points={1: 15, 2: 5}[m], curvature_points=5),
+        x_search=GridSpec(Box.cube(n), {1: 51, 2: 21}[n], 2),
+        y_search=GridSpec(Box.cube(m), {1: 41, 2: 11}[m], 2),
+        name=f"boxed-{kind}",
+    )
+
+
+BOXED = [(n, m, kind) for kind in ("f", "g", "callable")
+         for n, m in ((1, 1), (2, 1), (1, 2), (2, 2))]
 
 
 def assert_dense_lp(ctx):
@@ -346,23 +383,26 @@ class TestValueFunctionProbe:
             ValueFunctionProbe(eps=0.0)
 
 
+def drop_instance():
+    """f = -100 x on a fine window, g = indicator-like (0 on y <= 0):
+    V(y) = -100 * min(1, -y) for feasibility x <= -y, so V(0) = 0 but V
+    jumps down by 100*r for perturbations of size r."""
+    f = Objective.quadratic(GeneralizedQuadratic.affine([-100.0]))
+    g = Objective.quadratic(
+        GeneralizedQuadratic.zero(1), domain_box=Box([-INF], [0.0])
+    )
+    return build(
+        f, g, x_search=GridSpec(Box([-1.0], [1.0]), points_per_axis=40001,
+                                refine_rounds=0)
+    )
+
+
 class TestLscProbe:
     def test_true_on_a_well_behaved_instance(self, inst47, make_ctx):
         assert lsc_probe_at_zero(make_ctx(inst47))
 
     def test_false_when_the_value_function_drops_at_zero(self, make_ctx):
-        # f = -100 x on a fine window, g = indicator-like (0 on y <= 0):
-        # V(y) = -100 * min(1, -y) for feasibility x <= -y, so V(0) = 0 but
-        # V jumps down by 100*r for perturbations of size r.
-        f = Objective.quadratic(GeneralizedQuadratic.affine([-100.0]))
-        g = Objective.quadratic(
-            GeneralizedQuadratic.zero(1), domain_box=Box([-INF], [0.0])
-        )
-        inst = build(
-            f, g, x_search=GridSpec(Box([-1.0], [1.0]), points_per_axis=40001,
-                                    refine_rounds=0)
-        )
-        assert not lsc_probe_at_zero(make_ctx(inst))
+        assert not lsc_probe_at_zero(make_ctx(drop_instance()))
 
     def test_raises_when_v0_not_finite(self, make_ctx):
         f = quad_obj(1, 1.0, box=Box([5.0], [6.0]))
@@ -405,3 +445,188 @@ class TestSupportPointCheck:
         check = support_point_zero_gap_check(ctx, psi, [0.5], -9.0)
         assert not check.conditions["alpha_below_inf"]
         assert check.details["inf_f_plus_psi"] == pytest.approx(-9.25, abs=1e-9)
+
+
+def lsc_outcome(probe, ctx):
+    """The probe's verdict, or "raises" when V(0) is not finite."""
+    try:
+        return probe(ctx)
+    except InvariantViolation:
+        return "raises"
+
+
+class TestBatchedLscProbe:
+    """The batched V(y) samples against the per-sample loop of
+    ``oracles.lsc_probe_dense``."""
+
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_catalog_verdicts_and_samples(self, name, make_ctx):
+        ctx = make_ctx(catalog_instance(name))
+        assert lsc_probe_at_zero(ctx) == oracles.lsc_probe_dense(ctx)
+        Y = np.array(oracles.lsc_samples(ctx))
+        dense = np.array([value_function(ctx, y) for y in Y])
+        np.testing.assert_allclose(_value_function_many(ctx, Y), dense, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("n,m", [(1, 1), (1, 3), (2, 2), (3, 1), (3, 3)])
+    def test_random_exact_instances(self, n, m, fuzz_instance, make_ctx):
+        for seed in range(4):
+            ctx = make_ctx(fuzz_instance(n, m, 50 + seed))
+            assert lsc_outcome(lsc_probe_at_zero, ctx) == lsc_outcome(oracles.lsc_probe_dense, ctx)
+            Y = np.array(oracles.lsc_samples(ctx))
+            dense = np.array([value_function(ctx, y) for y in Y])
+            batch = _value_function_many(ctx, Y)
+            assert np.array_equal(np.isfinite(batch), np.isfinite(dense))
+            assert np.array_equal(batch[~np.isfinite(dense)], dense[~np.isfinite(dense)])
+            np.testing.assert_allclose(batch, dense, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("n,m,kind", BOXED)
+    def test_grid_samples_equal_value_function_bit_for_bit(self, n, m, kind, make_ctx):
+        for seed in (3, 4):
+            ctx = make_ctx(boxed_instance(n, m, kind, seed))
+            assert lsc_outcome(lsc_probe_at_zero, ctx) == lsc_outcome(oracles.lsc_probe_dense, ctx)
+            Y = np.array(oracles.lsc_samples(ctx))
+            dense = np.array([value_function(ctx, y) for y in Y])
+            assert _value_function_many(ctx, Y).tobytes() == dense.tobytes()
+
+    def test_the_drop_at_zero_in_stacked_blocks(self, make_ctx):
+        # 40001 mesh points: the 36 samples are evaluated six at a time.
+        ctx = make_ctx(drop_instance())
+        assert lsc_probe_at_zero(ctx) is False
+        assert oracles.lsc_probe_dense(ctx) is False
+        Y = np.array(oracles.lsc_samples(ctx))
+        dense = np.array([value_function(ctx, y) for y in Y])
+        assert _value_function_many(ctx, Y).tobytes() == dense.tobytes()
+
+
+def touching_instance(n, m, seed, kind=None):
+    """f = |x - a|^2 - 1 and g = |y - La|^2 with a random L: the zero member
+    at level -1 satisfies every support-point condition at x0 = a (and
+    within tol near it).  kind boxes f or g, or makes g a callable."""
+    rng = np.random.default_rng(seed)
+    L = random_instance(RandomSpec(n=n, m=m), seed).L
+    a = rng.uniform(-2.0, 2.0, n)
+    b = L.apply(a)
+    f = Objective.quadratic(GeneralizedQuadratic.iso(n, 1.0, -2.0 * a, a @ a - 1.0))
+    gq = GeneralizedQuadratic.iso(m, 1.0, -2.0 * b, b @ b)
+    g = Objective.quadratic(gq)
+    if kind == "f":
+        f = Objective.quadratic(f.quad, domain_box=Box.cube(n, -3.0, 3.0))
+    elif kind == "g":
+        g = Objective.quadratic(gq, domain_box=Box.cube(m, -8.0, 8.0))
+    elif kind == "callable":
+        g = Objective.from_callable(m, lambda y: float(gq(np.asarray(y, dtype=float))))
+    inst = ProblemInstance.build(
+        f=f, g=g, L=L, phi=Family(n, CurvatureSpec.any()),
+        psi=Family(m, CurvatureSpec.zero()),
+        psi_search=FamilySearchGrid.default(
+            Family(m, CurvatureSpec.zero()), slope_points={1: 41, 2: 9, 3: 5}[m]),
+        x_search=GridSpec(Box.cube(n), {1: 51, 2: 21, 3: 9}[n], 2),
+        y_search=GridSpec(Box.cube(m), {1: 41, 2: 11, 3: 7}[m], 2),
+    )
+    jitter = rng.normal(size=(6, n))
+    X0 = np.concatenate([a[None], a + 1e-7 * jitter, a + 1e-2 * jitter,
+                         rng.uniform(-3.0, 3.0, (6, n))])
+    return inst, X0
+
+
+def assert_scan_matches_dense(ctx, psi, X0, alpha):
+    """Every verdict and condition flag of the scan equals the dense
+    per-point check, and every detail agrees to rounding.  Returns how
+    many candidates hold."""
+    scan = support_point_scan(ctx, psi, X0, alpha)
+    for i, x0 in enumerate(X0):
+        dense = oracles.support_point_dense(ctx, psi, x0, alpha)
+        row = scan.check(i)
+        assert (row.holds, row.conditions) == (dense.holds, dense.conditions), (i, x0)
+        assert list(row.details) == list(dense.details)
+        for key, value in dense.details.items():
+            assert row.details[key] == pytest.approx(value, rel=1e-12, abs=1e-12), key
+    return int(np.count_nonzero(scan.holds))
+
+
+def table_members(ctx, rng, count):
+    """Random members with a finite g*, lowered by g* so that each
+    supports g on the member grid."""
+    inst, table = ctx.instance, ctx.gstar_table()
+    slopes = inst.psi_search.slopes()
+    finite = np.argwhere(np.isfinite(table))
+    for k in rng.choice(len(finite), size=min(count, len(finite)), replace=False):
+        i, j = finite[k]
+        member = inst.psi_search.member(inst.psi_search.curvatures[i], slopes[j])
+        yield GeneralizedQuadratic(member.dim, member.A, member.u, member.c - table[i, j])
+
+
+def assert_members_match(ctx, rng):
+    inst = ctx.instance
+    X = inst.x_search.box.mesh(inst.x_search.points_per_axis)
+    X0 = np.concatenate([X[rng.choice(len(X), 14, replace=False)],
+                         rng.uniform(-3.0, 3.0, (6, inst.L.in_dim))])
+    for psi in table_members(ctx, rng, 2):
+        level = oracles.support_point_dense(ctx, psi, X0[0], 0.0).details["inf_f_plus_psi"]
+        for alpha in ((level, level - 0.5) if np.isfinite(level) else (0.0, -5.0)):
+            assert_scan_matches_dense(ctx, psi, X0, alpha)
+
+
+class TestSupportPointScan:
+    @pytest.mark.parametrize("b", [1.0, 0.0])
+    def test_ex611_members(self, b, inst611, make_ctx):
+        ctx = make_ctx(inst611)
+        X = inst611.x_search.box.mesh(inst611.x_search.points_per_axis)
+        member = GeneralizedQuadratic.affine([2.0], b)
+        assert assert_scan_matches_dense(ctx, member, X[::2], b - 41.0 / 4.0) == 0
+
+    @pytest.mark.parametrize("alpha", [-9.25, -9.5])
+    def test_criterion_06_candidates(self, alpha, inst611, make_ctx):
+        ctx = make_ctx(inst611)
+        X0 = np.concatenate([np.linspace(-10.0, 10.0, 201), [-0.5, 0.5, 1.5]])[:, None]
+        psi = GeneralizedQuadratic.affine([2.0], 1.0)
+        assert assert_scan_matches_dense(ctx, psi, X0, alpha) == 0
+
+    @pytest.mark.parametrize("n,m", FUZZ_DIMS)
+    def test_random_exact_instances(self, n, m, fuzz_instance, make_ctx):
+        rng = np.random.default_rng(10 * n + m)
+        assert_members_match(make_ctx(fuzz_instance(n, m, 70 + 10 * n + m)), rng)
+
+    @pytest.mark.parametrize("n,m,kind", BOXED)
+    def test_boxed_instances(self, n, m, kind, make_ctx):
+        rng = np.random.default_rng(10 * n + m)
+        assert_members_match(make_ctx(boxed_instance(n, m, kind, 5)), rng)
+
+    @pytest.mark.parametrize("kind", [None, "f", "g", "callable"])
+    @pytest.mark.parametrize("n,m", [(1, 1), (2, 1), (1, 2), (3, 2)])
+    def test_candidates_that_hold(self, n, m, kind, make_ctx):
+        inst, X0 = touching_instance(n, m, 10 * n + m, kind)
+        ctx = make_ctx(inst)
+        zero = GeneralizedQuadratic.zero(m)
+        assert assert_scan_matches_dense(ctx, zero, X0, -1.0) >= 7
+        assert assert_scan_matches_dense(ctx, zero, X0, 0.5) == 0  # above psi = 0
+
+    def test_the_one_point_check_is_the_scan_row(self, make_ctx):
+        inst, X0 = touching_instance(2, 1, 3)
+        ctx = make_ctx(inst)
+        zero = GeneralizedQuadratic.zero(1)
+        scan = support_point_scan(ctx, zero, X0, -1.0)
+        for i, x0 in enumerate(X0):
+            # Equal bit for bit: a lone base point is never a one-row batch.
+            assert support_point_zero_gap_check(ctx, zero, x0, -1.0) == scan.check(i)
+
+    def test_the_support_set_alone_certifies(self, make_ctx):
+        # g = 4 - y^2 on [-2, 2] is concave: its affine-class envelope is 0,
+        # so at x0 = 0 the point lies in the support set while g(0) = 4 > 0.
+        f = quad_obj(1, 1.0, [0.0], -1.0)
+        g = quad_obj(1, -1.0, [0.0], 4.0, box=Box([-2.0], [2.0]))
+        ctx = make_ctx(build(f, g, phi_kind=CurvatureSpec.any()))
+        X0 = np.array([[0.0], [1e-6], [0.5], [2.0], [-2.0]])
+        zero = GeneralizedQuadratic.zero(1)
+        assert assert_scan_matches_dense(ctx, zero, X0, -1.0) == 2
+        scan = support_point_scan(ctx, zero, X0, -1.0)
+        assert scan.holds.tolist() == [True, True, False, False, False]
+        assert not scan.conditions["g_nonpositive_at_point"][:2].any()
+
+    def test_rejects_base_points_of_the_wrong_dimension(self, inst611, make_ctx):
+        with pytest.raises(InvariantViolation):
+            support_point_scan(make_ctx(inst611), GeneralizedQuadratic.zero(1),
+                               np.zeros((3, 2)), -9.25)
+        with pytest.raises(InvariantViolation):
+            support_point_zero_gap_check(make_ctx(inst611), GeneralizedQuadratic.zero(1),
+                                         [0.0, 0.0], -9.25)
