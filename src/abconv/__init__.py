@@ -60,7 +60,6 @@ from .lagrange import (
     LpResult,
     SupportPointCheck,
     SupportPointScan,
-    ValueFunctionProbe,
     convexification_preserves_value,
     intersection_property,
     lagrangian_value,

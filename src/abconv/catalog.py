@@ -344,7 +344,7 @@ def _checks_ex611(inst: ProblemInstance) -> list[CheckRow]:
     # condition forces g(x0) <= 0, i.e. x0 <= -1/2, where f >= -33/4 — so
     # the sandwich f(x0) <= alpha can never close.  One scan per member, over
     # about 100 evenly spaced mesh points.
-    X = inst.x_search.box.mesh(inst.x_search.points_per_axis)
+    X = inst.x_search.mesh()
     X0 = X[:: max(1, len(X) // 100)]
     found = None
     for b in (1.0, 0.0):

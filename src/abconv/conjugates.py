@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .config import global_tol
+from .config import VALUE_TOL, global_tol
 from .errors import InvariantViolation
 from .objectives import INF, Box, Objective, shrink_windows
 from .quadratics import Family, GeneralizedQuadratic
@@ -27,6 +27,20 @@ class ConjugateValue:
     maximizer: np.ndarray | None
     engine: str
     note: str = ""
+
+
+# The most points a mesh may have: 10**6 points of dimension 3 take 24 MB.
+MAX_MESH_POINTS = 10**6
+
+
+def check_mesh_size(points_per_axis: int, dim: int) -> None:
+    """Reject ``points_per_axis ** dim`` points above ``MAX_MESH_POINTS``,
+    before anything is meshed; 2**20 already exceeds the cap, so the power
+    is never formed for a huge dim."""
+    if points_per_axis > 1 and points_per_axis ** min(dim, 20) > MAX_MESH_POINTS:
+        raise InvariantViolation(
+            f"a mesh of {points_per_axis} points per axis in dimension {dim} "
+            f"exceeds {MAX_MESH_POINTS} points")
 
 
 @dataclass(frozen=True)
@@ -45,6 +59,7 @@ class GridSpec:
             raise InvariantViolation("points_per_axis must be >= 3")
         if self.refine_rounds < 0:
             raise InvariantViolation("refine_rounds must be >= 0")
+        check_mesh_size(self.points_per_axis, self.box.dim)
 
     @classmethod
     def cube(
@@ -53,9 +68,14 @@ class GridSpec:
         lo: float = -10.0,
         hi: float = 10.0,
         points_per_axis: int = 201,
-        refine_rounds: int = 2,
     ) -> "GridSpec":
-        return cls(Box.cube(dim, lo, hi), points_per_axis, refine_rounds)
+        return cls(Box.cube(dim, lo, hi), points_per_axis)
+
+    def mesh(self) -> np.ndarray:
+        """The box meshed at ``points_per_axis``, C order, read-only; one
+        shared array per distinct grid."""
+        box = self.box
+        return _box_mesh(box.lower.tobytes(), box.upper.tobytes(), self.points_per_axis)
 
 
 def default_points_per_axis(dim: int) -> int:
@@ -82,7 +102,6 @@ def _as_quad(f: Objective | GeneralizedQuadratic) -> GeneralizedQuadratic:
 def conjugate_closed_form(
     f: Objective | GeneralizedQuadratic,
     phi: GeneralizedQuadratic,
-    tol: float | None = None,
 ) -> ConjugateValue:
     """Exact ``sup_x phi(x) - f(x)`` for quadratic f on the whole space.
 
@@ -93,7 +112,7 @@ def conjugate_closed_form(
     q = _as_quad(f)
     if q.dim != phi.dim:
         raise InvariantViolation("dimension mismatch in conjugate")
-    tol = global_tol() if tol is None else tol
+    tol = global_tol()
     D = phi.A - q.A
     v = phi.u - q.u
     k = phi.c - q.c
@@ -116,11 +135,9 @@ def conjugate_closed_form(
     return ConjugateValue(float(value), x, "closed")
 
 
-def minimize_quadratic(
-    q: GeneralizedQuadratic, tol: float | None = None
-) -> tuple[float, np.ndarray | None]:
+def minimize_quadratic(q: GeneralizedQuadratic) -> tuple[float, np.ndarray | None]:
     """Global minimum of a quadratic: value (may be -inf) and a minimizer."""
-    res = conjugate_closed_form(q, GeneralizedQuadratic.zero(q.dim), tol)
+    res = conjugate_closed_form(q, GeneralizedQuadratic.zero(q.dim))
     return -res.value, res.maximizer
 
 
@@ -252,12 +269,11 @@ def conjugate_value(
     phi: GeneralizedQuadratic,
     engine: str = "auto",
     grid: GridSpec | None = None,
-    tol: float | None = None,
 ) -> ConjugateValue:
     """Dispatch to the closed-form engine when exact, else the grid engine."""
     closed_ok = f.is_quadratic and f.domain_box is None
     if engine == "closed" or (engine == "auto" and closed_ok):
-        return conjugate_closed_form(f, phi, tol)
+        return conjugate_closed_form(f, phi)
     if engine in ("grid", "auto"):
         return conjugate_grid(f, phi, grid if grid is not None else _default_grid(f.dim))
     raise InvariantViolation(f"unknown engine {engine!r}")
@@ -288,6 +304,7 @@ class FamilySearchGrid:
             raise InvariantViolation("slope box must be finite")
         if self.slope_points_per_axis < 1:
             raise InvariantViolation("slope_points_per_axis must be >= 1")
+        check_mesh_size(self.slope_points_per_axis, self.family.dim)
         if len(self.curvatures) == 0:
             raise InvariantViolation("curvature list must be nonempty")
         for a in self.curvatures:
@@ -298,26 +315,23 @@ class FamilySearchGrid:
     def default(
         cls,
         family: Family,
-        lo: float = -10.0,
-        hi: float = 10.0,
         slope_points: int | None = None,
         curvature_points: int = 21,
     ) -> "FamilySearchGrid":
+        """Slopes in the cube [-10, 10]^dim, curvatures in [-10, 10]."""
         if slope_points is None:
             slope_points = {1: 201, 2: 41, 3: 13}.get(family.dim, 9)
         return cls(
             family,
-            Box.cube(family.dim, lo, hi),
+            Box.cube(family.dim),
             slope_points,
-            tuple(float(a) for a in family.curvature.grid(lo, hi, curvature_points)),
+            tuple(float(a) for a in family.curvature.grid(points=curvature_points)),
         )
 
     def slopes(self) -> np.ndarray:
         """All slope vectors, shape (n_slopes, dim), C order (cached)."""
-        return _slope_mesh(self.slope_box.lower.tobytes(),
-                           self.slope_box.upper.tobytes(),
-                           self.slope_box.dim,
-                           self.slope_points_per_axis)
+        box = self.slope_box
+        return _box_mesh(box.lower.tobytes(), box.upper.tobytes(), self.slope_points_per_axis)
 
     def member(self, alpha: float, slope) -> GeneralizedQuadratic:
         return GeneralizedQuadratic.iso(self.family.dim, alpha, slope)
@@ -328,7 +342,9 @@ class FamilySearchGrid:
 
 
 @lru_cache(maxsize=64)
-def _slope_mesh(lo_bytes: bytes, hi_bytes: bytes, dim: int, points: int) -> np.ndarray:
+def _box_mesh(lo_bytes: bytes, hi_bytes: bytes, points: int) -> np.ndarray:
+    """``Box.mesh`` of the box with these bounds, read-only and shared by
+    every grid on an equal box."""
     lo = np.frombuffer(lo_bytes, dtype=float)
     hi = np.frombuffer(hi_bytes, dtype=float)
     mesh = Box(lo.copy(), hi.copy()).mesh(points)
@@ -340,7 +356,6 @@ def family_conjugate_table(
     f: Objective,
     search: FamilySearchGrid,
     grid: GridSpec | None = None,
-    tol: float | None = None,
 ) -> np.ndarray:
     """Conjugate values of f at every member of the search grid.
 
@@ -354,10 +369,9 @@ def family_conjugate_table(
     slopes = search.slopes()
     if f.is_quadratic and f.domain_box is None:
         q = f.quad
-        tol = global_tol() if tol is None else tol
         betas = np.asarray(search.curvatures)[:, None, None]
         D = betas * np.eye(q.dim) - q.A
-        return _quadratic_sup_many(D, slopes - q.u, -q.c, tol)
+        return _quadratic_sup_many(D, slopes - q.u, -q.c, global_tol())
     if f.dim != search.family.dim:
         raise InvariantViolation("dimension mismatch in conjugate")
     mats = [GeneralizedQuadratic.iso(f.dim, beta).A for beta in search.curvatures]
@@ -473,14 +487,13 @@ def is_phi_convex_at(
     f: Objective,
     x,
     search: FamilySearchGrid,
-    tol: float = 1e-6,
     table: np.ndarray | None = None,
 ) -> bool:
-    """Whether the class biconjugate recovers f at x (within tol)."""
+    """Whether the class biconjugate recovers f at x (within ``VALUE_TOL``)."""
     fx = f.value(x)
     if fx == INF:
         raise InvariantViolation("x outside the domain of f")
-    return abs(biconjugate_at(f, x, search, table) - fx) <= tol
+    return abs(biconjugate_at(f, x, search, table) - fx) <= VALUE_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -494,12 +507,11 @@ def eps_subdiff_contains(
     eps: float,
     engine: str = "auto",
     grid: GridSpec | None = None,
-    tol: float | None = None,
 ) -> bool:
-    """Membership test ``f(x) + f*(phi) <= phi(x) + eps`` (with slack tol)."""
+    """Membership test ``f(x) + f*(phi) <= phi(x) + eps`` (slack ``global_tol()``)."""
     if eps < 0:
         raise InvariantViolation("eps must be nonnegative")
-    tol = global_tol() if tol is None else tol
+    tol = global_tol()
     fx = f.value(x)
     if fx == INF:
         raise InvariantViolation("x outside the domain of f")
@@ -514,7 +526,6 @@ def dom_conjugate_probe(
     search: FamilySearchGrid,
     eps_list: tuple[float, ...],
     sample_points: np.ndarray,
-    table: np.ndarray | None = None,
 ) -> list[tuple[float, tuple[float, ...]]]:
     """Members that lie in every eps-subdifferential image over the samples.
 
@@ -526,8 +537,7 @@ def dom_conjugate_probe(
         raise InvariantViolation("eps_list must be nonempty")
     if min(eps_list) < 0:
         raise InvariantViolation("eps values must be nonnegative")
-    if table is None:
-        table = family_conjugate_table(f, search)
+    table = family_conjugate_table(f, search)
     X = np.asarray(sample_points, dtype=float)
     fvals = f.values(X)
     ok = np.isfinite(fvals)

@@ -11,10 +11,11 @@ from __future__ import annotations
 import dataclasses
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .config import global_tol
+from .config import VALUE_TOL, global_tol
 from .conjugates import (
     FamilySearchGrid,
     GridSpec,
@@ -54,7 +55,12 @@ def _ext_add(a: float, b: float) -> float:
 @dataclass(frozen=True)
 class ProblemInstance:
     """Composite problem ``inf_x f(x) + g(Lx)`` with conjugation classes
-    ``phi`` (on inputs) and ``psi`` (on outputs), plus search grids."""
+    ``phi`` (on inputs) and ``psi`` (on outputs), plus search grids.
+
+    ``f_on_mesh`` and ``g_on_mesh`` hold f and g o L on the x search mesh,
+    evaluated on first use and shared by every sweep of the instance.  They
+    are not fields: ``==``, ``repr``, serialization and
+    ``dataclasses.replace`` never see them."""
 
     f: Objective
     g: Objective
@@ -109,6 +115,20 @@ class ProblemInstance:
                 L.out_dim, points_per_axis=default_points_per_axis(L.out_dim)
             )
         return cls(f, g, L, phi, psi, psi_search, x_search, y_search, name)
+
+    @cached_property
+    def f_on_mesh(self) -> np.ndarray:
+        """f at every x search mesh point (read-only)."""
+        values = self.f.values(self.x_search.mesh())
+        values.setflags(write=False)
+        return values
+
+    @cached_property
+    def g_on_mesh(self) -> np.ndarray:
+        """g at L x for every x search mesh point x (read-only)."""
+        values = self.g.values(self.L.apply(self.x_search.mesh()))
+        values.setflags(write=False)
+        return values
 
     def _is_exact(self) -> bool:
         """Closed-form engines apply: both parts quadratic, no boxes."""
@@ -179,15 +199,16 @@ def _composite_min(instance: ProblemInstance, y=None) -> PrimalResult:
         value, argmin = minimize_quadratic(q)
         flags = ("unbounded",) if value == -INF else ()
         return PrimalResult(value, argmin, "closed", flags)
-    X = instance.x_search.box.mesh(instance.x_search.points_per_axis)
-    LX = instance.L.apply(X)
-    if y is not None:
-        LX = LX + np.asarray(y, dtype=float)
-    total = instance.f.values(X) + instance.g.values(LX)
+    X = instance.x_search.mesh()
+    if y is None:
+        gv = instance.g_on_mesh
+    else:
+        gv = instance.g.values(instance.L.apply(X) + np.asarray(y, dtype=float))
+    total = instance.f_on_mesh + gv
     idx = int(np.argmin(total))
     if total[idx] == INF:
         return PrimalResult(INF, None, "grid", ("infeasible_window",))
-    return PrimalResult(float(total[idx]), X[idx], "grid", ("grid_truncated",))
+    return PrimalResult(float(total[idx]), X[idx].copy(), "grid", ("grid_truncated",))
 
 
 def primal_value(instance: ProblemInstance) -> PrimalResult:
@@ -199,18 +220,13 @@ def primal_value(instance: ProblemInstance) -> PrimalResult:
 # Dual sweep
 
 
-def composite_inf_table(
-    instance: ProblemInstance,
-    search: FamilySearchGrid | None = None,
-    tol: float | None = None,
-) -> np.ndarray:
-    """``inf_x f(x) + psi(Lx)`` for every member of the search grid.
+def composite_inf_table(instance: ProblemInstance) -> np.ndarray:
+    """``inf_x f(x) + psi(Lx)`` for every member of ``instance.psi_search``.
 
     Shape (len(curvatures), n_slopes); -inf marks unbounded members.  Exact
     (one batched eigendecomposition over the curvatures) for unconstrained
-    quadratic f; otherwise a shared fixed-mesh minimum."""
-    search = instance.psi_search if search is None else search
-    tol = global_tol() if tol is None else tol
+    quadratic f; otherwise a minimum over the x search mesh."""
+    search = instance.psi_search
     slopes = search.slopes()
     M = instance.L.matrix
     f = instance.f
@@ -219,15 +235,16 @@ def composite_inf_table(
         # q_v(x) = f(x) + beta*||Lx||^2 + (M^T v).x ; inf = -sup(-q_v)
         betas = np.asarray(search.curvatures)[:, None, None]
         D = -(f.quad.A + betas * (M.T @ M))
-        return -_quadratic_sup_many(D, -(slopes @ M + f.quad.u), -f.quad.c, tol)
+        return -_quadratic_sup_many(D, -(slopes @ M + f.quad.u), -f.quad.c, global_tol())
 
-    X = instance.x_search.box.mesh(instance.x_search.points_per_axis)
-    fvals = f.values(X)
+    fvals = instance.f_on_mesh
     ok = np.isfinite(fvals)
     if not np.any(ok):
         raise InvariantViolation("f is +inf on the whole x search grid")
-    X, fvals = X[ok], fvals[ok]
-    LX = instance.L.apply(X)
+    fvals = fvals[ok]
+    # L applied to the feasible rows only: a product over a different row
+    # set can round differently.
+    LX = instance.L.apply(instance.x_search.mesh()[ok])
     sq = np.sum(LX * LX, axis=1)
     lin = LX @ slopes.T
     return np.stack(
@@ -236,22 +253,18 @@ def composite_inf_table(
     )
 
 
-def g_conjugate_table(
-    instance: ProblemInstance,
-    search: FamilySearchGrid | None = None,
-) -> np.ndarray:
-    """``g*(psi)`` over the search grid; +inf entries mark infeasible members.
+def g_conjugate_table(instance: ProblemInstance) -> np.ndarray:
+    """``g*(psi)`` over ``instance.psi_search``; +inf marks infeasible members.
 
     When g needs the grid engine, the candidate maximizers include the image
     of the x search mesh under L, so the table is consistent with the primal
     sweep (keeps the dual below the primal by construction)."""
-    search = instance.psi_search if search is None else search
+    search = instance.psi_search
     base = family_conjugate_table(instance.g, search, grid=instance.y_search)
     if instance.g.is_quadratic and instance.g.domain_box is None:
         return base
-    X = instance.x_search.box.mesh(instance.x_search.points_per_axis)
-    Y = instance.L.apply(X)
-    gvals = instance.g.values(Y)
+    Y = instance.L.apply(instance.x_search.mesh())
+    gvals = instance.g_on_mesh
     ok = np.isfinite(gvals)
     if not np.any(ok):
         return base
@@ -342,7 +355,6 @@ def _with_f_shifted_by(
 def weak_duality_check(
     instance: ProblemInstance,
     phi: GeneralizedQuadratic | None = None,
-    tol: float = 1e-6,
 ) -> bool:
     """``(f + g o L)*(phi) <= min over psi of [(f + psi o L)*(phi) + g*(psi)]``
     at one member phi (0 by default) — the conjugate form of weak duality."""
@@ -359,7 +371,7 @@ def weak_duality_check(
     best = INF
     for a, b in zip(fpsi_star.ravel(), gstar.ravel()):
         best = min(best, _ext_add(float(a), float(b)))
-    return lhs <= best + tol
+    return lhs <= best + VALUE_TOL
 
 
 def composite_condition_check(
@@ -367,7 +379,6 @@ def composite_condition_check(
     phi: GeneralizedQuadratic,
     psi: GeneralizedQuadratic,
     variant: str = "difference",
-    tol: float | None = None,
 ) -> bool:
     """Whether ``phi + psi o L`` (variant "sum") or ``phi - psi o L``
     (variant "difference") belongs to the input class."""
@@ -378,7 +389,7 @@ def composite_condition_check(
         candidate = combine(1.0, phi, -1.0, pb)
     else:
         raise InvariantViolation(f"unknown variant {variant!r}")
-    return instance.phi.contains(candidate, tol)
+    return instance.phi.contains(candidate)
 
 
 # ---------------------------------------------------------------------------
@@ -422,14 +433,13 @@ def verify_gap_certificate(
     instance: ProblemInstance,
     cert: GapCertificate,
     require_zero_sum: bool = False,
-    tol: float | None = None,
 ) -> CertificateCheck:
     """Check every condition of a gap certificate numerically.
 
     With ``require_zero_sum`` the thm43 pair must satisfy the exact
     cancellation ``phi + psi o L = 0`` (a strengthening that certifies the
     gap in one shot), not just the two-sided eps bounds."""
-    tol = global_tol() if tol is None else tol
+    tol = global_tol()
     x = cert.x
     Lx = instance.L.apply(x)
     eps = cert.eps
@@ -511,7 +521,6 @@ class OptimalityCheck:
     value_at_x: float
     primal: float
     ladder: tuple[tuple[float, bool], ...]
-    details: str = ""
 
 
 def verify_optimality_at(
@@ -519,20 +528,19 @@ def verify_optimality_at(
     x,
     eps_ladder: tuple[float, ...] = (1.0, 1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6),
     certs: tuple[GapCertificate, ...] | None = None,
-    tol: float = 1e-6,
 ) -> OptimalityCheck:
     """Zero-gap optimality of a fixed point via a ladder of certificates.
 
     For each eps in the ladder a certificate at the *same* x must verify
     (given ones are used as-is; otherwise tangent construction is tried),
-    and f(x) + g(Lx) must match the primal value within tol."""
+    and f(x) + g(Lx) must match the primal value within ``VALUE_TOL``."""
     x = np.asarray(x, dtype=float).reshape(-1)
     value = _ext_add(instance.f.value(x), instance.g.value(instance.L.apply(x)))
     primal = primal_value(instance).value
     ladder: list[tuple[float, bool]] = []
     if certs is not None:
         for cert in certs:
-            if np.max(np.abs(cert.x - x)) > tol:
+            if np.max(np.abs(cert.x - x)) > VALUE_TOL:
                 raise InvariantViolation("ladder certificates must share the point x")
             ladder.append((cert.eps, verify_gap_certificate(instance, cert).holds))
     else:
@@ -542,7 +550,8 @@ def verify_optimality_at(
                 cert = build_tangent_certificate(instance, x, eps, kind="thm42")
             ok = cert is not None and verify_gap_certificate(instance, cert).holds
             ladder.append((eps, ok))
-    value_matches = np.isfinite(value) and np.isfinite(primal) and abs(value - primal) <= tol
+    value_matches = (np.isfinite(value) and np.isfinite(primal)
+                     and abs(value - primal) <= VALUE_TOL)
     holds = bool(value_matches and all(ok for _, ok in ladder))
     return OptimalityCheck(holds, value, primal, tuple(ladder))
 
@@ -610,7 +619,6 @@ class Decomposition:
 def epi_decompose(
     instance: ProblemInstance,
     point: EpiPoint,
-    tol: float | None = None,
 ) -> Decomposition | None:
     """Split a composite-epigraph pair into input-class and output-class pairs.
 
@@ -618,7 +626,7 @@ def epi_decompose(
     member is tried first), keeps candidates whose difference phi - psi o L
     stays in the input class, gives psi its minimal level g*(psi), and accepts
     when f*(phi - psi o L) fits under the remaining level."""
-    tol = global_tol() if tol is None else tol
+    tol = global_tol()
     if not epi_contains(instance, "composite", point, tol=max(tol, 1e-6)):
         raise InvariantViolation("point is not in the composite conjugate epigraph")
     search = instance.psi_search
@@ -682,7 +690,6 @@ def decomposition_condition_check(
     eps2: float = 1e-3,
     x=None,
     phi_eps: GeneralizedQuadratic | None = None,
-    tol: float | None = None,
 ) -> ConditionCheck:
     """Sufficient conditions under which composite epigraph pairs decompose.
 
@@ -696,7 +703,7 @@ def decomposition_condition_check(
     which = "d": the input class is closed under differences, and the given
     witness (psi, x, phi_eps, eps1, eps2) satisfies the eps-subgradient and
     strict-gap inequalities."""
-    tol = global_tol() if tol is None else tol
+    tol = global_tol()
     conditions: dict[str, bool] = {}
     details: dict[str, float | str] = {}
     search = instance.psi_search
@@ -821,9 +828,8 @@ def _g_of_l_gap(instance: ProblemInstance, member: GeneralizedQuadratic) -> floa
         diff = combine(1.0, pb, -1.0, pullback(instance.g.quad, instance.L))
         low, _ = minimize_quadratic(diff)
         return low
-    X = instance.x_search.box.mesh(instance.x_search.points_per_axis)
-    gv = instance.g.values(instance.L.apply(X))
+    gv = instance.g_on_mesh
     ok = np.isfinite(gv)
     if not np.any(ok):
         return INF
-    return float(np.min(np.asarray(pb(X[ok])) - gv[ok]))
+    return float(np.min(np.asarray(pb(instance.x_search.mesh()[ok])) - gv[ok]))

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import global_tol
+from .config import VALUE_TOL, global_tol
 from .conjugates import (
     _VALUE_BLOCK,
     _biconjugate_argmax,
@@ -47,8 +47,16 @@ _LP_SAMPLE_STRIDE = 32
 # Relative slack on the prune test, far above the few ulps by which a lower
 # bound computed in a different batch can exceed the exact value.
 _LP_PRUNE_RTOL = 1e-12
-# Points per zoom round of intersection_property's searches.
+# Points per zoom round of intersection_property's searches, the bracket
+# width at which a zoom stops, and the slack of its witness test.
 _ZOOM_POINTS = 65
+_ZOOM_T_TOL = 1e-10
+_WITNESS_TOL = 1e-9
+# The lsc probe: the radius of its V(y) samples, the number of random
+# directions among them, and the eps of ``V(y) > V(0) - eps``.
+_LSC_RADIUS = 1e-4
+_LSC_DIRECTIONS = 32
+_LSC_EPS = 1e-3
 
 
 @dataclass
@@ -140,8 +148,8 @@ def lp_value(ctx: LagrangianContext) -> LpResult:
     point."""
     inst = ctx.instance
     search, table = inst.psi_search, ctx.gstar_table()
-    X = inst.x_search.box.mesh(inst.x_search.points_per_axis)
-    fv = inst.f.values(X)
+    X = inst.x_search.mesh()
+    fv = inst.f_on_mesh
     LX = inst.L.apply(X)
     total = np.full(len(X), INF)
     feasible = np.flatnonzero(fv != INF)
@@ -165,34 +173,30 @@ def lp_value(ctx: LagrangianContext) -> LpResult:
         return LpResult(INF, None, flags + ("infeasible_window",))
     if value == -INF:
         flags = flags + ("biconjugate_minus_infinity",)
-    return LpResult(value, X[idx], flags)
+    return LpResult(value, X[idx].copy(), flags)
 
 
-def convexification_preserves_value(
-    ctx: LagrangianContext, tol: float = 1e-6
-) -> bool:
+def convexification_preserves_value(ctx: LagrangianContext) -> bool:
     """Whether replacing g with its class biconjugate keeps the primal value:
-    ``inf f + g**(L.) == inf f + g(L.)`` within tol."""
+    ``inf f + g**(L.) == inf f + g(L.)`` within ``VALUE_TOL``."""
     lp = lp_value(ctx).value
     primal = primal_value(ctx.instance).value
     if not np.isfinite(lp) or not np.isfinite(primal):
         return lp == primal
-    return abs(lp - primal) <= tol
+    return abs(lp - primal) <= VALUE_TOL
 
 
-def psi_convexity_at_optimum(
-    ctx: LagrangianContext, x0, tol: float = 1e-6
-) -> bool:
+def psi_convexity_at_optimum(ctx: LagrangianContext, x0) -> bool:
     """Whether g agrees with its class biconjugate at L x0, where x0 must
-    attain the primal value (within tol) — raises otherwise."""
+    attain the primal value (within ``VALUE_TOL``) — raises otherwise."""
     inst = ctx.instance
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     value = _ext_add(inst.f.value(x0), inst.g.value(inst.L.apply(x0)))
     primal = primal_value(inst).value
-    if not (np.isfinite(value) and np.isfinite(primal)) or abs(value - primal) > max(tol, 1e-6):
+    if not (np.isfinite(value) and np.isfinite(primal)) or abs(value - primal) > VALUE_TOL:
         raise InvariantViolation("x0 does not attain the primal value")
     return is_phi_convex_at(
-        inst.g, inst.L.apply(x0), inst.psi_search, tol, table=ctx.gstar_table()
+        inst.g, inst.L.apply(x0), inst.psi_search, table=ctx.gstar_table()
     )
 
 
@@ -254,8 +258,6 @@ def intersection_property(
     phi1: GeneralizedQuadratic,
     phi2: GeneralizedQuadratic,
     alpha: float,
-    t_tol: float = 1e-10,
-    value_tol: float = 1e-9,
 ) -> IntersectionWitness | None:
     """Search for a convex combination globally above the level alpha.
 
@@ -264,7 +266,7 @@ def intersection_property(
     scan converges to its maximum; candidates where m jumps from -inf
     (curvature sign change, slope cancellation) are probed explicitly.  Every
     m(t) and least eigenvalue comes from one batched call per scan or zoom
-    round.  Returns the best witness when ``max m >= alpha - value_tol``,
+    round.  Returns the best witness when ``max m >= alpha - _WITNESS_TOL``,
     ties toward smaller t0."""
     if phi1.dim != phi2.dim:
         raise InvariantViolation("dimension mismatch")
@@ -297,7 +299,7 @@ def intersection_property(
     scan = np.linspace(0.0, 1.0, 101)
     neg = negative(scan)
     for i in np.flatnonzero(neg[:-1] != neg[1:]):
-        candidates.update(_zoom(float(scan[i]), float(scan[i + 1]), sign_change, t_tol))
+        candidates.update(_zoom(float(scan[i]), float(scan[i + 1]), sign_change, _ZOOM_T_TOL))
 
     # coarse scan for a finite bracket, then zoom in on its best point
     def around_max(ts: np.ndarray) -> tuple[int, int]:
@@ -309,14 +311,14 @@ def intersection_property(
     best_idx = int(np.argmax(scan_vals))
     if np.isfinite(scan_vals[best_idx]):
         lo, hi = max(best_idx - 1, 0), min(best_idx + 1, len(tgrid) - 1)
-        a, b = _zoom(float(tgrid[lo]), float(tgrid[hi]), around_max, t_tol)
+        a, b = _zoom(float(tgrid[lo]), float(tgrid[hi]), around_max, _ZOOM_T_TOL)
         candidates.add(0.5 * (a + b))
         candidates.add(float(tgrid[best_idx]))
 
     ts = np.array(sorted(candidates))
     vals = _combo_min_many(phi1, phi2, ts, tol)
     k = int(np.argmax(vals))  # the first maximum: the smallest t0
-    if vals[k] == -INF or vals[k] < alpha - value_tol:
+    if vals[k] == -INF or vals[k] < alpha - _WITNESS_TOL:
         return None
     return IntersectionWitness(float(ts[k]), alpha, float(vals[k]))
 
@@ -348,8 +350,8 @@ def _value_function_many(ctx: LagrangianContext, Y: np.ndarray) -> np.ndarray:
         # V = -sup(0 - q_y), the differences formed as minimize_quadratic forms them
         sup = _quadratic_sup_many((0.0 - A)[None], 0.0 - U, 0.0, global_tol())[0]
         return -((0.0 - C) + sup)
-    X = inst.x_search.box.mesh(inst.x_search.points_per_axis)
-    fv, LX = inst.f.values(X), inst.L.apply(X)
+    X = inst.x_search.mesh()
+    fv, LX = inst.f_on_mesh, inst.L.apply(X)
     out = np.empty(len(Y))
     step = max(1, _VALUE_BLOCK // len(X))
     for start in range(0, len(Y), step):
@@ -360,58 +362,28 @@ def _value_function_many(ctx: LagrangianContext, Y: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class ValueFunctionProbe:
-    """Sampling plan for the lsc test: strictly decreasing radii, at least 8
-    samples per radius (uniform sphere directions plus axis points), and the
-    eps used in ``V(y) > V(0) - eps``."""
-
-    radius_ladder: tuple[float, ...] = (1.0, 0.1, 0.01, 1e-3, 1e-4)
-    samples_per_radius: int = 32
-    eps: float = 1e-3
-
-    def __post_init__(self) -> None:
-        if len(self.radius_ladder) == 0:
-            raise InvariantViolation("radius ladder must be nonempty")
-        if min(self.radius_ladder) <= 0.0:
-            raise InvariantViolation("radii must be positive")
-        if any(
-            self.radius_ladder[i + 1] >= self.radius_ladder[i]
-            for i in range(len(self.radius_ladder) - 1)
-        ):
-            raise InvariantViolation("radii must be strictly decreasing")
-        if self.samples_per_radius < 8:
-            raise InvariantViolation("need at least 8 samples per radius")
-        if self.eps <= 0.0:
-            raise InvariantViolation("probe eps must be positive")
-
-
-def lsc_probe_at_zero(
-    ctx: LagrangianContext, probe: ValueFunctionProbe | None = None
-) -> bool:
+def lsc_probe_at_zero(ctx: LagrangianContext) -> bool:
     """Sampled lower-semicontinuity of V at 0.
 
     Lower semicontinuity only asks for *some* neighborhood of 0 on which
-    ``V(y) > V(0) - eps``, so V is evaluated only at the smallest radius of
-    the ladder: true iff every sample there (uniform sphere directions plus
-    axis points) clears the bound.  A violation there is a genuine drop at 0;
-    violations only at larger radii would be ordinary far-field decrease."""
-    probe = ValueFunctionProbe() if probe is None else probe
+    ``V(y) > V(0) - eps``, so V is evaluated only at one small radius: true
+    iff every sample there (uniform sphere directions plus axis points)
+    clears the bound.  A violation there is a genuine drop at 0; one only at
+    larger radii would be ordinary far-field decrease."""
     v0 = value_function(ctx, np.zeros(ctx.instance.L.out_dim))
     if not np.isfinite(v0):
         raise InvariantViolation(f"V(0) = {v0}; the probe needs a finite value")
     m = ctx.instance.L.out_dim
-    # One block of directions per radius, drawn in ladder order; only the
-    # smallest radius's block is evaluated.
-    dirs = np.random.default_rng(0).normal(
-        size=(len(probe.radius_ladder), probe.samples_per_radius, m)
-    )[-1]
+    # The fifth of five blocks of directions: the recorded lsc facts of the
+    # catalog were taken on these directions, from an earlier probe that drew
+    # one block per radius of the ladder 1, 0.1, ..., 1e-4.
+    dirs = np.random.default_rng(0).normal(size=(5, _LSC_DIRECTIONS, m))[-1]
     norms = np.linalg.norm(dirs, axis=1, keepdims=True)
     norms[norms == 0.0] = 1.0
     dirs = dirs / norms
     axes = np.concatenate([np.eye(m), -np.eye(m)], axis=0)
-    Y = probe.radius_ladder[-1] * np.concatenate([dirs, axes], axis=0)
-    return bool(np.all(_value_function_many(ctx, Y) > v0 - probe.eps))
+    Y = _LSC_RADIUS * np.concatenate([dirs, axes], axis=0)
+    return bool(np.all(_value_function_many(ctx, Y) > v0 - _LSC_EPS))
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +419,6 @@ def support_point_scan(
     psi: GeneralizedQuadratic,
     X0,
     alpha: float,
-    tol: float | None = None,
 ) -> SupportPointScan:
     """Zero-gap sufficient conditions built on a support member and a point,
     for every row of X0 (candidate base points, shape (N, n)).
@@ -458,7 +429,7 @@ def support_point_scan(
     ``g(L x0) <= 0``.  All four certify sup-inf == inf-sup.  The first two
     depend on psi only and are computed once; the point conditions come
     from one batched evaluation over L X0."""
-    tol = global_tol() if tol is None else tol
+    tol = global_tol()
     inst = ctx.instance
     X0 = np.asarray(X0, dtype=float)
     if X0.ndim != 2 or X0.shape[1] != inst.L.in_dim:
@@ -473,7 +444,7 @@ def support_point_scan(
     if inst.g.is_quadratic and inst.g.domain_box is None:
         low, _ = minimize_quadratic(combine(1.0, inst.g.quad, -1.0, psi))
     else:
-        Y = inst.y_search.box.mesh(inst.y_search.points_per_axis)
+        Y = inst.y_search.mesh()
         gv = inst.g.values(Y)
         ok = np.isfinite(gv)
         low = float(np.min(gv[ok] - np.asarray(psi(Y[ok])))) if np.any(ok) else INF
@@ -482,8 +453,7 @@ def support_point_scan(
     if inst.f.is_quadratic and inst.f.domain_box is None:
         inf_fpsi, _ = minimize_quadratic(inst.f.quad + pullback(psi, inst.L))
     else:
-        X = inst.x_search.box.mesh(inst.x_search.points_per_axis)
-        fv = inst.f.values(X)
+        X, fv = inst.x_search.mesh(), inst.f_on_mesh
         ok = np.isfinite(fv)
         pb = pullback(psi, inst.L)
         inf_fpsi = float(np.min(fv[ok] + np.asarray(pb(X[ok])))) if np.any(ok) else INF
@@ -521,8 +491,7 @@ def support_point_zero_gap_check(
     psi: GeneralizedQuadratic,
     x0,
     alpha: float,
-    tol: float | None = None,
 ) -> SupportPointCheck:
     """``support_point_scan`` at the one base point x0."""
     x0 = np.asarray(x0, dtype=float).reshape(1, -1)
-    return support_point_scan(ctx, psi, x0, alpha, tol).check(0)
+    return support_point_scan(ctx, psi, x0, alpha).check(0)

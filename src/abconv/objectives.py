@@ -50,8 +50,8 @@ class Box:
         x = np.asarray(x, dtype=float)
         return bool(np.all(x >= self.lower - tol) and np.all(x <= self.upper + tol))
 
-    def contains_batch(self, X: np.ndarray, tol: float = 0.0) -> np.ndarray:
-        return np.all(X >= self.lower - tol, axis=1) & np.all(X <= self.upper + tol, axis=1)
+    def contains_batch(self, X: np.ndarray) -> np.ndarray:
+        return np.all(X >= self.lower, axis=1) & np.all(X <= self.upper, axis=1)
 
     def clip(self, x) -> np.ndarray:
         return np.clip(np.asarray(x, dtype=float), self.lower, self.upper)
@@ -171,9 +171,12 @@ class WeakConvexityReport:
     detail: str = ""
 
 
-def weak_convexity_modulus(
-    f: Objective, *, samples: int = 4000, seed: int = 0
-) -> WeakConvexityReport:
+# Random segments of the midpoint estimate, drawn from a fixed seed.
+_MODULUS_SAMPLES = 4000
+_MODULUS_SEED = 0
+
+
+def weak_convexity_modulus(f: Objective) -> WeakConvexityReport:
     """Weak-convexity modulus of an objective.
 
     Quadratic: exact, ``max(0, -lambda_min(A))`` (certified).  Opaque
@@ -191,9 +194,9 @@ def weak_convexity_modulus(
     box = f.domain_box if f.domain_box is not None else Box.cube(f.dim)
     if not box.is_finite:
         box = Box.cube(f.dim)
-    rng = np.random.default_rng(seed)
-    X = box.sample(samples, rng)
-    Y = box.sample(samples, rng)
+    rng = np.random.default_rng(_MODULUS_SEED)
+    X = box.sample(_MODULUS_SAMPLES, rng)
+    Y = box.sample(_MODULUS_SAMPLES, rng)
     M = 0.5 * (X + Y)
     fx, fy, fm = f.values(X), f.values(Y), f.values(M)
     ok = np.isfinite(fx) & np.isfinite(fy) & np.isfinite(fm)

@@ -224,13 +224,12 @@ class CurvatureSpec:
             return max(0.0, alpha)
         return min(0.0, alpha)  # nonpos
 
-    def admits(self, alpha: float, tol: float | None = None) -> bool:
-        tol = global_tol() if tol is None else tol
-        return abs(alpha - self.nearest_admissible(alpha)) <= tol
+    def admits(self, alpha: float) -> bool:
+        return abs(alpha - self.nearest_admissible(alpha)) <= global_tol()
 
-    def largest_at_most(self, bound: float, tol: float | None = None) -> float | None:
+    def largest_at_most(self, bound: float) -> float | None:
         """Largest admissible curvature <= bound, or None if none exists."""
-        tol = global_tol() if tol is None else tol
+        tol = global_tol()
         if self.kind == "any":
             return bound
         if self.kind == "nonpos":
@@ -241,8 +240,9 @@ class CurvatureSpec:
             return max(0.0, bound) if bound >= -tol else None
         return self.value if self.value <= bound + tol else None  # fixed
 
-    def grid(self, lo: float = -10.0, hi: float = 10.0, points: int = 21) -> np.ndarray:
-        """Admissible curvature values inside [lo, hi], for parameter sweeps."""
+    def grid(self, points: int = 21) -> np.ndarray:
+        """Admissible curvature values inside [-10, 10], for parameter sweeps."""
+        lo, hi = -10.0, 10.0
         if self.kind == "fixed":
             return np.array([self.value])
         if self.kind == "zero":
@@ -277,14 +277,14 @@ class Family:
             raise InvariantViolation("class has no constant terms")
         return GeneralizedQuadratic.iso(self.dim, alpha, u, c)
 
-    def contains(self, q: GeneralizedQuadratic, tol: float | None = None) -> bool:
+    def contains(self, q: GeneralizedQuadratic) -> bool:
         """Membership test on the matrix part (slopes are unconstrained).
 
         The exact zero function belongs to every class (it is the baseline
         element every class is assumed to carry), including fixed-curvature
         classes whose value is nonzero.
         """
-        tol = global_tol() if tol is None else tol
+        tol = global_tol()
         if q.dim != self.dim:
             return False
         if not self.includes_constants and abs(q.c) > tol:

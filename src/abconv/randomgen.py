@@ -10,8 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .conjugates import check_mesh_size, default_points_per_axis
 from .duality import ProblemInstance
-from .errors import InstanceParseError
+from .errors import InstanceParseError, InvariantViolation
 from .instances import _as_float, _as_int
 from .objectives import Objective
 from .quadratics import CurvatureSpec, Family, GeneralizedQuadratic, LinearMap
@@ -38,6 +39,11 @@ class RandomSpec:
             raise InstanceParseError("ranges and scales must be finite")
         if self.n < 1 or self.m < 1:
             raise InstanceParseError("dimensions must be positive")
+        for dim in (self.n, self.m):
+            try:
+                check_mesh_size(default_points_per_axis(dim), dim)
+            except InvariantViolation as exc:
+                raise InstanceParseError(f"default search grid: {exc}") from None
         for lo, hi in (self.f_modulus, self.g_modulus):
             if lo < 0 or hi < lo:
                 raise InstanceParseError("modulus range needs 0 <= lo <= hi")

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .config import VALUE_TOL
 from .duality import build_tangent_certificate, primal_value, verify_gap_certificate
 from .instances import _member_to_dict, dumps
 from .lagrange import LagrangianContext, ld_value, lp_value
@@ -45,7 +46,7 @@ def _certificate_entries(instance, minimizer) -> list[dict]:
     return entries
 
 
-def run_report(instance, tol: float = 1e-6, certificates: bool = True) -> dict:
+def run_report(instance, certificates: bool = True) -> dict:
     """All duality quantities for one instance, as a plain dict."""
     ctx = LagrangianContext(instance)
     p = primal_value(instance)
@@ -53,7 +54,7 @@ def run_report(instance, tol: float = 1e-6, certificates: bool = True) -> dict:
     lp = lp_value(ctx)
     gap = INF if abs(d.value) == INF else p.value - d.value
     flags = sorted(set(p.flags + d.flags + lp.flags))
-    weak_ok = not (np.isfinite(gap) and gap < -tol)
+    weak_ok = not (np.isfinite(gap) and gap < -VALUE_TOL)
     if not weak_ok:
         flags.append("weak_duality_violated")
     report = {

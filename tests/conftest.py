@@ -1,5 +1,8 @@
 """Shared fixtures: bundled instances and a context factory."""
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -13,6 +16,12 @@ from abconv import (
     catalog_instance,
     random_instance,
 )
+
+# ``python -m abconv`` subprocesses import the package from this checkout,
+# as the tests do through ``pythonpath`` in pyproject.toml.
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
 
 # Every input/output dimension pair the fuzz gate runs.
 FUZZ_DIMS = [(n, m) for n in (1, 2, 3) for m in (1, 2, 3)]

@@ -16,8 +16,10 @@ from abconv.config import global_tol
 from abconv.conjugates import biconjugate_at, minimize_quadratic
 from abconv.errors import InvariantViolation
 from abconv.lagrange import (
+    _LSC_DIRECTIONS,
+    _LSC_EPS,
+    _LSC_RADIUS,
     SupportPointCheck,
-    ValueFunctionProbe,
     value_function,
 )
 from abconv.quadratics import combine, pullback
@@ -279,31 +281,23 @@ def support_point_dense(ctx, psi, x0, alpha, tol=None):
     return SupportPointCheck(holds, conditions, details)
 
 
-def lsc_samples(ctx, probe=None):
-    """The perturbations y at which the lsc probe evaluates V: the smallest
-    radius of the ladder times unit sphere directions, then the axis points."""
-    probe = ValueFunctionProbe() if probe is None else probe
+def lsc_samples(ctx):
+    """The perturbations y at which the lsc probe evaluates V: the probe
+    radius times unit sphere directions, then the axis points."""
     m = ctx.instance.L.out_dim
-    # One block of directions per radius, drawn in ladder order; only the
-    # smallest radius's block is evaluated.
-    dirs = np.random.default_rng(0).normal(
-        size=(len(probe.radius_ladder), probe.samples_per_radius, m)
-    )[-1]
+    # The last of five blocks of directions, as the probe draws them.
+    dirs = np.random.default_rng(0).normal(size=(5, _LSC_DIRECTIONS, m))[-1]
     norms = np.linalg.norm(dirs, axis=1, keepdims=True)
     norms[norms == 0.0] = 1.0
     dirs = dirs / norms
     axes = np.concatenate([np.eye(m), -np.eye(m)], axis=0)
-    r = probe.radius_ladder[-1]
-    return [r * d for d in np.concatenate([dirs, axes], axis=0)]
+    return [_LSC_RADIUS * d for d in np.concatenate([dirs, axes], axis=0)]
 
 
-def lsc_probe_dense(ctx, probe=None):
+def lsc_probe_dense(ctx):
     """Reference lsc probe: the per-sample loop as it was before the batched
     V(y) samples, one ``value_function`` call per perturbation."""
-    probe = ValueFunctionProbe() if probe is None else probe
     v0 = value_function(ctx, np.zeros(ctx.instance.L.out_dim))
     if not np.isfinite(v0):
         raise InvariantViolation(f"V(0) = {v0}; the probe needs a finite value")
-    return all(
-        value_function(ctx, y) > v0 - probe.eps for y in lsc_samples(ctx, probe)
-    )
+    return all(value_function(ctx, y) > v0 - _LSC_EPS for y in lsc_samples(ctx))

@@ -300,6 +300,17 @@ class TestRandom:
         assert main(["gap", str(path)]) == 2
         assert field in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field", ["points_per_axis", "psi_slope_points_per_axis"])
+    def test_mesh_over_the_cap_exits_2(self, tmp_path, capsys, field):
+        path = tmp_path / "inst.json"
+        main(["random", "--seed", "3", "-o", str(path)])
+        data = json.loads(path.read_text())
+        data["search"][field] = 10**6 + 1  # the instance is 1-D
+        path.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["gap", str(path)]) == 2
+        assert "exceeds" in capsys.readouterr().err
+
     def test_generated_instance_is_loadable(self, tmp_path, capsys):
         out_file = tmp_path / "inst.json"
         main(["random", "--seed", "11", "-o", str(out_file)])

@@ -4,11 +4,13 @@ Frozen values are hand-derived for ``f(x) = (x+1)^2`` and friends:
 ``sup_x [a*x^2 + b*x - f(x)] = (b-2)^2 / (4*(1-a)) - 1`` whenever ``a < 1``.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import oracles
-from abconv.conjugates import _biconjugate_argmax, _window_groups
+from abconv.conjugates import MAX_MESH_POINTS, _biconjugate_argmax, _window_groups
 from abconv import (
     Box,
     ConjugateValue,
@@ -177,6 +179,28 @@ class TestGridEngine:
             GridSpec(Box.cube(1), points_per_axis=2)
         with pytest.raises(InvariantViolation):
             GridSpec(Box.cube(1), refine_rounds=-1)
+
+    def test_mesh_is_shared_and_read_only(self):
+        grid = GridSpec(Box([-1.0, 0.0], [1.0, 2.0]), 5)
+        X = grid.mesh()
+        assert X.tobytes() == grid.box.mesh(5).tobytes()
+        assert GridSpec(Box([-1.0, 0.0], [1.0, 2.0]), 5, 0).mesh() is X
+        assert not X.flags.writeable
+
+    def test_meshes_over_the_cap_are_rejected_before_meshing(self):
+        fam = Family(3, CurvatureSpec.zero())
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvariantViolation, match="exceeds"):
+                GridSpec.cube(3, points_per_axis=10**6)
+            with pytest.raises(InvariantViolation, match="exceeds"):
+                FamilySearchGrid(fam, Box.cube(3), 10**6, (0.0,))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        # the cap itself is allowed
+        assert GridSpec.cube(3, points_per_axis=100).points_per_axis ** 3 == MAX_MESH_POINTS
 
 
 class TestDispatch:

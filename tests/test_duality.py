@@ -8,6 +8,7 @@ Hand-derived anchors used below (all double-checked against the oracles):
   ``A=[[2,1],[1,1]], u=(2,-2), c=-1``; minimum -6 at (-2, 3).
 """
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -25,6 +26,7 @@ from abconv import (
     GridSpec,
     INF,
     InvariantViolation,
+    LagrangianContext,
     LinearMap,
     Objective,
     ProblemInstance,
@@ -37,7 +39,10 @@ from abconv import (
     decomposition_condition_check,
     epi_contains,
     epi_decompose,
+    family_conjugate_table,
     g_conjugate_table,
+    instance_to_dict,
+    lp_value,
     minimize_quadratic,
     perturbation_conjugate_zero,
     primal_value,
@@ -104,6 +109,87 @@ class TestProblemInstance:
         inst = build(quad_obj(1, 1.0), quad_obj(1, 1.0, box=Box([-1.0], [1.0])))
         with pytest.raises(InvariantViolation):
             inst.composite_quad()
+
+
+def counted(q: GeneralizedQuadratic, box: Box, calls: dict, key: str) -> Objective:
+    """``q`` on ``box`` behind a callable that counts its evaluations."""
+
+    def fn(x):
+        calls[key] += 1
+        return float(q(np.asarray(x, dtype=float)))
+
+    return Objective.from_callable(q.dim, fn, domain_box=box)
+
+
+class TestSearchMeshArrays:
+    """f and g o L on the x search mesh: evaluated once per instance and
+    shared by every sweep, invisible to equality, repr, serialization and
+    ``dataclasses.replace``."""
+
+    X_POINTS = 51
+
+    def counting_instance(self):
+        calls = {"f": 0, "g": 0}
+        psi = Family(1, CurvatureSpec.nonpos())
+        inst = build(
+            counted(GeneralizedQuadratic.iso(1, 1.0, [2.0], 1.0), Box([-4.0], [5.0]), calls, "f"),
+            counted(GeneralizedQuadratic.iso(1, -0.5, [1.0]), Box([-3.0], [6.0]), calls, "g"),
+            L=LinearMap(np.array([[0.8]])),
+            psi_spec=CurvatureSpec.nonpos(),
+            psi_search=FamilySearchGrid.default(psi, slope_points=15, curvature_points=5),
+            x_search=GridSpec(Box.cube(1), self.X_POINTS, 2),
+            y_search=GridSpec(Box.cube(1), 41, 2),
+        )
+        return inst, calls
+
+    def test_a_repeated_request_evaluates_neither_part_on_the_mesh(self):
+        inst, calls = self.counting_instance()
+        assert calls == {"f": self.X_POINTS, "g": self.X_POINTS}  # the build-time check
+        run_report(inst, certificates=False)
+        dcp_value(inst)
+        calls.update(f=0, g=0)
+        family_conjugate_table(inst.g, inst.psi_search, grid=inst.y_search)
+        per_table = calls["g"]
+        calls.update(f=0, g=0)
+        run_report(inst, certificates=False)
+        dcp_value(inst)
+        # Only the y-grid engine of the two g* tables evaluates g; before the
+        # shared arrays, f was evaluated on the mesh 4 more times and g 3.
+        assert calls == {"f": 0, "g": 2 * per_table}
+
+    def test_replace_evaluates_the_new_f_afresh(self):
+        inst, _ = self.counting_instance()
+        before = inst.f_on_mesh.tobytes()
+        other = quad_obj(1, 2.0, [-1.0], 0.5, box=Box([-2.0], [3.0]))
+        replaced = dataclasses.replace(inst, f=other)
+        fresh = build(other, inst.g, L=inst.L, psi_spec=CurvatureSpec.nonpos(),
+                      psi_search=inst.psi_search, x_search=inst.x_search,
+                      y_search=inst.y_search)
+        assert replaced.f_on_mesh.tobytes() == fresh.f_on_mesh.tobytes() != before
+        assert composite_inf_table(replaced).tobytes() == composite_inf_table(fresh).tobytes()
+        for phi in (None, GeneralizedQuadratic.iso(1, -1.0, [0.5]), GeneralizedQuadratic.iso(1, -3.0)):
+            assert weak_duality_check(replaced, phi) == weak_duality_check(fresh, phi)
+
+    def test_not_fields(self):
+        f = quad_obj(1, 1.0, [2.0], 1.0, box=Box([-4.0], [5.0]))
+        inst = build(f, quad_obj(1, 4.0))
+        text = repr(instance_to_dict(inst))
+        inst.f_on_mesh, inst.g_on_mesh
+        assert {"f_on_mesh", "g_on_mesh"}.isdisjoint(
+            field.name for field in dataclasses.fields(inst))
+        assert "on_mesh" not in repr(inst)
+        assert repr(instance_to_dict(inst)) == text
+        assert dataclasses.replace(inst) == inst == build(f, quad_obj(1, 4.0))
+
+    def test_read_only_arrays_and_writable_minimizers(self):
+        inst, _ = self.counting_instance()
+        for arr in (inst.f_on_mesh, inst.g_on_mesh, inst.x_search.mesh()):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+        mesh = inst.x_search.mesh()
+        for x in (primal_value(inst).minimizer, lp_value(LagrangianContext(inst)).minimizer):
+            assert x.flags.writeable and not np.shares_memory(x, mesh)
 
 
 def test_coupling_value_reduces_to_phi_at_zero_perturbation(inst47, rng):

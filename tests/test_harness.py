@@ -383,6 +383,12 @@ class TestRandomGen:
             RandomSpec(g_modulus=(2.0, 1.0))
         with pytest.raises(InstanceParseError):
             RandomSpec(l_scale=0.0)
+        # default grids of 9 points per axis: 9**6 points fit under the
+        # mesh cap, 9**7 do not, and n = 10**6 is rejected without meshing
+        assert RandomSpec(n=6, m=6).n == 6
+        for kw in ({"n": 7}, {"m": 7}, {"n": 10**6}):
+            with pytest.raises(InstanceParseError, match="exceeds"):
+                RandomSpec(**kw)
 
     def test_spec_from_dict(self):
         spec = RandomSpec.from_dict({"n": 2, "f_modulus": [0.0, 1.0]})

@@ -27,7 +27,6 @@ from abconv import (
     Objective,
     ProblemInstance,
     RandomSpec,
-    ValueFunctionProbe,
     catalog_instance,
     catalog_names,
     convexification_preserves_value,
@@ -367,20 +366,6 @@ class TestValueFunction:
     def test_dimension_mismatch(self, inst47, make_ctx):
         with pytest.raises(InvariantViolation):
             value_function(make_ctx(inst47), [0.0, 0.0])
-
-
-class TestValueFunctionProbe:
-    def test_validation(self):
-        with pytest.raises(InvariantViolation):
-            ValueFunctionProbe(radius_ladder=())
-        with pytest.raises(InvariantViolation):
-            ValueFunctionProbe(radius_ladder=(1.0, -0.1))
-        with pytest.raises(InvariantViolation):
-            ValueFunctionProbe(radius_ladder=(0.1, 0.1))
-        with pytest.raises(InvariantViolation):
-            ValueFunctionProbe(samples_per_radius=4)
-        with pytest.raises(InvariantViolation):
-            ValueFunctionProbe(eps=0.0)
 
 
 def drop_instance():
