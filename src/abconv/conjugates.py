@@ -15,7 +15,7 @@ import numpy as np
 
 from .config import VALUE_TOL, global_tol
 from .errors import InvariantViolation
-from .objectives import INF, Box, Objective, shrink_windows
+from .objectives import INF, Box, Objective, mesh_windows, shrink_windows
 from .quadratics import Family, GeneralizedQuadratic
 
 
@@ -182,19 +182,21 @@ def _quadratic_sup_many(
 # Grid engine
 
 
-# Member rows per block of the (members, window points) value matrix: 2**18
-# entries, 2 MB, however many members share a window.
+# Entries per block of a batched kernel's largest intermediate (the grid
+# engine's member meshes, the V(y) samples' value matrix): 2**18 entries,
+# 2 MB, however many windows or members there are.
 _VALUE_BLOCK = 1 << 18
 
 
-def _window_groups(lower: np.ndarray, upper: np.ndarray) -> list[np.ndarray]:
-    """Row indices grouped by identical windows.  The key is the bytes of
-    the bounds, so windows that differ only in the sign of a zero bound
-    (meshes that differ in the sign of a zero coordinate) stay apart."""
-    groups: dict[bytes, list[int]] = {}
-    for i, key in enumerate(np.concatenate([lower, upper], axis=1)):
-        groups.setdefault(key.tobytes(), []).append(i)
-    return [np.array(rows) for rows in groups.values()]
+def _group_windows(lower: np.ndarray, upper: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Identical windows among the rows: the first row of each distinct
+    window and each row's window index.  The key is the bytes of the
+    bounds, so windows that differ only in the sign of a zero bound (meshes
+    that differ in the sign of a zero coordinate) stay apart."""
+    bounds = np.concatenate([lower, upper], axis=1)
+    keys = bounds.view(np.dtype((np.void, bounds.itemsize * bounds.shape[1])))[:, 0]
+    _, first, ids = np.unique(keys, return_index=True, return_inverse=True)
+    return first, ids
 
 
 def _grid_sup_table(
@@ -210,43 +212,68 @@ def _grid_sup_table(
     Every member starts on ``grid.box`` and, after each round, shrinks its
     window 10x around its incumbent; a later round replaces the incumbent
     only when strictly better, and a member whose first window is wholly
-    infeasible stops with -inf.  Each round meshes and evaluates f once per
-    distinct window.  A member's value is ``einsum + X @ u + c - f(X)`` on
-    its window mesh, the arithmetic of ``GeneralizedQuadratic.__call__``,
-    with one matrix-vector product per member: a batched ``X @ U.T`` would
-    round differently.  Returns values of shape (len(mats), len(U)) and the
-    maximizers (NaN rows where the value is -inf)."""
-    n_lin = len(U)
-    size = len(mats) * n_lin
+    infeasible stops with -inf.  Each round sorts its members by window,
+    then curvature, meshes and evaluates f once per chunk of distinct
+    windows, and forms the x.A x terms with one einsum per curvature over
+    the windows that curvature needs.  A member's value is ``einsum + X @ u
+    + c - f(X)`` on its window mesh, the arithmetic of
+    ``GeneralizedQuadratic.__call__``, with one matrix-vector product per
+    member (a batched ``X @ U.T`` would round differently).  Chunks of
+    windows, of (window, curvature) pairs and of members keep every
+    intermediate to about ``_VALUE_BLOCK`` entries.  Returns values of shape
+    (len(mats), len(U)) and the maximizers (NaN rows where the value is
+    -inf)."""
+    n_lin, dim, points = len(U), f.dim, grid.points_per_axis
+    n_pts, size = points**dim, len(mats) * n_lin
     best = np.full(size, -INF)
-    best_x = np.full((size, f.dim), np.nan)
+    best_x = np.full((size, dim), np.nan)
     lower = np.tile(grid.box.lower, (size, 1))
     upper = np.tile(grid.box.upper, (size, 1))
     live = np.arange(size)
+    step = max(1, _VALUE_BLOCK // (n_pts * dim))
     for r in range(grid.refine_rounds + 1):
         if r:
             lower[live], upper[live] = shrink_windows(
                 lower[live], upper[live], best_x[live], 0.1)
-        for rows in _window_groups(lower[live], upper[live]):
-            members = live[rows]
-            X = Box(lower[members[0]], upper[members[0]]).mesh(grid.points_per_axis)
-            fX = f.values(X)
-            ks, k_of = np.unique(members // n_lin, return_inverse=True)
-            quad = np.stack([np.einsum("ni,ij,nj->n", X, mats[k], X) for k in ks])
-            step = max(1, _VALUE_BLOCK // len(X))
-            for b in range(0, len(members), step):
-                block = members[b:b + step]
-                lin = np.stack([X @ U[j] for j in block % n_lin])
-                vals = quad[k_of[b:b + step]] + lin + c - fX
-                idx = vals.argmax(axis=1)
-                top = vals[np.arange(len(block)), idx]
-                up = top > best[block]
-                best[block[up]] = top[up]
-                best_x[block[up]] = X[idx[up]]
+        first, ids = _group_windows(lower[live], upper[live])
+        order = np.argsort(ids, kind="stable")  # by window, then curvature
+        members, ids = live[order], ids[order]
+        curv = members // n_lin
+        # Runs of one (window, curvature) pair share their x.A x terms.
+        new = np.ones(len(members), dtype=bool)
+        new[1:] = (ids[1:] != ids[:-1]) | (curv[1:] != curv[:-1])
+        pair, starts = np.cumsum(new) - 1, np.append(np.flatnonzero(new), len(members))
+        pair_win, pair_curv = ids[new], curv[new]
+        for w0 in range(0, len(first), step):
+            rows = live[first[w0:w0 + step]]
+            Xs = mesh_windows(lower[rows], upper[rows], points)
+            fX = f.values(Xs.reshape(-1, dim)).reshape(len(rows), n_pts)
+            q0, q1 = np.searchsorted(pair_win, [w0, w0 + step])
+            for p0 in range(q0, q1, step):
+                p1 = min(p0 + step, q1)
+                quad = np.empty((p1 - p0, n_pts))
+                for k in np.unique(pair_curv[p0:p1]):
+                    at = np.flatnonzero(pair_curv[p0:p1] == k)
+                    X = Xs[pair_win[p0 + at] - w0].reshape(-1, dim)
+                    quad[at] = np.einsum("ni,ij,nj->n", X, mats[k], X).reshape(-1, n_pts)
+                for b in range(starts[p0], starts[p1], step):
+                    span = slice(b, min(b + step, starts[p1]))
+                    block, win = members[span], ids[span] - w0
+                    # In place, to hold fewer value blocks; addition
+                    # commutes, so these are the bits of quad + lin + c - f.
+                    vals = np.matmul(Xs[win], U[block % n_lin][:, :, None])[:, :, 0]
+                    vals += quad[pair[span] - p0]
+                    vals += c
+                    vals -= fX[win]
+                    idx = vals.argmax(axis=1)
+                    top = vals[np.arange(len(block)), idx]
+                    up = top > best[block]
+                    best[block[up]] = top[up]
+                    best_x[block[up]] = Xs[win[up], idx[up]]
         if r == 0:
             live = np.flatnonzero(best > -INF)
     shape = (len(mats), n_lin)
-    return best.reshape(shape), best_x.reshape(shape + (f.dim,))
+    return best.reshape(shape), best_x.reshape(shape + (dim,))
 
 
 def conjugate_grid(
@@ -362,9 +389,13 @@ def family_conjugate_table(
     Shape ``(len(curvatures), n_slopes)``.  When f is an unconstrained
     quadratic, one batched eigendecomposition over the curvatures gives the
     exact values, +inf where unbounded.  Otherwise the grid engine refines
-    every member at once, meshing and evaluating f once per distinct window,
-    and each entry equals ``conjugate_grid`` at that member: a lower bound,
-    -inf where the member's first window is wholly infeasible.
+    every member at once in batched rounds: a round groups its members by
+    window, meshes all the distinct windows together, evaluates f on them
+    in one call per chunk of about ``_VALUE_BLOCK`` mesh entries, and forms
+    every member's values with one einsum per curvature and one batched
+    matrix-vector product.  Each entry equals ``conjugate_grid`` at that
+    member bit for bit: a lower bound, -inf where the member's first window
+    is wholly infeasible.
     """
     slopes = search.slopes()
     if f.is_quadratic and f.domain_box is None:

@@ -67,12 +67,7 @@ class Box:
         """All grid points, shape (points_per_axis**dim, dim), C order."""
         if not self.is_finite:
             raise InvariantViolation("cannot mesh an infinite box")
-        axes = [
-            np.linspace(self.lower[i], self.upper[i], points_per_axis)
-            for i in range(self.dim)
-        ]
-        grids = np.meshgrid(*axes, indexing="ij")
-        return np.stack([g.ravel() for g in grids], axis=1)
+        return mesh_windows(self.lower[None], self.upper[None], points_per_axis)[0]
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         if not self.is_finite:
@@ -87,6 +82,25 @@ def shrink_windows(lower, upper, centers, factor: float):
     center = np.clip(centers, lower, upper)
     half = 0.5 * factor * (upper - lower)
     return np.maximum(lower, center - half), np.minimum(upper, center + half)
+
+
+def mesh_windows(lower, upper, points: int) -> np.ndarray:
+    """``Box.mesh`` on stacked finite windows: rows of ``lower``/``upper``
+    are window bounds; returns shape (windows, points**dim, dim), each
+    window's mesh in C order.  Each axis of each window gets the bits of a
+    one-axis ``np.linspace``: that call takes a different rounding branch
+    for every entry once any step is 0, so zero-step axes get their own."""
+    n_win, dim = lower.shape
+    mesh = np.empty((n_win,) + (points,) * dim + (dim,))
+    for k in range(dim):
+        lo, hi = lower[:, k], upper[:, k]
+        axis = np.empty((n_win, points))
+        flat = (hi - lo) / max(points - 1, 1) == 0
+        for part in (flat, ~flat):
+            if part.any():
+                axis[part] = np.linspace(lo[part], hi[part], points, axis=1)
+        mesh[..., k] = axis.reshape((n_win,) + (1,) * k + (points,) + (1,) * (dim - 1 - k))
+    return mesh.reshape(n_win, points**dim, dim)
 
 
 @dataclass(frozen=True)

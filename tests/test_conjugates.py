@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 import oracles
-from abconv.conjugates import MAX_MESH_POINTS, _biconjugate_argmax, _window_groups
+from abconv import conjugates
+from abconv.conjugates import MAX_MESH_POINTS, _biconjugate_argmax, _group_windows
 from abconv import (
     Box,
     ConjugateValue,
@@ -355,6 +356,61 @@ class TestGridTable:
         np.testing.assert_array_equal(
             _bits(table), _bits(oracles.conjugate_table_dense(g, search, grid)))
 
+    @pytest.mark.parametrize("rounds", [0, 3])
+    @pytest.mark.parametrize("case", ["quadratic-1d", "quadratic-2d", "callable-1d",
+                                      "callable-2d", "holes"])
+    def test_chunked_rounds_match_the_dense_reference(self, case, rounds, monkeypatch):
+        # Two windows per chunk, two (window, curvature) pairs per pair chunk
+        # and two members per block: every round with more than two windows
+        # takes several f evaluations, and the one window of round 0 splits
+        # its five curvatures and its members over several chunks.
+        if case == "holes":
+            m, g = 1, Objective.from_callable(
+                1, lambda y: INF if 0.2 < y[0] < 0.45 else float(y[0] ** 4 - y[0]))
+            grid = GridSpec(Box.cube(1, -2.0, 2.0), 41, rounds)
+        else:
+            m = int(case[-2])
+            g = _boxed_g(m, case.startswith("callable"), 4 + m)
+            grid = GridSpec(Box.cube(m), {1: 41, 2: 11}[m], rounds)
+        search = _search(m, {1: 15, 2: 5}[m])
+        monkeypatch.setattr(conjugates, "_VALUE_BLOCK", 2 * grid.points_per_axis**m * m)
+        calls = []
+        values = Objective.values
+        monkeypatch.setattr(Objective, "values",
+                            lambda f, X: calls.append(len(X)) or values(f, X))
+        table = family_conjugate_table(g, search, grid=grid)
+        monkeypatch.undo()
+        assert search.size > 2  # round 0's one window spans several blocks
+        if rounds:
+            assert len(calls) > rounds + 1  # and a later round several chunks
+        else:
+            assert calls == [grid.points_per_axis**m]
+        np.testing.assert_array_equal(
+            _bits(table), _bits(oracles.conjugate_table_dense(g, search, grid)))
+
+    def test_peak_memory_is_bounded_by_the_value_block(self, monkeypatch):
+        # A chunk's meshes and f values, a block's curvature terms, member
+        # meshes, values and gathers: at most eight value blocks at once,
+        # however many windows a round has.
+        def peak(g, search, grid):
+            family_conjugate_table(g, search, grid=grid)  # warm the caches
+            tracemalloc.start()
+            try:
+                family_conjugate_table(g, search, grid=grid)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        fine = peak(_boxed_g(1, False, 9), _search(1, 9), GridSpec(Box.cube(1), 20001, 2))
+        assert fine < 8 * 8 * conjugates._VALUE_BLOCK
+        # A gridbox-sized table (11 points per axis, 275 members) fits in one
+        # block; a smaller block must bound it just the same.
+        monkeypatch.setattr(conjugates, "_VALUE_BLOCK", 1 << 13)
+        search = FamilySearchGrid.default(
+            Family(2, CurvatureSpec.nonpos()), slope_points=5, curvature_points=11)
+        small = peak(_boxed_g(2, False, 4), search, GridSpec(Box.cube(2), 11, 2))
+        assert small < 8 * 8 * conjugates._VALUE_BLOCK
+
     @pytest.mark.parametrize("m", [1, 2])
     def test_wholly_infeasible_box_gives_minus_inf(self, m):
         g = Objective.quadratic(GeneralizedQuadratic.iso(m, 1.0),
@@ -412,8 +468,10 @@ class TestGridTable:
     def test_windows_that_differ_in_a_zero_sign_stay_apart(self):
         lower = np.array([[-0.0, 1.0], [0.0, 1.0], [-0.0, 1.0], [0.0, 2.0]])
         upper = np.array([[1.0, 3.0], [1.0, 3.0], [1.0, 3.0], [1.0, 3.0]])
-        groups = _window_groups(lower, upper)
+        first, ids = _group_windows(lower, upper)
+        groups = [np.flatnonzero(ids == w) for w in range(len(first))]
         assert sorted(map(list, groups)) == [[0, 2], [1], [3]]
+        assert all(ids[row] == w for w, row in enumerate(first))
 
     def test_dimension_mismatch(self):
         g = Objective.from_callable(2, lambda y: 0.0, domain_box=Box.cube(2))

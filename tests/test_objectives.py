@@ -13,6 +13,7 @@ from abconv import (
     shifted_modulus,
     weak_convexity_modulus,
 )
+from abconv.objectives import mesh_windows
 
 
 class TestBox:
@@ -32,6 +33,19 @@ class TestBox:
 
     def test_mesh_size(self):
         assert Box.cube(2).mesh(5).shape == (25, 2)
+
+    def test_stacked_meshes_keep_each_window_bits(self):
+        # Window 0 is flat on axis 0. One np.linspace over every window would
+        # round all the other axes differently; each must equal its own mesh.
+        lower = np.array([[0.1, -1.0], [0.3, 0.0], [-2.0, 0.7]])
+        upper = np.array([[0.1, 1.0], [1.7, 0.3], [5.0, 0.9]])
+        meshes = mesh_windows(lower, upper, 7)
+        assert meshes.shape == (3, 49, 2)
+        for lo, hi, X in zip(lower, upper, meshes):
+            axes = [np.linspace(lo[i], hi[i], 7) for i in range(2)]
+            ref = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
+            assert X.tobytes() == ref.tobytes()
+            assert Box(lo, hi).mesh(7).tobytes() == ref.tobytes()
 
     def test_infinite_axes_allowed_but_not_meshable(self):
         box = Box([-INF], [0.0])
