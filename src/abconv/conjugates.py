@@ -542,14 +542,22 @@ def eps_subdiff_contains(
     """Membership test ``f(x) + f*(phi) <= phi(x) + eps`` (slack ``global_tol()``)."""
     if eps < 0:
         raise InvariantViolation("eps must be nonnegative")
-    tol = global_tol()
+    return _subdiff_holds(_subdiff_terms(f, phi, x, engine, grid), eps, global_tol())
+
+
+def _subdiff_terms(f, phi, x, engine="auto", grid=None) -> tuple[float, float, float]:
+    """The eps-free terms ``(f(x), f*(phi), phi(x))`` of ``eps_subdiff_contains``."""
     fx = f.value(x)
     if fx == INF:
         raise InvariantViolation("x outside the domain of f")
     fstar = conjugate_value(f, phi, engine=engine, grid=grid).value
-    if fstar == INF:
-        return False
-    return fx + fstar <= float(phi(np.asarray(x, dtype=float))) + eps + tol
+    return fx, fstar, float(phi(np.asarray(x, dtype=float)))
+
+
+def _subdiff_holds(terms: tuple[float, float, float], eps: float, tol: float) -> bool:
+    """``eps_subdiff_contains`` at one eps, from the terms of ``_subdiff_terms``."""
+    fx, fstar, phi_x = terms
+    return fstar != INF and fx + fstar <= phi_x + eps + tol
 
 
 def dom_conjugate_probe(

@@ -20,6 +20,8 @@ from .conjugates import (
     FamilySearchGrid,
     GridSpec,
     _quadratic_sup_many,
+    _subdiff_holds,
+    _subdiff_terms,
     conjugate_closed_form,
     conjugate_value,
     default_points_per_axis,
@@ -439,49 +441,54 @@ def verify_gap_certificate(
     With ``require_zero_sum`` the thm43 pair must satisfy the exact
     cancellation ``phi + psi o L = 0`` (a strengthening that certifies the
     gap in one shot), not just the two-sided eps bounds."""
-    tol = global_tol()
-    x = cert.x
-    Lx = instance.L.apply(x)
-    eps = cert.eps
-    conditions: dict[str, bool] = {}
-    details: dict[str, float] = {}
+    return _check_terms(_certificate_terms(instance, cert), cert.eps, require_zero_sum)
 
-    conditions["psi_in_family"] = instance.psi.contains(cert.psi)
+
+def _certificate_terms(instance: ProblemInstance, cert: GapCertificate) -> dict:
+    """Every value of ``verify_gap_certificate`` that does not depend on eps."""
+    x = cert.x
     fx = instance.f.value(x)
     if fx == INF:
         raise InvariantViolation("certificate point is outside dom f")
-    conditions["psi_subgradient"] = eps_subdiff_contains(
-        instance.g, cert.psi, Lx, eps, grid=instance.y_search
-    )
-
+    psi_terms = _subdiff_terms(instance.g, cert.psi, instance.L.apply(x), grid=instance.y_search)
+    terms = {"kind": cert.kind, "psi_in_family": instance.psi.contains(cert.psi),
+             "psi_subgradient": psi_terms}
     if cert.kind == "thm42":
-        pb = pullback(cert.psi, instance.L)
-        shifted = _with_f_shifted_by(instance, -pb)  # f + psi o L
-        sup0 = conjugate_value(
-            shifted.f, GeneralizedQuadratic.zero(instance.L.in_dim),
-            grid=instance.x_search,
-        ).value
-        bound = -fx - float(cert.psi(Lx)) + eps
-        conditions["conjugate_bound"] = sup0 <= bound + tol
-        details["conjugate_at_zero"] = sup0
-        details["bound"] = bound
+        shifted = _with_f_shifted_by(instance, -pullback(cert.psi, instance.L))  # f + psi o L
+        zero = GeneralizedQuadratic.zero(instance.L.in_dim)
+        terms["conjugate_at_zero"] = conjugate_value(shifted.f, zero, grid=instance.x_search).value
+        terms["slack"] = -fx - psi_terms[2]  # -f(x) - psi(Lx)
     else:
-        conditions["phi_in_family"] = instance.phi.contains(cert.phi)
-        conditions["phi_subgradient"] = eps_subdiff_contains(
-            instance.f, cert.phi, x, eps, grid=instance.x_search
-        )
         combo = combine(1.0, cert.phi, 1.0, pullback(cert.psi, instance.L))
-        low, _ = minimize_quadratic(combo)
-        at_x = float(combo(x))
+        terms.update(
+            phi_in_family=instance.phi.contains(cert.phi),
+            phi_subgradient=_subdiff_terms(instance.f, cert.phi, x, grid=instance.x_search),
+            combo=combo, sum_min=minimize_quadratic(combo)[0], sum_at_x=float(combo(x)),
+        )
+    return terms
+
+
+def _check_terms(terms: dict, eps: float, require_zero_sum: bool = False) -> CertificateCheck:
+    """The conditions and details of a certificate at one eps."""
+    if eps < 0:
+        raise InvariantViolation("certificate eps must be nonnegative")
+    tol = global_tol()
+    conditions = {"psi_in_family": terms["psi_in_family"],
+                  "psi_subgradient": _subdiff_holds(terms["psi_subgradient"], eps, tol)}
+    if terms["kind"] == "thm42":
+        sup0, bound = terms["conjugate_at_zero"], terms["slack"] + eps
+        conditions["conjugate_bound"] = sup0 <= bound + tol
+        details = {"conjugate_at_zero": sup0, "bound": bound}
+    else:
+        low, at_x = terms["sum_min"], terms["sum_at_x"]
+        conditions["phi_in_family"] = terms["phi_in_family"]
+        conditions["phi_subgradient"] = _subdiff_holds(terms["phi_subgradient"], eps, tol)
         conditions["sum_lower_bound"] = low >= -eps - tol
         conditions["sum_small_at_x"] = at_x <= eps + tol
-        details["sum_min"] = low
-        details["sum_at_x"] = at_x
+        details = {"sum_min": low, "sum_at_x": at_x}
         if require_zero_sum:
-            conditions["sum_identically_zero"] = combo.is_zero(tol)
-
-    holds = all(conditions.values())
-    return CertificateCheck(holds, cert.kind, conditions, details)
+            conditions["sum_identically_zero"] = terms["combo"].is_zero(tol)
+    return CertificateCheck(all(conditions.values()), terms["kind"], conditions, details)
 
 
 def build_tangent_certificate(
@@ -515,6 +522,23 @@ def build_tangent_certificate(
     return GapCertificate("thm43", eps, x, psi, phi)
 
 
+def _tangent_ladder(
+    instance: ProblemInstance, x, eps_ladder
+) -> tuple[GapCertificate | None, list[CertificateCheck | None]]:
+    """The tangent certificate at x (thm43, else thm42) and its check at each
+    eps of the ladder (None without a certificate). Which kind exists never
+    depends on eps, so the certificate is built and evaluated once."""
+    cert = None
+    if len(eps_ladder) > 0:
+        cert = build_tangent_certificate(instance, x, eps_ladder[0])
+        if cert is None:
+            cert = build_tangent_certificate(instance, x, eps_ladder[0], kind="thm42")
+    if cert is None:
+        return None, [None] * len(eps_ladder)
+    terms = _certificate_terms(instance, cert)
+    return cert, [_check_terms(terms, eps) for eps in eps_ladder]
+
+
 @dataclass(frozen=True)
 class OptimalityCheck:
     holds: bool
@@ -533,23 +557,26 @@ def verify_optimality_at(
 
     For each eps in the ladder a certificate at the *same* x must verify
     (given ones are used as-is; otherwise tangent construction is tried),
-    and f(x) + g(Lx) must match the primal value within ``VALUE_TOL``."""
+    and f(x) + g(Lx) must match the primal value within ``VALUE_TOL``.
+    Each distinct certificate is evaluated once and compared at every eps."""
     x = np.asarray(x, dtype=float).reshape(-1)
     value = _ext_add(instance.f.value(x), instance.g.value(instance.L.apply(x)))
     primal = primal_value(instance).value
     ladder: list[tuple[float, bool]] = []
     if certs is not None:
+        by_key: dict[tuple, dict] = {}
         for cert in certs:
             if np.max(np.abs(cert.x - x)) > VALUE_TOL:
                 raise InvariantViolation("ladder certificates must share the point x")
-            ladder.append((cert.eps, verify_gap_certificate(instance, cert).holds))
+            # the terms read only the kind, x and members, so equal bytes share them
+            key = (cert.kind, cert.x.tobytes(), *(np.hstack([m.A.ravel(), m.u, m.c]).tobytes()
+                                                  for m in (cert.psi, cert.phi) if m is not None))
+            if key not in by_key:
+                by_key[key] = _certificate_terms(instance, cert)
+            ladder.append((cert.eps, _check_terms(by_key[key], cert.eps).holds))
     else:
-        for eps in eps_ladder:
-            cert = build_tangent_certificate(instance, x, eps)
-            if cert is None:
-                cert = build_tangent_certificate(instance, x, eps, kind="thm42")
-            ok = cert is not None and verify_gap_certificate(instance, cert).holds
-            ladder.append((eps, ok))
+        _, checks = _tangent_ladder(instance, x, eps_ladder)
+        ladder = [(eps, c is not None and c.holds) for eps, c in zip(eps_ladder, checks)]
     value_matches = (np.isfinite(value) and np.isfinite(primal)
                      and abs(value - primal) <= VALUE_TOL)
     holds = bool(value_matches and all(ok for _, ok in ladder))

@@ -56,13 +56,6 @@ class Box:
     def clip(self, x) -> np.ndarray:
         return np.clip(np.asarray(x, dtype=float), self.lower, self.upper)
 
-    def shrink_around(self, center, factor: float) -> "Box":
-        """Box of `factor` times the current width centered near `center`,
-        clipped so it never leaves the original box. Finite boxes only."""
-        if not self.is_finite:
-            raise InvariantViolation("cannot shrink an infinite box")
-        return Box(*shrink_windows(self.lower, self.upper, center, factor))
-
     def mesh(self, points_per_axis: int) -> np.ndarray:
         """All grid points, shape (points_per_axis**dim, dim), C order."""
         if not self.is_finite:
@@ -76,9 +69,12 @@ class Box:
 
 
 def shrink_windows(lower, upper, centers, factor: float):
-    """``Box.shrink_around`` on stacked windows: rows of ``lower``/``upper``
-    are finite windows and rows of ``centers`` their centers.  Elementwise,
-    so each row gets the same bits as the one-box call."""
+    """Windows of ``factor`` times the width of the finite windows
+    ``lower``/``upper``, centered near ``centers`` and clipped so they never
+    leave the windows they shrink.  Elementwise, so a row gets the same bits
+    alone as among other rows."""
+    if not (np.isfinite(lower).all() and np.isfinite(upper).all()):
+        raise InvariantViolation("cannot shrink an infinite window")
     center = np.clip(centers, lower, upper)
     half = 0.5 * factor * (upper - lower)
     return np.maximum(lower, center - half), np.minimum(upper, center + half)

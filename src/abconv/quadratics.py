@@ -18,6 +18,7 @@ from .config import global_tol
 from .errors import InvariantViolation
 
 SYMMETRY_RTOL = 1e-12
+_HALF_MAX = 0.5 * np.finfo(float).max  # sums of two entries below it stay finite
 
 
 def _as_matrix(A, dim: int) -> np.ndarray:
@@ -26,11 +27,15 @@ def _as_matrix(A, dim: int) -> np.ndarray:
         raise InvariantViolation(f"matrix shape {A.shape} != ({dim}, {dim})")
     if not np.all(np.isfinite(A)):
         raise InvariantViolation("matrix entries must be finite")
-    dev = float(np.max(np.abs(A - A.T), initial=0.0))
     scale = max(1.0, float(np.max(np.abs(A), initial=0.0)))
+    with np.errstate(over="ignore"):  # entries above _HALF_MAX may overflow: checked below
+        dev = float(np.max(np.abs(A - A.T), initial=0.0))
+        sym = 0.5 * (A + A.T)
     if dev > SYMMETRY_RTOL * scale:
         raise InvariantViolation(f"matrix is not symmetric (deviation {dev:.3e})")
-    return 0.5 * (A + A.T)
+    if scale > _HALF_MAX and not np.isfinite(sym).all():
+        raise InvariantViolation("matrix entries overflow when symmetrized")
+    return sym
 
 
 def _as_vector(u, dim: int) -> np.ndarray:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .config import VALUE_TOL
-from .duality import build_tangent_certificate, primal_value, verify_gap_certificate
+from .duality import _tangent_ladder, primal_value
 from .instances import _member_to_dict, dumps
 from .lagrange import LagrangianContext, ld_value, lp_value
 from .objectives import INF
@@ -18,20 +18,14 @@ CERT_LADDER = (1.0, 1e-3, 1e-6)
 
 
 def _certificate_entries(instance, minimizer) -> list[dict]:
-    entries = []
     if minimizer is None:
-        return entries
-    for eps in CERT_LADDER:
-        cert = None
-        for kind in ("thm43", "thm42"):
-            cert = build_tangent_certificate(instance, minimizer, eps, kind=kind)
-            if cert is not None:
-                break
-        if cert is None:
-            entries.append({"eps": eps, "kind": None, "holds": False,
-                            "note": "no tangent member available"})
-            continue
-        check = verify_gap_certificate(instance, cert)
+        return []
+    cert, checks = _tangent_ladder(instance, minimizer, CERT_LADDER)
+    if cert is None:
+        return [{"eps": eps, "kind": None, "holds": False,
+                 "note": "no tangent member available"} for eps in CERT_LADDER]
+    entries = []
+    for eps, check in zip(CERT_LADDER, checks):
         entry = {
             "eps": eps,
             "kind": cert.kind,
@@ -41,7 +35,7 @@ def _certificate_entries(instance, minimizer) -> list[dict]:
         }
         if cert.phi is not None:
             entry["phi"] = _member_to_dict(cert.phi)
-        entry["conditions"] = dict(check.conditions)
+        entry["conditions"] = check.conditions
         entries.append(entry)
     return entries
 

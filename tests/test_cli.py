@@ -109,6 +109,16 @@ class TestGap:
         assert parsed["primal"] == "-19"
         assert parsed["lp"] == "-19"
 
+    def test_matrix_entry_that_overflows_exits_2(self, tmp_path, capsys):
+        from abconv import instance_to_dict
+
+        data = instance_to_dict(catalog_instance("ex4.7"))
+        data["f"]["A"] = [[1e308]]
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(data))
+        assert main(["gap", str(path)]) == 2
+        assert "overflow" in capsys.readouterr().err
+
 
 class TestConjugate:
     def test_closed_engine(self, capsys):
@@ -175,6 +185,30 @@ class TestCertify:
         assert parsed["value at x"] == "0.8"
         assert parsed["primal value"] == "0.8"
         assert parsed["verdict"] == "holds"
+
+    @pytest.mark.parametrize("ladder,expected", [
+        ({}, "eps=1         certified\n"
+             "eps=0.01      certified\n"
+             "eps=0.0001    certified\n"
+             "eps=1e-06     certified\n"
+             "value at x    0.8\n"
+             "primal value  0.8\n"
+             "verdict       holds\n"),
+        # three rungs over two members: the second psi is not tangent at x
+        ({"ladder": [1.0, 1e-3], "certs": [
+            {"kind": "thm42", "eps": eps, "x": [-0.2], "psi": {"a": 0.0, "u": [u], "c": 0.0}}
+            for eps, u in ((1.0, -1.6), (1e-3, -1.0), (1e-6, -1.6))]},
+         "eps=1         certified\n"
+         "eps=0.001     not certified\n"
+         "eps=1e-06     certified\n"
+         "value at x    0.8\n"
+         "primal value  0.8\n"
+         "verdict       does not hold\n"),
+    ])
+    def test_optimality_ladder_bytes(self, ladder, expected, tmp_path, capsys):
+        cert = self.write(tmp_path, {"kind": "thm44", "x": [-0.2], **ladder})
+        assert main(["certify", "ex4.7", "--cert", cert, "--kind", "thm44"]) == 0
+        assert capsys.readouterr().out == expected
 
     @pytest.mark.parametrize("field,value", [("ladder", None), ("certs", True),
                                              ("ladder", 0.5)])

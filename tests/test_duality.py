@@ -9,6 +9,7 @@ Hand-derived anchors used below (all double-checked against the oracles):
 """
 
 import dataclasses
+import inspect
 import warnings
 
 import numpy as np
@@ -31,6 +32,8 @@ from abconv import (
     Objective,
     ProblemInstance,
     build_tangent_certificate,
+    catalog_instance,
+    catalog_names,
     composite_condition_check,
     composite_inf_table,
     conjugate_closed_form,
@@ -52,6 +55,8 @@ from abconv import (
     verify_optimality_at,
     weak_duality_check,
 )
+from abconv.duality import _certificate_terms, _check_terms
+from abconv.report import CERT_LADDER, _certificate_entries
 
 ID1 = LinearMap.identity(1)
 
@@ -493,6 +498,94 @@ class TestVerifyOptimalityAt:
         cert = build_tangent_certificate(inst47, [0.5], 1e-4)
         with pytest.raises(InvariantViolation):
             verify_optimality_at(inst47, [-0.2], certs=(cert,))
+
+
+def _bits(check):
+    """A certificate check's verdict, conditions and details, floats as bytes."""
+    details = {k: np.float64(v).tobytes() for k, v in check.details.items()}
+    return check.holds, check.kind, dict(check.conditions), details
+
+
+def _one_certificate_check(inst, x, eps):
+    """The rung as a lone certificate: thm43 if it can be built, else thm42."""
+    for kind in ("thm43", "thm42"):
+        cert = build_tangent_certificate(inst, x, eps, kind=kind)
+        if cert is not None:
+            return verify_gap_certificate(inst, cert)
+    return None
+
+
+DEFAULT_OPTIMALITY_LADDER = (
+    inspect.signature(verify_optimality_at).parameters["eps_ladder"].default
+)
+
+
+class TestCertificateLadders:
+    """A ladder computes each certificate's eps-free terms once; every rung
+    must equal the same certificate checked on its own."""
+
+    @pytest.mark.parametrize("name", catalog_names())
+    @pytest.mark.parametrize("offset", [0.0, 0.01])
+    def test_report_rungs_equal_lone_certificates(self, name, offset):
+        inst = catalog_instance(name)
+        x = primal_value(inst).minimizer + offset
+        entries = _certificate_entries(inst, x)
+        assert [e["eps"] for e in entries] == list(CERT_LADDER)
+        # off the minimizer the loose rungs hold and the tight ones do not
+        assert {e["holds"] for e in entries} == ({True, False} if offset else {True})
+        for entry in entries:
+            check = _one_certificate_check(inst, x, entry["eps"])
+            assert entry["kind"] == check.kind
+            assert entry["holds"] == check.holds
+            assert entry["conditions"] == check.conditions
+            assert list(entry["conditions"]) == list(check.conditions)
+
+    @pytest.mark.parametrize("x0", [-0.2, -0.19])
+    def test_default_optimality_rungs_equal_lone_certificates(self, inst47, x0):
+        x = np.array([x0])
+        assert len(DEFAULT_OPTIMALITY_LADDER) == 7
+        terms = _certificate_terms(
+            inst47, build_tangent_certificate(inst47, x, DEFAULT_OPTIMALITY_LADDER[0]))
+        ladder = verify_optimality_at(inst47, x).ladder
+        assert [eps for eps, _ in ladder] == list(DEFAULT_OPTIMALITY_LADDER)
+        as_array = np.array(DEFAULT_OPTIMALITY_LADDER)
+        assert verify_optimality_at(inst47, x, eps_ladder=as_array).ladder == ladder
+        for eps, ok in ladder:
+            lone = _one_certificate_check(inst47, x, eps)
+            assert ok == lone.holds
+            assert _bits(_check_terms(terms, eps)) == _bits(lone)
+        assert {ok for _, ok in ladder} == ({True} if x0 == -0.2 else {True, False})
+
+    def test_rungs_with_different_members(self, inst47):
+        x = [-0.2]
+        tangent = build_tangent_certificate(inst47, x, 1.0)
+        other = GeneralizedQuadratic.affine([-1.0])
+        certs = (
+            tangent,
+            GapCertificate("thm42", 1e-6, x, tangent.psi),
+            GapCertificate("thm42", 1e-3, x, other),
+            dataclasses.replace(tangent, eps=1e-6),
+            GapCertificate("thm42", 1.0, x, other),
+        )
+        ladder = verify_optimality_at(inst47, x, certs=certs).ladder
+        lone = tuple((c.eps, verify_gap_certificate(inst47, c).holds) for c in certs)
+        assert ladder == lone
+        assert {ok for _, ok in ladder} == {True, False}
+
+    def test_negative_rung_raises(self, inst47):
+        with pytest.raises(InvariantViolation):
+            verify_optimality_at(inst47, [-0.2], eps_ladder=(1.0, -1e-3, 1e-6))
+
+    def test_no_tangent_member_gives_one_note_per_rung(self):
+        inst = build(quad_obj(1, 1.0), quad_obj(1, -1.0))  # g concave, zero class
+        x = primal_value(inst).minimizer
+        assert _certificate_entries(inst, x) == [
+            {"eps": eps, "kind": None, "holds": False,
+             "note": "no tangent member available"}
+            for eps in CERT_LADDER
+        ]
+        ladder = verify_optimality_at(inst, x).ladder
+        assert ladder == tuple((eps, False) for eps in DEFAULT_OPTIMALITY_LADDER)
 
 
 class TestEpiContains:

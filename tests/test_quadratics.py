@@ -1,5 +1,7 @@
 """Generalized quadratics, curvature classes, families, and linear maps."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -81,6 +83,21 @@ class TestGeneralizedQuadratic:
             GeneralizedQuadratic(1, [[1.0]], [np.nan], 0.0)
         with pytest.raises(InvariantViolation):
             GeneralizedQuadratic(1, [[1.0]], [0.0], np.inf)
+
+    @pytest.mark.parametrize("A", [[[1e308]], [[-1.7e308]], [[1e308, 1e308], [1e308, 1e308]]])
+    def test_finite_matrix_whose_symmetrization_overflows_is_rejected(self, A):
+        # 0.5 * (A + A.T) overflows before it halves, with no RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(InvariantViolation, match="overflow"):
+                GeneralizedQuadratic(len(A), A, [0.0] * len(A), 0.0)
+
+    def test_large_entries_without_overflow(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(InvariantViolation, match="not symmetric"):
+                GeneralizedQuadratic(2, [[0.0, 1e308], [-1e308, 0.0]], [0.0, 0.0], 0.0)
+            assert GeneralizedQuadratic(1, [[8e307]], [0.0], 0.0).A[0, 0] == 8e307
 
     def test_combine_dimension_mismatch(self):
         with pytest.raises(InvariantViolation):
