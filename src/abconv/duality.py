@@ -527,12 +527,11 @@ def _tangent_ladder(
 ) -> tuple[GapCertificate | None, list[CertificateCheck | None]]:
     """The tangent certificate at x (thm43, else thm42) and its check at each
     eps of the ladder (None without a certificate). Which kind exists never
-    depends on eps, so the certificate is built and evaluated once."""
-    cert = None
-    if len(eps_ladder) > 0:
-        cert = build_tangent_certificate(instance, x, eps_ladder[0])
-        if cert is None:
-            cert = build_tangent_certificate(instance, x, eps_ladder[0], kind="thm42")
+    depends on eps, so the certificate is built once, with an eps of 0.0 that
+    no check reads, and evaluated once."""
+    cert = build_tangent_certificate(instance, x, 0.0)
+    if cert is None:
+        cert = build_tangent_certificate(instance, x, 0.0, kind="thm42")
     if cert is None:
         return None, [None] * len(eps_ladder)
     terms = _certificate_terms(instance, cert)
@@ -558,22 +557,16 @@ def verify_optimality_at(
     For each eps in the ladder a certificate at the *same* x must verify
     (given ones are used as-is; otherwise tangent construction is tried),
     and f(x) + g(Lx) must match the primal value within ``VALUE_TOL``.
-    Each distinct certificate is evaluated once and compared at every eps."""
+    The tangent certificate is evaluated once and compared at every eps."""
     x = np.asarray(x, dtype=float).reshape(-1)
     value = _ext_add(instance.f.value(x), instance.g.value(instance.L.apply(x)))
     primal = primal_value(instance).value
     ladder: list[tuple[float, bool]] = []
     if certs is not None:
-        by_key: dict[tuple, dict] = {}
         for cert in certs:
             if np.max(np.abs(cert.x - x)) > VALUE_TOL:
                 raise InvariantViolation("ladder certificates must share the point x")
-            # the terms read only the kind, x and members, so equal bytes share them
-            key = (cert.kind, cert.x.tobytes(), *(np.hstack([m.A.ravel(), m.u, m.c]).tobytes()
-                                                  for m in (cert.psi, cert.phi) if m is not None))
-            if key not in by_key:
-                by_key[key] = _certificate_terms(instance, cert)
-            ladder.append((cert.eps, _check_terms(by_key[key], cert.eps).holds))
+            ladder.append((cert.eps, verify_gap_certificate(instance, cert).holds))
     else:
         _, checks = _tangent_ladder(instance, x, eps_ladder)
         ladder = [(eps, c is not None and c.holds) for eps, c in zip(eps_ladder, checks)]

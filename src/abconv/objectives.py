@@ -72,7 +72,8 @@ def shrink_windows(lower, upper, centers, factor: float):
     """Windows of ``factor`` times the width of the finite windows
     ``lower``/``upper``, centered near ``centers`` and clipped so they never
     leave the windows they shrink.  Elementwise, so a row gets the same bits
-    alone as among other rows."""
+    alone as among other rows.  The mesher already rejects infinite boxes;
+    the check here keeps a direct call from returning infinite windows."""
     if not (np.isfinite(lower).all() and np.isfinite(upper).all()):
         raise InvariantViolation("cannot shrink an infinite window")
     center = np.clip(centers, lower, upper)

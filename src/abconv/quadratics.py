@@ -28,14 +28,21 @@ def _as_matrix(A, dim: int) -> np.ndarray:
     if not np.all(np.isfinite(A)):
         raise InvariantViolation("matrix entries must be finite")
     scale = max(1.0, float(np.max(np.abs(A), initial=0.0)))
-    with np.errstate(over="ignore"):  # entries above _HALF_MAX may overflow: checked below
-        dev = float(np.max(np.abs(A - A.T), initial=0.0))
-        sym = 0.5 * (A + A.T)
-    if dev > SYMMETRY_RTOL * scale:
-        raise InvariantViolation(f"matrix is not symmetric (deviation {dev:.3e})")
-    if scale > _HALF_MAX and not np.isfinite(sym).all():
+    if scale <= _HALF_MAX:
+        return _symmetrized(A, scale)
+    with np.errstate(over="ignore"):  # A - A.T and A + A.T may overflow
+        sym = _symmetrized(A, scale)
+    if not np.isfinite(sym).all():
         raise InvariantViolation("matrix entries overflow when symmetrized")
     return sym
+
+
+def _symmetrized(A: np.ndarray, scale: float) -> np.ndarray:
+    """``0.5 * (A + A.T)`` of a matrix symmetric within ``SYMMETRY_RTOL * scale``."""
+    dev = float(np.max(np.abs(A - A.T), initial=0.0))
+    if dev > SYMMETRY_RTOL * scale:
+        raise InvariantViolation(f"matrix is not symmetric (deviation {dev:.3e})")
+    return 0.5 * (A + A.T)
 
 
 def _as_vector(u, dim: int) -> np.ndarray:
