@@ -16,7 +16,7 @@ import numpy as np
 from .config import VALUE_TOL, global_tol
 from .errors import InvariantViolation
 from .objectives import INF, Box, Objective, mesh_windows, shrink_windows
-from .quadratics import Family, GeneralizedQuadratic
+from .quadratics import Family, GeneralizedQuadratic, quadratic_form
 
 
 @dataclass(frozen=True)
@@ -214,13 +214,13 @@ def _grid_sup_table(
     only when strictly better, and a member whose first window is wholly
     infeasible stops with -inf.  Each round sorts its members by window,
     then curvature, meshes and evaluates f once per chunk of distinct
-    windows, and forms the x.A x terms with one einsum per curvature over
-    the windows that curvature needs.  A member's value is ``einsum + X @ u
-    + c - f(X)`` on its window mesh, the arithmetic of
-    ``GeneralizedQuadratic.__call__``, with one matrix-vector product per
-    member (a batched ``X @ U.T`` would round differently).  Chunks of
-    windows, of (window, curvature) pairs and of members keep every
-    intermediate to about ``_VALUE_BLOCK`` entries.  Returns values of shape
+    windows, and forms the x.A x terms with one ``quadratic_form`` call per
+    curvature over the windows that curvature needs.  A member's value is
+    ``quadratic_form(X, A) + X @ u + c - f(X)`` on its window mesh, the
+    arithmetic of ``GeneralizedQuadratic.__call__``, with one matrix-vector
+    product per member (a batched ``X @ U.T`` would round differently).
+    Chunks of windows, of (window, curvature) pairs and of members keep
+    every intermediate to about ``_VALUE_BLOCK`` entries.  Returns values of shape
     (len(mats), len(U)) and the maximizers (NaN rows where the value is
     -inf)."""
     n_lin, dim, points = len(U), f.dim, grid.points_per_axis
@@ -255,7 +255,7 @@ def _grid_sup_table(
                 for k in np.unique(pair_curv[p0:p1]):
                     at = np.flatnonzero(pair_curv[p0:p1] == k)
                     X = Xs[pair_win[p0 + at] - w0].reshape(-1, dim)
-                    quad[at] = np.einsum("ni,ij,nj->n", X, mats[k], X).reshape(-1, n_pts)
+                    quad[at] = quadratic_form(X, mats[k]).reshape(-1, n_pts)
                 for b in range(starts[p0], starts[p1], step):
                     span = slice(b, min(b + step, starts[p1]))
                     block, win = members[span], ids[span] - w0
@@ -392,10 +392,10 @@ def family_conjugate_table(
     every member at once in batched rounds: a round groups its members by
     window, meshes all the distinct windows together, evaluates f on them
     in one call per chunk of about ``_VALUE_BLOCK`` mesh entries, and forms
-    every member's values with one einsum per curvature and one batched
-    matrix-vector product.  Each entry equals ``conjugate_grid`` at that
-    member bit for bit: a lower bound, -inf where the member's first window
-    is wholly infeasible.
+    every member's values with one ``quadratic_form`` call per curvature and
+    one batched matrix-vector product.  Each entry equals ``conjugate_grid``
+    at that member bit for bit: a lower bound, -inf where the member's first
+    window is wholly infeasible.
     """
     slopes = search.slopes()
     if f.is_quadratic and f.domain_box is None:

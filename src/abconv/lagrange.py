@@ -131,7 +131,9 @@ class LpResult:
 
 def _never_one_row(X: np.ndarray) -> np.ndarray:
     """X, with a lone row repeated: BLAS rounds a one-row product
-    differently from the batched product the same row gets in a longer X."""
+    (``L.apply``, ``X @ u``, ``Xb @ slopes.T``) differently from the batched
+    product the same row gets in a longer X.  The x.A x terms need no
+    padding: ``quadratic_form`` rounds a row alike at every batch size."""
     return np.repeat(X, 2, axis=0) if len(X) == 1 else X
 
 
@@ -434,8 +436,9 @@ def support_point_scan(
     X0 = np.asarray(X0, dtype=float)
     if X0.ndim != 2 or X0.shape[1] != inst.L.in_dim:
         raise InvariantViolation(f"base points shape {X0.shape} != (N, {inst.L.in_dim})")
-    # A lone base point is evaluated as two rows, so that it gets the values
-    # it would get among other candidates.
+    # A lone base point is evaluated as two rows, so that its BLAS products
+    # (L.apply, X @ u, Xb @ slopes.T) round as in a longer batch; the x.A x
+    # terms come from quadratic_form, which rounds alike at any batch size.
     n = len(X0)
     X0 = _never_one_row(X0)
     LX0 = inst.L.apply(X0)

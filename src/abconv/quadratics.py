@@ -54,6 +54,19 @@ def _as_vector(u, dim: int) -> np.ndarray:
     return u
 
 
+def quadratic_form(X: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """``x.A x`` for every row x of the batch X, shape ``(N, dim)``.
+
+    Adds ``x_i * A_ij * x_j`` to zero for each i, then each j, so a row
+    gets the same bits whatever the batch it comes in.  It is the package's
+    only batched x.A x, so how x.A x rounds is decided here alone."""
+    acc = np.zeros(len(X))
+    for i in range(A.shape[0]):
+        for j in range(A.shape[1]):
+            acc += X[:, i] * A[i, j] * X[:, j]
+    return acc
+
+
 @dataclass(frozen=True)
 class GeneralizedQuadratic:
     """``q(x) = x.A x + u.x + c`` on R^dim, A symmetric (unhalved form)."""
@@ -97,8 +110,7 @@ class GeneralizedQuadratic:
         x = np.asarray(x, dtype=float)
         if x.ndim == 1:
             return float(x @ self.A @ x + self.u @ x + self.c)
-        quad = np.einsum("ni,ij,nj->n", x, self.A, x)
-        return quad + x @ self.u + self.c
+        return quadratic_form(x, self.A) + x @ self.u + self.c
 
     def gradient(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -126,7 +138,7 @@ class GeneralizedQuadratic:
             self.dim,
             self.A,
             2.0 * (self.A @ y) + self.u,
-            float(y @ self.A @ y + self.u @ y + self.c),
+            self(y),
         )
 
     def is_zero(self, tol: float | None = None) -> bool:

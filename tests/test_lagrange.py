@@ -587,13 +587,25 @@ class TestSupportPointScan:
         assert assert_scan_matches_dense(ctx, zero, X0, 0.5) == 0  # above psi = 0
 
     def test_the_one_point_check_is_the_scan_row(self, make_ctx):
+        # Equal bit for bit: a lone base point is padded to two rows for the
+        # BLAS products, and quadratic_form rounds every row alike at any
+        # batch size.  The boxed instances' random f and psi have
+        # non-isotropic matrices, so their x.A x terms mix coordinates.
+        rng = np.random.default_rng(12)
         inst, X0 = touching_instance(2, 1, 3)
-        ctx = make_ctx(inst)
-        zero = GeneralizedQuadratic.zero(1)
-        scan = support_point_scan(ctx, zero, X0, -1.0)
-        for i, x0 in enumerate(X0):
-            # Equal bit for bit: a lone base point is never a one-row batch.
-            assert support_point_zero_gap_check(ctx, zero, x0, -1.0) == scan.check(i)
+        cases = [(inst, X0, GeneralizedQuadratic.zero(1), -1.0)]
+        for n, m in ((2, 1), (2, 2)):
+            for kind in ("f", "g", "callable"):
+                for seed in (1, 2, 3):
+                    inst = boxed_instance(n, m, kind, seed)
+                    A = rng.normal(size=(m, m))
+                    psi = GeneralizedQuadratic(m, A + A.T, rng.normal(size=m), 0.5)
+                    cases.append((inst, rng.uniform(-2.0, 2.0, (25, n)), psi, 0.0))
+        for inst, X0, psi, alpha in cases:
+            ctx = make_ctx(inst)
+            scan = support_point_scan(ctx, psi, X0, alpha)
+            for i, x0 in enumerate(X0):
+                assert support_point_zero_gap_check(ctx, psi, x0, alpha) == scan.check(i)
 
     def test_the_support_set_alone_certifies(self, make_ctx):
         # g = 4 - y^2 on [-2, 2] is concave: its affine-class envelope is 0,

@@ -16,6 +16,9 @@ from abconv import (
     pullback,
     pullback_shifted,
 )
+from abconv.quadratics import quadratic_form
+
+SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf, 1e300, -1e300, 5e-324, -2.5e-310, 1.0, -3.0])
 
 
 class TestGeneralizedQuadratic:
@@ -71,6 +74,7 @@ class TestGeneralizedQuadratic:
         y = np.array([0.3, -0.7])
         x = rng.normal(size=2)
         assert q.shifted(y)(x) == pytest.approx(q(x + y), rel=1e-12)
+        assert q.shifted(y).c == q(y)
 
     def test_rejects_asymmetric_matrix(self):
         with pytest.raises(InvariantViolation):
@@ -113,6 +117,55 @@ class TestGeneralizedQuadratic:
         q = GeneralizedQuadratic.iso(2, 1.0)
         with pytest.raises(ValueError):
             q.A[0, 0] = 5.0
+
+
+def bits(values):
+    """Values as integers, so that NaNs (inf * 0) compare too."""
+    return np.ascontiguousarray(values).view(np.int64)
+
+
+def random_matrix(rng, dim):
+    A = rng.normal(size=(dim, dim))
+    A[rng.random((dim, dim)) < 0.2] = 0.0
+    return A + A.T
+
+
+class TestQuadraticForm:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_equals_einsum_on_batches_of_three_rows_or_more(self, dim, rng):
+        # np.einsum is the reference: on three rows or more it sums the
+        # products in the kernel's order.
+        for rows in (3, 4, 7, 100, 2000):
+            A = random_matrix(rng, dim)
+            for X in (rng.normal(size=(rows, dim)) * 10.0 ** rng.integers(-5, 5, (rows, 1)),
+                      rng.choice(SPECIAL, size=(rows, dim))):
+                with np.errstate(all="ignore"):
+                    ref = np.einsum("ni,ij,nj->n", X, A, X)
+                    got = quadratic_form(X, A)
+                assert np.array_equal(bits(got), bits(ref))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_same_bits_at_every_batch_size(self, dim, rng):
+        A = random_matrix(rng, dim)
+        X = np.concatenate([rng.normal(size=(500, dim)), rng.choice(SPECIAL, (500, dim))])
+        with np.errstate(all="ignore"):
+            full = bits(quadratic_form(X, A))
+            for i in range(0, len(X), 37):
+                assert bits(quadratic_form(X[i:i + 1], A)) == full[i]
+                assert np.array_equal(bits(quadratic_form(X[i:i + 2], A)), full[i:i + 2])
+                assert np.array_equal(bits(quadratic_form(X[i:i + 60], A)), full[i:i + 60])
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_two_copies_of_a_row_get_its_batch_value(self, dim, rng):
+        # A one-row batch q(X[i:i + 1]) may still differ in the last bits:
+        # its linear term u.x is a one-row matrix-vector product, which BLAS
+        # rounds apart from the batched one.  Two copies of the row do not.
+        A = random_matrix(rng, dim)
+        q = GeneralizedQuadratic(dim, A, rng.normal(size=dim), float(rng.normal()))
+        X = rng.normal(size=(200, dim))
+        batch = q(X)
+        for i, x in enumerate(X):
+            assert q(np.repeat(x[None], 2, 0))[0] == batch[i]
 
 
 class TestCurvatureSpec:
