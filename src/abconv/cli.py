@@ -7,10 +7,12 @@ Exit codes: 0 success, 2 parse/usage error, 3 numerical invariant violation,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
 from .catalog import catalog_instance, catalog_names, reproduce_checks
+from .config import VALUE_TOL
 from .conjugates import conjugate_value
 from .duality import (
     EpiPoint,
@@ -21,7 +23,13 @@ from .duality import (
     verify_optimality_at,
 )
 from .errors import InstanceParseError, InvariantViolation, UnknownCatalogName
-from .instances import load_certificate_file, load_instance, save_instance
+from .instances import (
+    _member_to_dict,
+    load_certificate_file,
+    load_instance,
+    read_json,
+    save_instance,
+)
 from .lagrange import (
     LagrangianContext,
     convexification_preserves_value,
@@ -30,22 +38,9 @@ from .lagrange import (
     lp_value,
     lsc_probe_at_zero,
 )
-from .objectives import INF
 from .quadratics import GeneralizedQuadratic
 from .randomgen import RandomSpec, random_instance
-from .report import report_json, report_table, run_report
-
-
-def _fmt(value: float) -> str:
-    if value == INF:
-        return "inf"
-    if value == -INF:
-        return "-inf"
-    return f"{value + 0.0:.12g}"  # +0.0 folds -0.0 into 0
-
-
-def _fmt_vec(values) -> str:
-    return "(" + ", ".join(_fmt(float(v)) for v in values) + ")"
+from .report import _fmt, _fmt_member, _fmt_vec, report_json, report_table, run_report
 
 
 def _print_rows(rows: list[tuple[str, str]]) -> None:
@@ -84,10 +79,14 @@ def _parse_fields(text: str, where: str) -> dict[str, str]:
 
 
 def _parse_float(text: str, where: str) -> float:
+    """A finite number: nan and inf are rejected like malformed text."""
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
-        raise InstanceParseError(f"{where}: bad number {text!r}") from None
+        value = math.nan
+    if not math.isfinite(value):
+        raise InstanceParseError(f"{where}: bad number {text!r}")
+    return value
 
 
 def _member_from_fields(
@@ -202,11 +201,9 @@ def _cmd_strong(args) -> int:
         print("point is in the epigraph, but no split was found on the member grid")
         return 0
     rows = [
-        ("input member", f"a={_fmt(split.phi1.A[0, 0])} "
-                         f"u={_fmt_vec(split.phi1.u)} c={_fmt(split.phi1.c)}"),
+        ("input member", _fmt_member(_member_to_dict(split.phi1))),
         ("input level", _fmt(split.c_phi)),
-        ("output member", f"a={_fmt(split.psi.A[0, 0])} "
-                          f"u={_fmt_vec(split.psi.u)} c={_fmt(split.psi.c)}"),
+        ("output member", _fmt_member(_member_to_dict(split.psi))),
         ("output level", _fmt(split.c_psi)),
         ("input membership", str(epi_contains(inst, "f", EpiPoint(split.phi1, split.c_phi)))),
         ("output membership", str(epi_contains(inst, "g", EpiPoint(split.psi, split.c_psi)))),
@@ -225,7 +222,7 @@ def _cmd_lagrange(args) -> int:
         ("primal", _fmt(p.value)),
         ("lagrange dual", _fmt(ld.value)),
         ("convexified primal", _fmt(lp.value)),
-        ("dual <= convexified", str(ld.value <= lp.value + 1e-9)),
+        ("dual <= convexified", str(ld.value <= lp.value + VALUE_TOL)),
         ("convexification preserves value", str(convexification_preserves_value(ctx))),
     ]
     if args.lsc_probe:
@@ -263,18 +260,7 @@ def _cmd_reproduce(args) -> int:
 
 
 def _cmd_random(args) -> int:
-    if args.spec:
-        import json
-
-        path = Path(args.spec)
-        if not path.exists():
-            raise InstanceParseError(f"no such file: {path}")
-        try:
-            spec = RandomSpec.from_dict(json.loads(path.read_text()))
-        except json.JSONDecodeError as exc:
-            raise InstanceParseError(f"{path}: {exc.msg}") from exc
-    else:
-        spec = RandomSpec()
+    spec = RandomSpec.from_dict(read_json(args.spec)) if args.spec else RandomSpec()
     inst = random_instance(spec, args.seed)
     save_instance(inst, args.out)
     print(f"wrote {inst.name} ({spec.n} -> {spec.m}) to {args.out}")

@@ -91,14 +91,6 @@ def _default_grid(dim: int) -> GridSpec:
 # Closed-form engine
 
 
-def _as_quad(f: Objective | GeneralizedQuadratic) -> GeneralizedQuadratic:
-    if isinstance(f, GeneralizedQuadratic):
-        return f
-    if not f.is_quadratic or f.domain_box is not None:
-        raise InvariantViolation("closed-form engine needs an unconstrained quadratic")
-    return f.quad
-
-
 def conjugate_closed_form(
     f: Objective | GeneralizedQuadratic,
     phi: GeneralizedQuadratic,
@@ -109,7 +101,9 @@ def conjugate_closed_form(
     D is negative semidefinite and v has no component in ker D, in which case
     it equals ``k - (1/4) sum coeff_i^2 / w_i`` over the negative eigenpairs.
     """
-    q = _as_quad(f)
+    q = f if isinstance(f, GeneralizedQuadratic) else f.exact
+    if q is None:
+        raise InvariantViolation("closed-form engine needs an unconstrained quadratic")
     if q.dim != phi.dim:
         raise InvariantViolation("dimension mismatch in conjugate")
     tol = global_tol()
@@ -298,8 +292,7 @@ def conjugate_value(
     grid: GridSpec | None = None,
 ) -> ConjugateValue:
     """Dispatch to the closed-form engine when exact, else the grid engine."""
-    closed_ok = f.is_quadratic and f.domain_box is None
-    if engine == "closed" or (engine == "auto" and closed_ok):
+    if engine == "closed" or (engine == "auto" and f.exact is not None):
         return conjugate_closed_form(f, phi)
     if engine in ("grid", "auto"):
         return conjugate_grid(f, phi, grid if grid is not None else _default_grid(f.dim))
@@ -398,8 +391,8 @@ def family_conjugate_table(
     window is wholly infeasible.
     """
     slopes = search.slopes()
-    if f.is_quadratic and f.domain_box is None:
-        q = f.quad
+    q = f.exact
+    if q is not None:
         betas = np.asarray(search.curvatures)[:, None, None]
         D = betas * np.eye(q.dim) - q.A
         return _quadratic_sup_many(D, slopes - q.u, -q.c, global_tol())

@@ -86,7 +86,7 @@ class ProblemInstance:
             raise InvariantViolation("psi search grid dimension mismatch")
         if self.x_search.box.dim != n or self.y_search.box.dim != m:
             raise InvariantViolation("search box dimension mismatch")
-        if not self._is_exact() and "infeasible_window" in _composite_min(self).flags:
+        if not self.is_exact and "infeasible_window" in _composite_min(self).flags:
             warnings.warn(
                 "no feasible point found on the x search mesh: dom g may "
                 "never meet L(dom f)",
@@ -132,23 +132,19 @@ class ProblemInstance:
         values.setflags(write=False)
         return values
 
-    def _is_exact(self) -> bool:
-        """Closed-form engines apply: both parts quadratic, no boxes."""
-        return (
-            self.f.is_quadratic
-            and self.g.is_quadratic
-            and self.f.domain_box is None
-            and self.g.domain_box is None
-        )
+    @property
+    def is_exact(self) -> bool:
+        """Closed-form engines apply to both parts (``Objective.exact``)."""
+        return self.f.exact is not None and self.g.exact is not None
 
     def composite_quad(self) -> GeneralizedQuadratic:
-        if not self._is_exact():
+        if not self.is_exact:
             raise InvariantViolation("composite quadratic needs exact parts")
         return self.f.quad + pullback(self.g.quad, self.L)
 
     def composite_objective(self) -> Objective:
         """``x -> f(x) + g(Lx)`` as a single objective."""
-        if self._is_exact():
+        if self.is_exact:
             return Objective.quadratic(self.composite_quad(), name="composite")
         f, g, L = self.f, self.g, self.L
         return Objective.from_callable(
@@ -193,7 +189,7 @@ def _composite_min(instance: ProblemInstance, y=None) -> PrimalResult:
     minimum over the x search box (an upper bound of the true infimum). The
     mesh is deliberately not refined so that every sweep sharing it stays
     comparable (see the dual sweeps)."""
-    if instance._is_exact():
+    if instance.is_exact:
         if y is None:
             q = instance.composite_quad()
         else:
@@ -231,13 +227,13 @@ def composite_inf_table(instance: ProblemInstance) -> np.ndarray:
     search = instance.psi_search
     slopes = search.slopes()
     M = instance.L.matrix
-    f = instance.f
+    q = instance.f.exact
 
-    if f.is_quadratic and f.domain_box is None:
+    if q is not None:
         # q_v(x) = f(x) + beta*||Lx||^2 + (M^T v).x ; inf = -sup(-q_v)
         betas = np.asarray(search.curvatures)[:, None, None]
-        D = -(f.quad.A + betas * (M.T @ M))
-        return -_quadratic_sup_many(D, -(slopes @ M + f.quad.u), -f.quad.c, global_tol())
+        D = -(q.A + betas * (M.T @ M))
+        return -_quadratic_sup_many(D, -(slopes @ M + q.u), -q.c, global_tol())
 
     fvals = instance.f_on_mesh
     ok = np.isfinite(fvals)
@@ -263,7 +259,7 @@ def g_conjugate_table(instance: ProblemInstance) -> np.ndarray:
     sweep (keeps the dual below the primal by construction)."""
     search = instance.psi_search
     base = family_conjugate_table(instance.g, search, grid=instance.y_search)
-    if instance.g.is_quadratic and instance.g.domain_box is None:
+    if instance.g.exact is not None:
         return base
     Y = instance.L.apply(instance.x_search.mesh())
     gvals = instance.g_on_mesh
@@ -311,7 +307,7 @@ def dcp_value(
     obj[infeasible | unbounded] = -INF
     flat = int(np.argmax(obj))
     value = float(obj.flat[flat])
-    engine = "closed" if instance._is_exact() else "grid"
+    engine = "closed" if instance.is_exact else "grid"
     if value == -INF:
         return DualResult(
             -INF, None, engine, ("all_members_excluded",),
@@ -344,8 +340,8 @@ def _with_f_shifted_by(
     instance: ProblemInstance, phi: GeneralizedQuadratic
 ) -> ProblemInstance:
     """Instance whose f is replaced by ``f - phi`` (same everything else)."""
-    if instance.f.is_quadratic and instance.f.domain_box is None:
-        new_f = Objective.quadratic(instance.f.quad - phi)
+    if instance.f.exact is not None:
+        new_f = Objective.quadratic(instance.f.exact - phi)
     else:
         base = instance.f
         new_f = Objective.from_callable(
@@ -504,16 +500,12 @@ def build_tangent_certificate(
     the partner is phi = -(psi o L), which must itself belong to the input
     class. Returns None when no admissible tangent curvature exists or the
     partner falls outside the class."""
-    if not (instance.g.is_quadratic and instance.g.domain_box is None):
+    if instance.g.exact is None:
         return None
     x = np.asarray(x, dtype=float).reshape(-1)
-    Lx = instance.L.apply(x)
-    gq = instance.g.quad
-    beta = instance.psi.curvature.largest_at_most(gq.min_eigenvalue())
-    if beta is None:
+    psi = instance.psi.tangent(instance.g.exact, instance.L.apply(x))
+    if psi is None:
         return None
-    v = gq.gradient(Lx) - 2.0 * beta * Lx
-    psi = GeneralizedQuadratic.iso(instance.L.out_dim, beta, v)
     if kind == "thm42":
         return GapCertificate("thm42", eps, x, psi)
     phi = -pullback(psi, instance.L)
@@ -595,8 +587,8 @@ def _target_objective(instance: ProblemInstance, target: str) -> tuple[Objective
         return instance.g, instance.psi
     if target == "g_of_L":
         g, L = instance.g, instance.L
-        if g.is_quadratic and g.domain_box is None:
-            return Objective.quadratic(pullback(g.quad, L)), instance.phi
+        if g.exact is not None:
+            return Objective.quadratic(pullback(g.exact, L)), instance.phi
         return (
             Objective.from_callable(L.in_dim, lambda x: g.value(L.apply(x))),
             instance.phi,
@@ -807,22 +799,16 @@ def decomposition_condition_check(
         return ConditionCheck(holds, which, conditions, details)
 
     if which == "d":
-        closed = instance.phi.curvature.kind in ("zero", "any") or (
-            instance.phi.curvature.kind == "fixed"
-            and instance.phi.curvature.value == 0.0
-        )
+        closed = instance.phi.curvature.closed_under_differences
         conditions["class_closed_under_differences"] = closed
         if psi is None or x is None:
             details["witness"] = "not-provided"
             return ConditionCheck(closed, which, conditions, details)
         x = np.asarray(x, dtype=float).reshape(-1)
         gl, family = _target_objective(instance, "g_of_L")
-        if phi_eps is None and gl.is_quadratic and gl.domain_box is None:
+        if phi_eps is None and gl.exact is not None:
             # exact tangent member of the input class to g o L at x
-            alpha = family.curvature.largest_at_most(gl.quad.min_eigenvalue())
-            if alpha is not None:
-                slope = gl.quad.gradient(x) - 2.0 * alpha * x
-                phi_eps = GeneralizedQuadratic.iso(gl.dim, alpha, slope)
+            phi_eps = family.tangent(gl.exact, x)
         if phi_eps is None:
             conditions["witness_constructed"] = False
             return ConditionCheck(False, which, conditions, details)
@@ -844,8 +830,8 @@ def decomposition_condition_check(
 def _g_of_l_gap(instance: ProblemInstance, member: GeneralizedQuadratic) -> float:
     """``inf_x [psi(Lx) - g(Lx)]`` — nonnegative iff psi o L majorizes g o L."""
     pb = pullback(member, instance.L)
-    if instance.g.is_quadratic and instance.g.domain_box is None:
-        diff = combine(1.0, pb, -1.0, pullback(instance.g.quad, instance.L))
+    if instance.g.exact is not None:
+        diff = combine(1.0, pb, -1.0, pullback(instance.g.exact, instance.L))
         low, _ = minimize_quadratic(diff)
         return low
     gv = instance.g_on_mesh

@@ -74,9 +74,13 @@ def _as_float(value, where: str) -> float:
         if value == "-inf":
             return float("-inf")
         raise InstanceParseError(f"{where}: bad number {value!r}")
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    # value != value holds for NaN alone, which Python's json reads
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or value != value:
         raise InstanceParseError(f"{where}: bad number {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond the float range
+        raise InstanceParseError(f"{where}: number out of range") from None
 
 
 def _as_int(value, where: str) -> int:
@@ -333,15 +337,23 @@ def instance_from_dict(data: dict) -> ProblemInstance:
     return instance
 
 
-def load_instance(path) -> ProblemInstance:
+def read_json(path):
+    """The JSON value in a file.  A missing or unreadable file, or text that
+    is not JSON, raises ``InstanceParseError``, naming the line of a syntax
+    error."""
     path = Path(path)
     if not path.exists():
         raise InstanceParseError(f"no such file: {path}")
     try:
-        data = json.loads(path.read_text())
+        return json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise InstanceParseError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
-    return instance_from_dict(data)
+    except (OSError, ValueError) as exc:  # a directory, bad UTF-8, a 5000-digit integer
+        raise InstanceParseError(f"{path}: {exc}") from exc
+
+
+def load_instance(path) -> ProblemInstance:
+    return instance_from_dict(read_json(path))
 
 
 def save_instance(instance: ProblemInstance, path) -> None:
@@ -394,13 +406,7 @@ def load_certificate_file(path, n: int, m: int) -> dict:
     ladder ``{"kind": "thm44", "x": [...], "ladder": [...], "certs": [...]}``.
 
     Returns {"kind": ..., "certs": [...], "x": ..., "ladder": ...}."""
-    path = Path(path)
-    if not path.exists():
-        raise InstanceParseError(f"no such file: {path}")
-    try:
-        data = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise InstanceParseError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
+    data = read_json(path)
     if not isinstance(data, dict):
         raise InstanceParseError("certificate file must hold a JSON object")
     kind = data.get("kind")

@@ -65,14 +65,12 @@ class LagrangianContext:
 
     The tables are computed once and shared by every value defined on the
     same member grid, which keeps sup-inf <= inf-sup a finite minimax fact
-    rather than a numerical accident.  Cache entries are write-once: a key is
-    only ever associated with the single value the conjugate engines produce.
+    rather than a numerical accident.  The lock makes each table write-once.
     """
 
     instance: ProblemInstance
     _gstar_table: np.ndarray | None = field(default=None, repr=False)
     _inf_table: np.ndarray | None = field(default=None, repr=False)
-    _gstar_cache: dict = field(default_factory=dict, repr=False)
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     def gstar_table(self) -> np.ndarray:
@@ -87,15 +85,6 @@ class LagrangianContext:
                 self._inf_table = composite_inf_table(self.instance)
             return self._inf_table
 
-    def g_conjugate(self, psi: GeneralizedQuadratic) -> float:
-        key = (psi.A.tobytes(), psi.u.tobytes(), psi.c)
-        if key not in self._gstar_cache:
-            value = conjugate_value(
-                self.instance.g, psi, grid=self.instance.y_search
-            ).value
-            self._gstar_cache.setdefault(key, value)
-        return self._gstar_cache[key]
-
 
 def lagrangian_value(
     ctx: LagrangianContext, x, psi: GeneralizedQuadratic
@@ -108,7 +97,7 @@ def lagrangian_value(
     fx = inst.f.value(x)
     if fx == INF:
         return INF
-    gs = ctx.g_conjugate(psi)
+    gs = conjugate_value(inst.g, psi, grid=inst.y_search).value
     if gs == INF:
         return -INF
     return fx + float(psi(inst.L.apply(np.asarray(x, dtype=float)))) - gs
@@ -272,6 +261,8 @@ def intersection_property(
     ties toward smaller t0."""
     if phi1.dim != phi2.dim:
         raise InvariantViolation("dimension mismatch")
+    if np.isnan(alpha):
+        raise InvariantViolation("alpha must not be NaN")
     tol = global_tol()
     candidates: set[float] = {0.0, 1.0}
 
@@ -345,7 +336,7 @@ def _value_function_many(ctx: LagrangianContext, Y: np.ndarray) -> np.ndarray:
     grid instance g is evaluated on the shifted images in stacked blocks,
     each value as ``value_function`` computes it."""
     inst = ctx.instance
-    if inst._is_exact():
+    if inst.is_exact:
         A, gq = inst.composite_quad().A, inst.g.quad
         U = inst.f.quad.u + (2.0 * (Y @ gq.A) + gq.u) @ inst.L.matrix
         C = inst.f.quad.c + gq(Y)
@@ -444,8 +435,8 @@ def support_point_scan(
     LX0 = inst.L.apply(X0)
 
     # (support): min (g - psi) >= 0
-    if inst.g.is_quadratic and inst.g.domain_box is None:
-        low, _ = minimize_quadratic(combine(1.0, inst.g.quad, -1.0, psi))
+    if inst.g.exact is not None:
+        low, _ = minimize_quadratic(combine(1.0, inst.g.exact, -1.0, psi))
     else:
         Y = inst.y_search.mesh()
         gv = inst.g.values(Y)
@@ -453,8 +444,8 @@ def support_point_scan(
         low = float(np.min(gv[ok] - np.asarray(psi(Y[ok])))) if np.any(ok) else INF
 
     # (level): alpha <= inf_x f + psi o L
-    if inst.f.is_quadratic and inst.f.domain_box is None:
-        inf_fpsi, _ = minimize_quadratic(inst.f.quad + pullback(psi, inst.L))
+    if inst.f.exact is not None:
+        inf_fpsi, _ = minimize_quadratic(inst.f.exact + pullback(psi, inst.L))
     else:
         X, fv = inst.x_search.mesh(), inst.f_on_mesh
         ok = np.isfinite(fv)

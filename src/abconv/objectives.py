@@ -53,9 +53,6 @@ class Box:
     def contains_batch(self, X: np.ndarray) -> np.ndarray:
         return np.all(X >= self.lower, axis=1) & np.all(X <= self.upper, axis=1)
 
-    def clip(self, x) -> np.ndarray:
-        return np.clip(np.asarray(x, dtype=float), self.lower, self.upper)
-
     def mesh(self, points_per_axis: int) -> np.ndarray:
         """All grid points, shape (points_per_axis**dim, dim), C order."""
         if not self.is_finite:
@@ -145,6 +142,12 @@ class Objective:
     @property
     def is_quadratic(self) -> bool:
         return self.quad is not None
+
+    @property
+    def exact(self) -> GeneralizedQuadratic | None:
+        """The quadratic when the closed-form engines apply (a quadratic
+        with no domain box), else None."""
+        return self.quad if self.domain_box is None else None
 
     def value(self, x) -> float:
         """Extended-real value at one point."""

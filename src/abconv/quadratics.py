@@ -174,21 +174,32 @@ def combine(
 # Curvature classes
 
 
+# The admissible curvatures of each kind, a closed interval [lo, hi];
+# "fixed" is [value, value].
+_INTERVALS = {
+    "zero": (0.0, 0.0),
+    "nonneg": (0.0, np.inf),
+    "nonpos": (-np.inf, 0.0),
+    "fixed": None,
+    "any": (-np.inf, np.inf),
+}
+
+
 @dataclass(frozen=True)
 class CurvatureSpec:
     """Admissible range of the isotropic curvature ``alpha`` of a class member.
 
     Kinds: ``zero`` (affine members only), ``nonneg`` / ``nonpos`` (half
-    lines), ``fixed`` (exactly one value), ``any`` (unconstrained).
+    lines), ``fixed`` (exactly one value), ``any`` (unconstrained).  Each is
+    the closed interval ``interval``; every admissibility question is
+    answered from it.
     """
 
     kind: str
     value: float | None = None
 
-    _KINDS = ("zero", "nonneg", "nonpos", "fixed", "any")
-
     def __post_init__(self) -> None:
-        if self.kind not in self._KINDS:
+        if self.kind not in _INTERVALS:
             raise InvariantViolation(f"unknown curvature kind {self.kind!r}")
         if self.kind == "fixed":
             if self.value is None or not np.isfinite(self.value):
@@ -237,46 +248,38 @@ class CurvatureSpec:
 
     # -- admissibility --
 
-    def nearest_admissible(self, alpha: float) -> float:
-        if self.kind == "any":
-            return alpha
-        if self.kind == "zero":
-            return 0.0
+    @property
+    def interval(self) -> tuple[float, float]:
+        """The admissible curvatures, the closed interval ``[lo, hi]``."""
         if self.kind == "fixed":
-            return float(self.value)
-        if self.kind == "nonneg":
-            return max(0.0, alpha)
-        return min(0.0, alpha)  # nonpos
+            return self.value, self.value
+        return _INTERVALS[self.kind]
+
+    def nearest_admissible(self, alpha: float) -> float:
+        lo, hi = self.interval
+        return max(lo, min(hi, alpha))  # max(0.0, -0.0) is 0.0
 
     def admits(self, alpha: float) -> bool:
         return abs(alpha - self.nearest_admissible(alpha)) <= global_tol()
 
     def largest_at_most(self, bound: float) -> float | None:
-        """Largest admissible curvature <= bound, or None if none exists."""
-        tol = global_tol()
-        if self.kind == "any":
-            return bound
-        if self.kind == "nonpos":
-            return min(0.0, bound)
-        if self.kind == "zero":
-            return 0.0 if bound >= -tol else None
-        if self.kind == "nonneg":
-            return max(0.0, bound) if bound >= -tol else None
-        return self.value if self.value <= bound + tol else None  # fixed
+        """Largest admissible curvature <= bound (within ``global_tol()``),
+        or None if none exists."""
+        lo, hi = self.interval
+        return max(lo, min(hi, bound)) if lo <= bound + global_tol() else None
+
+    @property
+    def closed_under_differences(self) -> bool:
+        """Whether the difference of two admissible curvatures is admissible:
+        only ``{0}`` and the whole line."""
+        return self.interval in ((0.0, 0.0), (-np.inf, np.inf))
 
     def grid(self, points: int = 21) -> np.ndarray:
         """Admissible curvature values inside [-10, 10], for parameter sweeps."""
-        lo, hi = -10.0, 10.0
-        if self.kind == "fixed":
-            return np.array([self.value])
-        if self.kind == "zero":
-            return np.array([0.0])
-        if self.kind == "nonneg":
-            lo = max(lo, 0.0)
-        elif self.kind == "nonpos":
-            hi = min(hi, 0.0)
-        if hi < lo:
-            raise InvariantViolation("empty curvature grid")
+        lo, hi = self.interval
+        if lo == hi:
+            return np.array([lo])
+        lo, hi = max(-10.0, lo), min(10.0, hi)
         mesh = np.linspace(lo, hi, points)
         # keep 0 exactly on the mesh when it is admissible and inside range
         if lo <= 0.0 <= hi:
@@ -300,6 +303,16 @@ class Family:
         if c != 0.0 and not self.includes_constants:
             raise InvariantViolation("class has no constant terms")
         return GeneralizedQuadratic.iso(self.dim, alpha, u, c)
+
+    def tangent(self, q: GeneralizedQuadratic, x) -> GeneralizedQuadratic | None:
+        """The member tangent to q at x: the largest admissible curvature at
+        or below q's least eigenvalue, and the slope that matches q's
+        gradient at x.  None when no curvature is admissible."""
+        alpha = self.curvature.largest_at_most(q.min_eigenvalue())
+        if alpha is None:
+            return None
+        x = np.asarray(x, dtype=float)
+        return GeneralizedQuadratic.iso(self.dim, alpha, q.gradient(x) - 2.0 * alpha * x)
 
     def contains(self, q: GeneralizedQuadratic) -> bool:
         """Membership test on the matrix part (slopes are unconstrained).
@@ -364,12 +377,6 @@ class LinearMap:
         if x.ndim == 1:
             return self.matrix @ x
         return x @ self.matrix.T
-
-    def adjoint(self, y) -> np.ndarray:
-        y = np.asarray(y, dtype=float)
-        if y.ndim == 1:
-            return self.matrix.T @ y
-        return y @ self.matrix
 
 
 def pullback(q: GeneralizedQuadratic, L: LinearMap) -> GeneralizedQuadratic:

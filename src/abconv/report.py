@@ -70,14 +70,21 @@ def report_json(report: dict) -> str:
     return dumps(report) + "\n"
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        if value == INF:
-            return "inf"
-        if value == -INF:
-            return "-inf"
-        return f"{value:.12g}"
-    return str(value)
+def _fmt(value: float) -> str:
+    if value == INF:
+        return "inf"
+    if value == -INF:
+        return "-inf"
+    return f"{value + 0.0:.12g}"  # +0.0 folds -0.0 into 0
+
+
+def _fmt_vec(values) -> str:
+    return "(" + ", ".join(_fmt(float(v)) for v in values) + ")"
+
+
+def _fmt_member(member: dict) -> str:
+    """A member in the ``_member_to_dict`` form, as ``a=… u=(…) c=…``."""
+    return f"a={_fmt(member['a'])} u={_fmt_vec(member['u'])} c={_fmt(member['c'])}"
 
 
 def report_table(report: dict) -> str:
@@ -87,13 +94,7 @@ def report_table(report: dict) -> str:
         rows.append((key, _fmt(report[key])))
     rows.append(("flags", ", ".join(report["flags"]) or "-"))
     att = report["attaining_psi"]
-    if att is None:
-        rows.append(("attaining psi", "-"))
-    else:
-        u = "(" + ", ".join(_fmt(float(v)) for v in att["u"]) + ")"
-        rows.append(
-            ("attaining psi", f"a={_fmt(att['a'])} u={u} c={_fmt(att['c'])}")
-        )
+    rows.append(("attaining psi", "-" if att is None else _fmt_member(att)))
     for entry in report["certificates"]:
         label = f"certificate eps={entry['eps']:g}"
         if entry.get("kind") is None:

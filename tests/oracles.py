@@ -22,7 +22,7 @@ from abconv.lagrange import (
     SupportPointCheck,
     value_function,
 )
-from abconv.quadratics import combine, pullback
+from abconv.quadratics import GeneralizedQuadratic, combine, pullback
 
 INF = float("inf")
 
@@ -301,3 +301,67 @@ def lsc_probe_dense(ctx):
     if not np.isfinite(v0):
         raise InvariantViolation(f"V(0) = {v0}; the probe needs a finite value")
     return all(value_function(ctx, y) > v0 - _LSC_EPS for y in lsc_samples(ctx))
+
+
+# The per-kind chains of ``CurvatureSpec`` from before the kinds became
+# intervals, kept unchanged as the reference of the interval table.
+
+
+def nearest_admissible_chain(spec, alpha):
+    if spec.kind == "any":
+        return alpha
+    if spec.kind == "zero":
+        return 0.0
+    if spec.kind == "fixed":
+        return float(spec.value)
+    if spec.kind == "nonneg":
+        return max(0.0, alpha)
+    return min(0.0, alpha)  # nonpos
+
+
+def admits_chain(spec, alpha):
+    return abs(alpha - nearest_admissible_chain(spec, alpha)) <= global_tol()
+
+
+def largest_at_most_chain(spec, bound):
+    tol = global_tol()
+    if spec.kind == "any":
+        return bound
+    if spec.kind == "nonpos":
+        return min(0.0, bound)
+    if spec.kind == "zero":
+        return 0.0 if bound >= -tol else None
+    if spec.kind == "nonneg":
+        return max(0.0, bound) if bound >= -tol else None
+    return spec.value if spec.value <= bound + tol else None  # fixed
+
+
+def grid_chain(spec, points=21):
+    lo, hi = -10.0, 10.0
+    if spec.kind == "fixed":
+        return np.array([spec.value])
+    if spec.kind == "zero":
+        return np.array([0.0])
+    if spec.kind == "nonneg":
+        lo = max(lo, 0.0)
+    elif spec.kind == "nonpos":
+        hi = min(hi, 0.0)
+    if hi < lo:
+        raise InvariantViolation("empty curvature grid")
+    mesh = np.linspace(lo, hi, points)
+    if lo <= 0.0 <= hi:
+        mesh[np.argmin(np.abs(mesh))] = 0.0
+    return np.unique(mesh)
+
+
+def closed_under_differences_chain(spec):
+    return spec.kind in ("zero", "any") or (spec.kind == "fixed" and spec.value == 0.0)
+
+
+def tangent_inline(family, q, x):
+    """The tangent member as it was built inline: the largest admissible
+    curvature at or below lambda_min(q), the slope matching q's gradient."""
+    alpha = largest_at_most_chain(family.curvature, q.min_eigenvalue())
+    if alpha is None:
+        return None
+    return GeneralizedQuadratic.iso(family.dim, alpha, q.gradient(x) - 2.0 * alpha * x)

@@ -99,6 +99,11 @@ class TestGap:
         assert a.read_bytes() == b.read_bytes()
         assert json.loads(a.read_text())["primal"] == -9.25
 
+    def test_negative_zero_reads_0_in_the_table(self, capsys):
+        assert main(["gap", "ex5.6"]) == 0
+        parsed = rows(capsys.readouterr().out)
+        assert parsed["primal"] == "0" and parsed["gap"] == "0"
+
     def test_instance_file_argument(self, tmp_path, capsys):
         from abconv import save_instance
 
@@ -108,6 +113,22 @@ class TestGap:
         parsed = rows(capsys.readouterr().out)
         assert parsed["primal"] == "-19"
         assert parsed["lp"] == "-19"
+
+    @pytest.mark.parametrize("payload", ["directory", "bad utf-8", "400 digits", "5000 digits"])
+    def test_unreadable_instance_file_exits_2(self, payload, tmp_path, capsys):
+        from abconv import instance_to_dict
+
+        path = tmp_path / "inst.json"
+        data = instance_to_dict(catalog_instance("ex4.7"))
+        text = json.dumps(dict(data, f=dict(data["f"], c="BIG")))
+        if payload == "directory":
+            path.mkdir()
+        elif payload == "bad utf-8":
+            path.write_bytes(b"\xff\xfe" + text.encode())
+        else:
+            path.write_text(text.replace('"BIG"', "1" + "0" * int(payload.split()[0])))
+        assert main(["gap", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_matrix_entry_that_overflows_exits_2(self, tmp_path, capsys):
         from abconv import instance_to_dict
@@ -217,6 +238,20 @@ class TestCertify:
         assert main(["certify", "ex4.7", "--cert", cert, "--kind", "thm44"]) == 2
         assert "must be JSON lists" in capsys.readouterr().err
 
+    def test_nan_eps_exits_2(self, tmp_path, capsys):
+        cert = self.write(tmp_path, {
+            "kind": "thm42", "eps": float("nan"), "x": [-2.0, 3.0],
+            "psi": {"a": -1.0, "u": [2.0], "c": 0.0},
+        })
+        assert main(["certify", "ex4.8", "--cert", cert, "--kind", "thm42"]) == 2
+        assert "eps: bad number nan" in capsys.readouterr().err
+
+    def test_nan_rung_exits_2(self, tmp_path, capsys):
+        cert = self.write(tmp_path, {"kind": "thm44", "x": [-0.2],
+                                     "ladder": [1.0, float("nan")]})
+        assert main(["certify", "ex4.7", "--cert", cert, "--kind", "thm44"]) == 2
+        assert "ladder: bad number nan" in capsys.readouterr().err
+
     def test_missing_cert_file_exits_2(self, capsys):
         assert main(["certify", "ex4.7", "--cert", "absent.json",
                      "--kind", "thm42"]) == 2
@@ -237,6 +272,11 @@ class TestStrong:
     def test_point_outside_epigraph(self, capsys):
         assert main(["strong", "ex5.6", "--epi-point", "a=0,u=1,1,c=0,r=0.05"]) == 0
         assert "outside the composite conjugate epigraph" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("level", ["nan", "inf", "-inf"])
+    def test_non_finite_level_exits_2(self, level, capsys):
+        assert main(["strong", "ex5.6", "--epi-point", f"a=0,u=1,1,r={level}"]) == 2
+        assert "epi-point.r: bad number" in capsys.readouterr().err
 
     def test_missing_level_exits_2(self, capsys):
         assert main(["strong", "ex5.6", "--epi-point", "a=0,u=1,1,c=0"]) == 2
@@ -266,6 +306,12 @@ class TestLagrange:
         parsed = rows(capsys.readouterr().out)
         assert parsed["intersection property"] == "no dominating combination"
 
+    @pytest.mark.parametrize("arg", ["a=1,u=1|a=-1,u=-1|nan", "a=1,u=1|a=-1,u=-1|inf",
+                                     "a=nan,u=1|a=-1,u=-1|0"])
+    def test_non_finite_number_exits_2(self, arg, capsys):
+        assert main(["lagrange", "ex4.7", "--intersection", arg]) == 2
+        assert "bad number" in capsys.readouterr().err
+
     def test_malformed_intersection_exits_2(self, capsys):
         assert main(["lagrange", "ex6.11", "--intersection", "a=1|a=2"]) == 2
         assert "phi1|phi2|alpha" in capsys.readouterr().err
@@ -288,6 +334,13 @@ class TestRandom:
                      "-o", str(out_file)]) == 0
         assert "(2 -> 1)" in capsys.readouterr().out
         assert json.loads(out_file.read_text())["n"] == 2
+
+    def test_malformed_spec_json_names_the_line(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text('{\n  "n": 2,\n  "m": \n}\n')
+        assert main(["random", "--seed", "1", "--spec", str(spec),
+                     "-o", str(tmp_path / "x.json")]) == 2
+        assert "line 4" in capsys.readouterr().err
 
     def test_bad_spec_exits_2(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"

@@ -464,6 +464,20 @@ class TestGapCertificates:
         assert check.holds and check.conditions["sum_identically_zero"]
         assert check.details["sum_min"] == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_tangent_psi_is_the_inline_build(self, name, rng):
+        inst = catalog_instance(name)
+        for x in rng.uniform(-3.0, 3.0, size=(5, inst.L.in_dim)):
+            cert = build_tangent_certificate(inst, x, 0.0, kind="thm42")
+            if inst.g.exact is None:
+                assert cert is None
+                continue
+            want = oracles.tangent_inline(inst.psi, inst.g.exact, inst.L.apply(x))
+            assert (cert is None) == (want is None)
+            if cert is not None:
+                assert cert.psi.A.tobytes() == want.A.tobytes()
+                assert cert.psi.u.tobytes() == want.u.tobytes()
+
     def test_tangent_construction_fails_without_admissible_curvature(self):
         inst = build(quad_obj(1, 1.0), quad_obj(1, -1.0))  # g concave, zero class
         assert build_tangent_certificate(inst, [0.0], 0.1) is None
@@ -722,6 +736,11 @@ class TestDecompositionConditions:
         assert check.conditions["strict_gap"]
         assert check.details["lhs"] == pytest.approx(1.001, abs=1e-12)
         assert check.details["sup_gap"] == pytest.approx(1.0, abs=1e-12)
+        # the witness is the tangent member, built as it was inline
+        x, pb = np.array([0.5]), pullback(psi, inst611.L)
+        phi_eps = oracles.tangent_inline(inst611.phi, pullback(inst611.g.quad, inst611.L), x)
+        assert check.details["lhs"] == float(pb(x)) - float(phi_eps(x)) + 1e-3
+        assert check.details["sup_gap"] == conjugate_closed_form(phi_eps, pb).value
 
     def test_condition_d_strict_gap_fails_for_mismatched_slope(self, inst611):
         psi = GeneralizedQuadratic.affine([1.0])

@@ -402,7 +402,7 @@ class TestRandomGen:
 
 
 # The values every node of a file is set to, one at a time.
-BAD_LEAVES = (None, "x", True, [1], -1, 0, 0.5)
+BAD_LEAVES = (None, "x", True, [1], -1, 0, 0.5, float("nan"))
 SEEDED_SPEC = {"n": 2, "m": 1, "f_modulus": [0.0, 2.0], "g_modulus": [0.5, 1.0],
                "l_scale": 1.0, "slope_scale": 2.0}
 
@@ -494,6 +494,37 @@ class TestMalformedLeaves:
             except Exception as exc:
                 pytest.fail(f"{where} = {value!r}: {type(exc).__name__}: {exc}")
         assert loaded > 40 and rejected > 150
+
+    def test_nan_is_rejected_wherever_a_number_goes(self, tmp_path):
+        """Python's json reads the NaN literal; only the free-text name may
+        hold it."""
+        def loads(load, data):
+            found = []
+            for where, value, mutant in _mutants(data):
+                if value == value:  # not NaN
+                    continue
+                try:
+                    load(mutant)
+                    found.append(where)
+                except (InstanceParseError, InvariantViolation):
+                    pass
+            return found
+
+        assert loads(instance_from_dict,
+                     instance_to_dict(random_instance(RandomSpec(), 4))) == [("name",)]
+        assert loads(lambda d: random_instance(RandomSpec.from_dict(d), 1), SEEDED_SPEC) == []
+        cert = certificate_to_dict(GapCertificate(
+            "thm43", 0.0, [-0.2, 1.0], GeneralizedQuadratic.affine([-1.6]),
+            GeneralizedQuadratic.iso(2, 0.0, [1.6, 0.3], 0.0)))
+        assert loads(lambda d: certificate_from_dict(d, n=2, m=1), cert) == []
+        path = tmp_path / "ladder.json"
+
+        def load_ladder(d):
+            path.write_text(json.dumps(d))
+            load_certificate_file(path, n=2, m=1)
+
+        assert loads(load_ladder, {"kind": "thm44", "x": [-2.0, 3.0], "ladder": [1.0, 1e-3],
+                                   "certs": [cert | {"x": [-2.0, 3.0]}]}) == []
 
 
 class TestReports:

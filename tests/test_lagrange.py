@@ -118,16 +118,16 @@ class TestLagrangianContext:
         assert ctx.gstar_table() is ctx.gstar_table()
         assert ctx.inf_table() is ctx.inf_table()
 
-    def test_member_conjugates_are_memoized(self, inst47, make_ctx):
-        ctx = make_ctx(inst47)
-        psi = GeneralizedQuadratic.affine([-1.6])
-        first = ctx.g_conjugate(psi)
-        assert ctx.g_conjugate(psi) == first
-        assert len(ctx._gstar_cache) == 1
-        assert first == pytest.approx(1.6**2 / 16.0, abs=1e-12)
 
 
 class TestLagrangianValue:
+    def test_member_conjugate_enters_the_value(self, inst47, make_ctx):
+        # g*(-1.6 y) = 1.6**2 / 16 = 0.16, and f(0) + psi(L 0) = f(0)
+        ctx = make_ctx(inst47)
+        psi = GeneralizedQuadratic.affine([-1.6])
+        expected = inst47.f.value([0.0]) - 1.6**2 / 16.0
+        assert lagrangian_value(ctx, [0.0], psi) == pytest.approx(expected, abs=1e-12)
+
     def test_frozen_value_at_the_saddle(self, inst611, make_ctx):
         ctx = make_ctx(inst611)
         psi = GeneralizedQuadratic.affine([2.0], 1.0)
@@ -250,6 +250,12 @@ class TestPsiConvexityAtOptimum:
 
 
 class TestIntersectionProperty:
+    def test_nan_level_is_rejected(self):
+        phi1 = GeneralizedQuadratic.affine([1.0])
+        phi2 = GeneralizedQuadratic.affine([-1.0])
+        with pytest.raises(InvariantViolation, match="NaN"):
+            intersection_property(phi1, phi2, float("nan"))
+
     def test_opposite_affine_pair(self):
         phi1 = GeneralizedQuadratic.affine([1.0])
         phi2 = GeneralizedQuadratic.affine([-1.0])

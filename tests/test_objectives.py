@@ -17,12 +17,11 @@ from abconv.objectives import mesh_windows, shrink_windows
 
 
 class TestBox:
-    def test_contains_and_clip(self):
+    def test_contains(self):
         box = Box([-1.0, 0.0], [1.0, 2.0])
         assert box.contains([0.0, 1.0])
         assert not box.contains([0.0, 3.0])
         assert box.contains([0.0, 2.0 + 1e-9], tol=1e-6)
-        np.testing.assert_allclose(box.clip([5.0, -5.0]), [1.0, 0.0])
 
     def test_mesh_is_c_ordered(self):
         box = Box([0.0, 0.0], [1.0, 1.0])
@@ -96,6 +95,14 @@ class TestObjective:
         assert not f.is_quadratic
         assert f.value([2.0]) == 16.0
         np.testing.assert_allclose(f.values(np.array([[1.0], [2.0]])), [1.0, 16.0])
+
+    def test_exact_is_the_quadratic_without_a_box(self):
+        q = GeneralizedQuadratic.iso(1, 1.0, [2.0], 1.0)
+        box = Box([0.0], [2.0])
+        assert Objective.quadratic(q).exact is q
+        assert Objective.quadratic(q, domain_box=box).exact is None
+        assert Objective.from_callable(1, lambda x: float(q(x))).exact is None
+        assert Objective.from_callable(1, lambda x: float(q(x)), domain_box=box).exact is None
 
     def test_rejects_nan_and_minus_inf(self):
         bad_nan = Objective.from_callable(1, lambda x: float("nan"))

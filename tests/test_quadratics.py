@@ -1,5 +1,6 @@
 """Generalized quadratics, curvature classes, families, and linear maps."""
 
+import math
 import warnings
 
 import numpy as np
@@ -11,6 +12,7 @@ from abconv import (
     Family,
     GeneralizedQuadratic,
     InvariantViolation,
+    global_tol,
     LinearMap,
     combine,
     pullback,
@@ -220,6 +222,51 @@ class TestCurvatureSpec:
         assert np.all(np.diff(g) > 0)
 
 
+
+SPECS = [CurvatureSpec.zero(), CurvatureSpec.nonneg(), CurvatureSpec.nonpos(),
+         CurvatureSpec.any()] + [CurvatureSpec.fixed(v)
+                                 for v in (0.0, -0.0, 2.5, -2.5, 20.0, -20.0)]
+
+
+def _probes() -> list[float]:
+    """0, the tolerance and one ulp either side of it, 10 and inf, both signs."""
+    tol = global_tol()
+    pts = [0.0, tol, math.nextafter(tol, 0.0), math.nextafter(tol, math.inf), 10.0, math.inf]
+    return pts + [-p for p in pts]
+
+
+def _bits(value):
+    return None if value is None else (type(value), np.float64(value).tobytes())
+
+
+class TestCurvatureIntervals:
+    """The interval table answers every admissibility question with the bits
+    of the per-kind chains it replaced (``oracles.*_chain``)."""
+
+    @pytest.mark.parametrize("spec", SPECS, ids=CurvatureSpec.label)
+    def test_nearest_admissible_and_admits(self, spec):
+        for alpha in _probes():
+            assert _bits(spec.nearest_admissible(alpha)) == \
+                _bits(oracles.nearest_admissible_chain(spec, alpha)), alpha
+            assert spec.admits(alpha) == oracles.admits_chain(spec, alpha), alpha
+
+    @pytest.mark.parametrize("spec", SPECS, ids=CurvatureSpec.label)
+    def test_largest_at_most(self, spec):
+        for bound in _probes():
+            assert _bits(spec.largest_at_most(bound)) == \
+                _bits(oracles.largest_at_most_chain(spec, bound)), bound
+
+    @pytest.mark.parametrize("spec", SPECS, ids=CurvatureSpec.label)
+    def test_grid(self, spec):
+        for points in (1, 2, 3, 11, 20, 21):
+            got, want = spec.grid(points), oracles.grid_chain(spec, points)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), points
+
+    @pytest.mark.parametrize("spec", SPECS, ids=CurvatureSpec.label)
+    def test_closed_under_differences(self, spec):
+        assert spec.closed_under_differences == oracles.closed_under_differences_chain(spec)
+
+
 class TestFamily:
     def test_member_construction_and_guards(self):
         fam = Family(1, CurvatureSpec.nonpos(), includes_constants=False)
@@ -247,6 +294,21 @@ class TestFamily:
         assert noconst.contains(GeneralizedQuadratic.iso(1, -1.0, [2.0], 0.0))
         assert not noconst.contains(GeneralizedQuadratic.iso(1, -1.0, [2.0], 1.0))
 
+    @pytest.mark.parametrize("spec", SPECS, ids=CurvatureSpec.label)
+    def test_tangent_is_the_inline_build(self, spec, rng):
+        for dim in (1, 2, 3):
+            fam = Family(dim, spec)
+            for _ in range(20):
+                B = rng.normal(size=(dim, dim))
+                q = GeneralizedQuadratic(dim, B + B.T, rng.normal(size=dim), rng.normal())
+                x = rng.normal(size=dim)
+                got, want = fam.tangent(q, x), oracles.tangent_inline(fam, q, x)
+                assert (got is None) == (want is None)
+                if got is not None:
+                    assert got.A.tobytes() == want.A.tobytes()
+                    assert got.u.tobytes() == want.u.tobytes() and got.c == want.c
+                    assert fam.contains(got)
+
     def test_zero_function_belongs_to_every_class(self):
         z = GeneralizedQuadratic.zero(1)
         for spec in (
@@ -266,13 +328,6 @@ class TestLinearMap:
         np.testing.assert_allclose(L.apply([3.0, 1.0]), [2.0])
         X = np.array([[1.0, 0.0], [0.0, 1.0], [2.0, 2.0]])
         np.testing.assert_allclose(L.apply(X), [[1.0], [-1.0], [0.0]])
-
-    def test_adjoint_pairing(self, rng):
-        M = rng.normal(size=(2, 3))
-        L = LinearMap(M)
-        x = rng.normal(size=3)
-        y = rng.normal(size=2)
-        assert np.dot(L.apply(x), y) == pytest.approx(np.dot(x, L.adjoint(y)), rel=1e-12)
 
     def test_operator_norm(self):
         assert LinearMap(np.array([[3.0, 4.0]])).operator_norm == pytest.approx(5.0)
