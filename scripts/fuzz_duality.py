@@ -18,6 +18,7 @@ Prints one PASS/FAIL line per batch and exits 0 only if no check failed.
 """
 
 import argparse
+import json
 import sys
 import time
 
@@ -125,8 +126,6 @@ def check_instance(inst: ProblemInstance, tol: float) -> list[str]:
     ):
         problems.append(f"convexified primal {lp.value!r} != dense {float(total[idx])!r}")
     text = dumps(instance_to_dict(inst))
-    import json
-
     if dumps(instance_to_dict(instance_from_dict(json.loads(text)))) != text:
         problems.append("serialization round trip is not stable")
     return problems + grid_vs_closed(inst)

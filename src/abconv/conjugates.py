@@ -327,8 +327,10 @@ class FamilySearchGrid:
         check_mesh_size(self.slope_points_per_axis, self.family.dim)
         if len(self.curvatures) == 0:
             raise InvariantViolation("curvature list must be nonempty")
+        # CurvatureSpec.admits, with the tolerance read once per grid
+        spec, tol = self.family.curvature, global_tol()
         for a in self.curvatures:
-            if not self.family.curvature.admits(a):
+            if not abs(a - spec.nearest_admissible(a)) <= tol:
                 raise InvariantViolation(f"curvature {a} not admissible")
 
     @classmethod
@@ -417,30 +419,34 @@ def _biconjugate_argmax(
 
     Every block has at least two rows unless X has one: a one-row product
     goes through BLAS's matrix-vector path, whose rounding differs, and the
-    value at a point must not depend on the batch it comes in."""
+    value at a point must not depend on the batch it comes in.  The value is
+    the curvatures' tops reduced by ``np.maximum`` in curvature order, the
+    winner the first curvature attaining it; past a NaN top (an overflowing
+    |x|) the winner stays the one before it."""
     X = np.asarray(X, dtype=float)
-    slopes = search.slopes()
-    n = len(slopes)
-    rows = []
-    for i, beta in enumerate(search.curvatures):
-        finite = np.isfinite(table[i])
-        if finite.all():
-            rows.append((beta, table[i], None, i * n + np.arange(n)))
-        elif finite.any():
-            # Gathered, so that a -inf entry (a grid-engine improper window)
-            # is skipped rather than turned into +inf.
-            cols = np.flatnonzero(finite)
-            rows.append((beta, table[i][cols], cols, i * n + cols))
     values = np.full(len(X), -INF)
     winner = np.full(len(X), -1)
+    finite = np.isfinite(table)
+    live = np.flatnonzero(finite.any(axis=1))
+    if not len(X) or not len(live):
+        return values, winner
+    whole = finite.all(axis=1)
+    # Gathered where a row is partly finite, so that a -inf entry (a
+    # grid-engine improper window) is skipped rather than turned into +inf.
+    rows = []
+    for i in live:
+        cols = None if whole[i] else np.flatnonzero(finite[i])
+        rows.append((search.curvatures[i], table[i] if cols is None else table[i][cols], cols))
+    slopes = search.slopes()
     start = 0
     for Xb in np.array_split(X, max(1, -(-len(X) // _QUERY_BLOCK))):
-        best, won = values[start:start + len(Xb)], winner[start:start + len(Xb)]
         sq = np.sum(Xb * Xb, axis=1)[:, None]
         lin = Xb @ slopes.T
         buf = np.empty_like(lin)
         at = np.arange(len(Xb))
-        for beta, row, cols, members in rows:
+        tops = np.empty((len(rows), len(Xb)))
+        col = np.empty((len(rows), len(Xb)), dtype=winner.dtype)
+        for k, (beta, row, cols) in enumerate(rows):
             if cols is None:
                 vals = np.add(beta * sq, lin, out=buf)
             else:
@@ -448,11 +454,17 @@ def _biconjugate_argmax(
                 np.add(beta * sq, vals, out=vals)
             np.subtract(vals, row, out=vals)
             j = vals.argmax(axis=1)
-            top = vals[at, j]
-            better = top > best
-            won[better] = members[j[better]]
-            np.maximum(best, top, out=best)
-        start += len(Xb)
+            tops[k] = vals[at, j]
+            col[k] = j if cols is None else cols[j]
+        stop = start + len(Xb)
+        values[start:stop] = tops.max(axis=0)
+        nan = np.isnan(tops)
+        if nan.any():
+            tops[np.logical_or.accumulate(nan, axis=0)] = -INF
+        k = tops.argmax(axis=0)
+        winner[start:stop] = np.where(
+            tops[k, at] > -INF, live[k] * len(slopes) + col[k, at], -1)
+        start = stop
     return values, winner
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -35,33 +36,43 @@ def _format_float(x: float) -> str:
 
 
 def dumps(obj, indent: int = 0) -> str:
-    """Deterministic JSON text (17-significant-digit floats, inf strings)."""
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
+    """Deterministic JSON text (17-significant-digit floats, inf strings).
+
+    One pass: exact types are tried first, and a list of plain floats and
+    ints is formatted in one join (its text holds an "n" only for inf or
+    nan, which take the per-value path)."""
+    if type(obj) is float:
+        return _format_float(obj)
+    if isinstance(obj, (list, tuple)):
+        if all(type(v) is float or type(v) is int for v in obj):
+            text = ", ".join([format(v, ".17g") if type(v) is float else str(v) for v in obj])
+            if "n" not in text:
+                return "[" + text + "]"
+        parts = [dumps(v, indent + 1) for v in obj]
+        if not any(isinstance(v, (dict, list, tuple)) or isinstance(v, np.ndarray) and v.ndim
+                   for v in obj):
+            return "[" + ", ".join(parts) + "]"
+        inner = "  " * (indent + 1)
+        return "[\n" + ",\n".join(inner + p for p in parts) + "\n" + "  " * indent + "]"
     if isinstance(obj, dict):
         if not obj:
             return "{}"
+        inner = "  " * (indent + 1)
         items = [
-            f'{inner}{json.dumps(str(k))}: {dumps(v, indent + 1)}'
+            f"{inner}{encode_basestring_ascii(str(k))}: {dumps(v, indent + 1)}"
             for k, v in obj.items()
         ]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        seq = list(obj)
-        if not seq:
-            return "[]"
-        parts = [dumps(v, indent + 1) for v in seq]
-        if all(not isinstance(v, (dict, list, tuple, np.ndarray)) for v in seq):
-            return "[" + ", ".join(parts) + "]"
-        return "[\n" + ",\n".join(inner + p for p in parts) + "\n" + pad + "]"
-    if isinstance(obj, bool) or isinstance(obj, np.bool_):
+        return "{\n" + ",\n".join(items) + "\n" + "  " * indent + "}"
+    if isinstance(obj, np.ndarray):  # a 0-d array is its scalar
+        return dumps(obj.tolist(), indent)
+    if isinstance(obj, (bool, np.bool_)):
         return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
         return _format_float(float(obj))
     if isinstance(obj, str):
-        return json.dumps(obj)
+        return encode_basestring_ascii(obj)
     if obj is None:
         return "null"
     raise InstanceParseError(f"cannot serialize {type(obj).__name__}")
@@ -114,8 +125,15 @@ def _as_matrix(value, where: str) -> np.ndarray:
 # Field blocks
 
 
+def _floats(values) -> list:
+    """An array as nested lists of Python floats, -0.0 written as 0.0:
+    ``dumps`` writes -0.0 as ``-0``, which ``json.loads`` reads back as the
+    integer 0, so a second dump would write ``0`` and break the round trip."""
+    return (np.asarray(values, dtype=float) + 0.0).tolist()
+
+
 def _box_to_dict(box: Box) -> dict:
-    return {"lower": list(box.lower), "upper": list(box.upper)}
+    return {"lower": _floats(box.lower), "upper": _floats(box.upper)}
 
 
 def _box_from_dict(data, where: str) -> Box:
@@ -134,9 +152,9 @@ def _objective_to_dict(obj: Objective) -> dict:
         )
     out = {
         "kind": "quadratic",
-        "A": [list(row) for row in obj.quad.A],
-        "u": list(obj.quad.u),
-        "c": obj.quad.c,
+        "A": _floats(obj.quad.A),
+        "u": _floats(obj.quad.u),
+        "c": obj.quad.c + 0.0,
     }
     if obj.domain_box is not None:
         out["domain_box"] = _box_to_dict(obj.domain_box)
@@ -197,8 +215,13 @@ def _family_from_dict(data, dim: int, where: str) -> Family:
     return Family(dim, spec, includes_constants=includes)
 
 
-def _member_to_dict(q: GeneralizedQuadratic) -> dict:
-    return {"a": float(q.A[0, 0]) if q.dim else 0.0, "u": list(q.u), "c": q.c}
+def _member_to_dict(q: GeneralizedQuadratic, fold: bool = False) -> dict:
+    """An isotropic member as ``a``, ``u``, ``c``.  ``fold`` writes -0.0 as
+    0.0, as files need; the ``gap --json`` report keeps its ``-0`` bytes
+    (adding -0.0 changes no bit of any float)."""
+    zero = 0.0 if fold else -0.0
+    a = float(q.A[0, 0]) if q.dim else 0.0
+    return {"a": a + zero, "u": (q.u + zero).tolist(), "c": q.c + zero}
 
 
 def _member_from_dict(data, dim: int, where: str) -> GeneralizedQuadratic:
@@ -217,10 +240,8 @@ def _member_from_dict(data, dim: int, where: str) -> GeneralizedQuadratic:
 
 
 def _without_negative_zero(obj):
-    """Copy of a descriptor with every -0.0 replaced by 0.0.
-
-    ``dumps`` writes -0.0 as ``-0``, which ``json.loads`` reads back as the
-    integer 0, so a second dump would write ``0`` and break the round trip."""
+    """Copy of a loaded descriptor with every -0.0 replaced by 0.0 (see
+    ``_floats``)."""
     if isinstance(obj, dict):
         return {k: _without_negative_zero(v) for k, v in obj.items()}
     if isinstance(obj, list):
@@ -239,25 +260,25 @@ def instance_to_dict(instance: ProblemInstance) -> dict:
         return _without_negative_zero(source)
     search = {
         "psi_slope_box": _box_to_dict(instance.psi_search.slope_box),
-        "psi_curv_grid": list(instance.psi_search.curvatures),
+        "psi_curv_grid": _floats(instance.psi_search.curvatures),
         "psi_slope_points_per_axis": instance.psi_search.slope_points_per_axis,
         "x_box": _box_to_dict(instance.x_search.box),
         "y_box": _box_to_dict(instance.y_search.box),
         "points_per_axis": instance.x_search.points_per_axis,
         "refine_rounds": instance.x_search.refine_rounds,
     }
-    return _without_negative_zero({
+    return {
         "schema_version": SCHEMA_VERSION,
         "name": instance.name,
         "n": instance.L.in_dim,
         "m": instance.L.out_dim,
-        "L": [list(row) for row in instance.L.matrix],
+        "L": _floats(instance.L.matrix),
         "f": _objective_to_dict(instance.f),
         "g": _objective_to_dict(instance.g),
         "phi": _family_to_dict(instance.phi),
         "psi": _family_to_dict(instance.psi),
         "search": search,
-    })
+    }
 
 
 def instance_from_dict(data: dict) -> ProblemInstance:
@@ -305,7 +326,8 @@ def instance_from_dict(data: dict) -> ProblemInstance:
         if "psi_slope_box" in search
         else Box.cube(m)
     )
-    default_grid = FamilySearchGrid.default(psi)
+    if "psi_curv_grid" not in search or "psi_slope_points_per_axis" not in search:
+        default_grid = FamilySearchGrid.default(psi)
     if "psi_curv_grid" in search:
         curv = search["psi_curv_grid"]
         if isinstance(curv, list):
@@ -319,7 +341,8 @@ def instance_from_dict(data: dict) -> ProblemInstance:
     else:
         curvatures = default_grid.curvatures
     slope_points = _as_int(
-        search.get("psi_slope_points_per_axis", default_grid.slope_points_per_axis),
+        search["psi_slope_points_per_axis"] if "psi_slope_points_per_axis" in search
+        else default_grid.slope_points_per_axis,
         "search.psi_slope_points_per_axis",
     )
     try:
@@ -369,13 +392,13 @@ def certificate_to_dict(cert: GapCertificate) -> dict:
     no -0.0, so a certificate file round-trips byte for byte."""
     out = {
         "kind": cert.kind,
-        "eps": cert.eps,
-        "x": list(cert.x),
-        "psi": _member_to_dict(cert.psi),
+        "eps": cert.eps + 0.0,
+        "x": _floats(cert.x),
+        "psi": _member_to_dict(cert.psi, fold=True),
     }
     if cert.phi is not None:
-        out["phi"] = _member_to_dict(cert.phi)
-    return _without_negative_zero(out)
+        out["phi"] = _member_to_dict(cert.phi, fold=True)
+    return out
 
 
 def certificate_from_dict(data: dict, n: int, m: int) -> GapCertificate:

@@ -110,6 +110,9 @@ class GeneralizedQuadratic:
         x = np.asarray(x, dtype=float)
         if x.ndim == 1:
             return float(x @ self.A @ x + self.u @ x + self.c)
+        if x.ndim != 2 or x.shape[1] != self.dim:
+            raise InvariantViolation(
+                f"point shape {x.shape} != ({self.dim},) or (N, {self.dim})")
         return quadratic_form(x, self.A) + x @ self.u + self.c
 
     def gradient(self, x) -> np.ndarray:

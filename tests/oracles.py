@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from abconv.config import global_tol
-from abconv.conjugates import biconjugate_at, minimize_quadratic
+from abconv.conjugates import _QUERY_BLOCK, biconjugate_at, minimize_quadratic
 from abconv.errors import InvariantViolation
 from abconv.lagrange import (
     _LSC_DIRECTIONS,
@@ -171,6 +171,48 @@ def biconjugate_dense(X, slopes, curvatures, table, chunk=4096):
             np.maximum(best, vals.max(axis=1), out=best)
         out[start:stop] = best
     return out
+
+
+def biconjugate_argmax_loop(X, search, table):
+    """Reference ``_biconjugate_argmax``: the package's kernel from before
+    its per-call setup was vectorised.  It walks the curvatures in order,
+    keeps a running best and moves the winner only on a strict gain, so the
+    winner is the first member attaining the max and the value carries the
+    bits ``np.maximum`` leaves."""
+    X = np.asarray(X, dtype=float)
+    slopes = search.slopes()
+    n = len(slopes)
+    rows = []
+    for i, beta in enumerate(search.curvatures):
+        finite = np.isfinite(table[i])
+        if finite.all():
+            rows.append((beta, table[i], None, i * n + np.arange(n)))
+        elif finite.any():
+            cols = np.flatnonzero(finite)
+            rows.append((beta, table[i][cols], cols, i * n + cols))
+    values = np.full(len(X), -INF)
+    winner = np.full(len(X), -1)
+    start = 0
+    for Xb in np.array_split(X, max(1, -(-len(X) // _QUERY_BLOCK))):
+        best, won = values[start:start + len(Xb)], winner[start:start + len(Xb)]
+        sq = np.sum(Xb * Xb, axis=1)[:, None]
+        lin = Xb @ slopes.T
+        buf = np.empty_like(lin)
+        at = np.arange(len(Xb))
+        for beta, row, cols, members in rows:
+            if cols is None:
+                vals = np.add(beta * sq, lin, out=buf)
+            else:
+                vals = lin[:, cols]
+                np.add(beta * sq, vals, out=vals)
+            np.subtract(vals, row, out=vals)
+            j = vals.argmax(axis=1)
+            top = vals[at, j]
+            better = top > best
+            won[better] = members[j[better]]
+            np.maximum(best, top, out=best)
+        start += len(Xb)
+    return values, winner
 
 
 def lp_dense(fv, LX, slopes, curvatures, table):

@@ -561,6 +561,84 @@ class TestBiconjugates:
             is_phi_convex_at(f, [5.0], search)
 
 
+class TestBiconjugateKernel:
+    """``_biconjugate_argmax`` against the curvature loop it replaced
+    (``oracles.biconjugate_argmax_loop``): equal value bits and equal
+    winners, ties and signed zeros included."""
+
+    @staticmethod
+    def assert_same(X, search, table):
+        values, winner = _biconjugate_argmax(X, search, table)
+        want_values, want_winner = oracles.biconjugate_argmax_loop(X, search, table)
+        assert values.tobytes() == want_values.tobytes()
+        assert winner.dtype == want_winner.dtype
+        np.testing.assert_array_equal(winner, want_winner)
+
+    @staticmethod
+    def search_1d(curvatures):
+        return FamilySearchGrid(
+            Family(1, CurvatureSpec.any()), Box.cube(1, -2.0, 2.0), 5, curvatures)
+
+    @pytest.mark.parametrize("n,m", FUZZ_DIMS)
+    def test_fuzz_tables(self, n, m, fuzz_instance, rng):
+        inst = fuzz_instance(n, m, seed=10 * n + m)
+        table = family_conjugate_table(inst.g, inst.psi_search)
+        for rows in (0, 1, 2, 257):
+            self.assert_same(rng.uniform(-12.0, 12.0, size=(rows, m)), inst.psi_search, table)
+        self.assert_same(inst.L.apply(inst.x_search.mesh()), inst.psi_search, table)
+
+    def test_exact_ties_and_signed_zeros(self, rng):
+        # every member of an all-zero table ties at x = 0: the first
+        # curvature and the first column win
+        search = self.search_1d((-1.0, 0.0, -0.5, -1.0))
+        X = np.array([[0.0], [-0.0], [1.0], [-1.0], [0.0], [2.0], [-0.0]])
+        for rows in (0, 1, 2, 7):
+            self.assert_same(X[:rows], search, np.zeros((4, 5)))
+            self.assert_same(X[:rows], search, np.full((4, 5), -0.0))
+        values, winner = _biconjugate_argmax(X[:2], search, np.zeros((4, 5)))
+        assert np.all(values == 0.0) and np.all(winner == 0)
+        for _ in range(50):
+            table = np.where(rng.random((4, 5)) < 0.5, 0.0, -0.0)
+            X = np.where(rng.random((9, 1)) < 0.5, 0.0, -0.0)
+            self.assert_same(X, search, table)
+
+    def test_infinite_rows_and_entries(self, rng):
+        search = self.search_1d((-1.0, -0.5, 0.0))
+        X = rng.uniform(-3.0, 3.0, size=(257, 1))
+        table = rng.normal(size=(3, 5))
+        table[0] = INF
+        table[1, [0, 3]] = -INF
+        table[2, 1] = INF
+        self.assert_same(X, search, table)
+        table[1] = INF
+        self.assert_same(X, search, table)
+        self.assert_same(X, search, np.full((3, 5), -INF))
+        self.assert_same(X, search, np.full((3, 5), INF))
+        values, winner = _biconjugate_argmax(X, search, np.full((3, 5), INF))
+        assert np.all(values == -INF) and np.all(winner == -1)
+
+    def test_grid_engine_tables(self, rng):
+        g = Objective.quadratic(
+            GeneralizedQuadratic(2, [[1.0, 0.3], [0.3, -2.0]], [0.5, -1.0], 0.2),
+            domain_box=Box([-1.0, -2.0], [1.5, 1.0]))
+        search = FamilySearchGrid.default(Family(2, CurvatureSpec.nonpos()), slope_points=5)
+        table = family_conjugate_table(g, search)
+        self.assert_same(rng.uniform(-3.0, 3.0, size=(300, 2)), search, table)
+
+    def test_overflow_to_nan(self):
+        # 0 * |x|^2 = 0 * inf is NaN and 1 * |x|^2 is +inf: the value is NaN,
+        # and the winner is the one the loop had before the first NaN top
+        search = self.search_1d((-1.0, 1.0, 0.0, 2.0))
+        X = np.array([[1e200], [0.5], [-1e200], [1.0]])
+        table = np.zeros((4, 5))
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.assert_same(X, search, table)
+            values, winner = _biconjugate_argmax(X, search, table)
+            assert np.isnan(values[0]) and winner[0] // 5 == 1
+            table[1] = INF
+            self.assert_same(X, search, table)
+
+
 class TestEpsSubdifferential:
     def test_frozen_threshold(self):
         # f = x^2 at x = 1 with slope 2.1: slack is exactly 0.0025

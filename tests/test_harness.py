@@ -1,6 +1,7 @@
 """Serialization, the bundled catalog, seeded generation, and reports."""
 
 import copy
+import hashlib
 import json
 from pathlib import Path
 
@@ -61,6 +62,23 @@ class TestDumps:
     def test_nan_raises(self):
         with pytest.raises(InstanceParseError):
             dumps(float("nan"))
+
+    def test_zero_dimensional_arrays_are_scalars(self):
+        assert dumps(np.array(5.0)) == "5"
+        assert dumps(np.array(-INF)) == '"-inf"'
+        assert dumps(np.array(True)) == "true"
+        assert dumps([np.array(1.5), 2.0]) == "[1.5, 2]"
+        assert dumps({"v": np.array(3)}) == '{\n  "v": 3\n}'
+        with pytest.raises(InstanceParseError):
+            dumps(np.array(float("nan")))
+
+    def test_mixed_and_non_finite_lists(self):
+        assert dumps([1, 2.5, -0.0, 10**20]) == "[1, 2.5, -0, 100000000000000000000]"
+        assert dumps([1.0, INF, -INF]) == '[1, "inf", "-inf"]'
+        assert dumps((0.25, np.float64(1e300), True)) == "[0.25, 1.0000000000000001e+300, true]"
+        assert dumps(np.array([[1.0, 2.0]])) == "[\n  [1, 2]\n]"
+        with pytest.raises(InstanceParseError):
+            dumps([1.0, float("nan")])
 
     def test_scalars_lists_and_none(self):
         assert dumps(True) == "true"
@@ -147,6 +165,42 @@ class TestInstanceRoundTrip:
         path = tmp_path / "bb.json"
         save_instance(inst, path)
         assert json.loads(path.read_text())["f"]["kind"] == "blackbox-poly"
+
+
+def _sha256(texts) -> str:
+    return hashlib.sha256("\n".join(texts).encode()).hexdigest()
+
+
+class TestWriterBytes:
+    """The writer's bytes, pinned as sha256 digests of what it wrote before
+    it became one pass."""
+
+    def test_catalog_and_seeded_instances(self):
+        texts = [dumps(instance_to_dict(catalog_instance(n))) for n in ALL_NAMES]
+        texts += [dumps(instance_to_dict(random_instance(RandomSpec(n=n, m=m), seed)))
+                  for n in (1, 2, 3) for m in (1, 2, 3) for seed in (0, 1, 2)]
+        assert _sha256(texts) == (
+            "a98c922c930776c98bb57b95eed48b0455842db2a5807dcda529a223984d480b")
+
+    def test_catalog_reports(self):
+        texts = [report_json(run_report(catalog_instance(n))) for n in ALL_NAMES]
+        assert _sha256(texts) == (
+            "2cc50b692270f897b99b888bb7d53accc13ce32229e730b48b73ba898b167ae8")
+
+    def test_a_loaded_file_with_negative_zeros(self):
+        inst = ProblemInstance.build(
+            f=Objective.quadratic(GeneralizedQuadratic.iso(2, 1.0)),
+            g=Objective.quadratic(GeneralizedQuadratic.iso(2, 1.0)),
+            L=LinearMap(-np.eye(2)),
+            phi=Family(2, CurvatureSpec.nonpos()),
+            psi=Family(2, CurvatureSpec.zero()),
+        )
+        data = json.loads(dumps(instance_to_dict(inst)))
+        data["f"]["c"] = -0.0
+        data["L"][0][1] = -0.0
+        data["search"]["x_box"]["lower"][0] = -0.0
+        assert _sha256([dumps(instance_to_dict(instance_from_dict(data)))]) == (
+            "64b31073320f6910a67288db488b05a80e60351e1b39b27344a5ab2334a77109")
 
 
 class TestInstanceParseErrors:

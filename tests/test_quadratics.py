@@ -47,6 +47,16 @@ class TestGeneralizedQuadratic:
         for i in range(10):
             assert batch[i] == pytest.approx(q(X[i]), rel=1e-12)
 
+    def test_a_scalar_or_a_batch_of_the_wrong_width_raises(self):
+        q = GeneralizedQuadratic(1, [[2.0]], [1.0], 0.5)
+        for x in (0.5, np.array(0.5), np.zeros((4, 2)), np.zeros((4, 0)), np.zeros((2, 1, 1))):
+            with pytest.raises(InvariantViolation, match="point shape"):
+                q(x)
+        q2 = GeneralizedQuadratic(2, [[2.0, 1.0], [1.0, 3.0]], [1.0, -1.0], 0.5)
+        with pytest.raises(InvariantViolation, match="point shape"):
+            q2(np.zeros((3, 3)))
+        assert q(np.zeros((0, 1))).shape == (0,)
+
     def test_gradient(self):
         q = GeneralizedQuadratic(2, [[2.0, 1.0], [1.0, 3.0]], [1.0, -1.0], 0.5)
         np.testing.assert_allclose(q.gradient([1.0, 2.0]), [9.0, 13.0])
