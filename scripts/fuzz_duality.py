@@ -44,7 +44,6 @@ from abconv import (
     primal_value,
     random_instance,
 )
-from abconv.conjugates import default_points_per_axis
 
 X_POINTS = {1: 201, 2: 41, 3: 11}
 SLOPE_POINTS = {1: 201, 2: 21, 3: 9}
@@ -75,7 +74,7 @@ def grid_vs_closed(inst: ProblemInstance) -> list[str]:
     search = FamilySearchGrid.default(
         inst.psi, slope_points=CROSS_SLOPE_POINTS[m],
         curvature_points=CROSS_CURVATURE_POINTS)
-    grid = GridSpec(Box.cube(m), default_points_per_axis(m))
+    grid = GridSpec.default(m)
     whole = Box(np.full(m, -np.inf), np.full(m, np.inf))
     gridded = family_conjugate_table(
         Objective.quadratic(g.quad, domain_box=whole), search, grid=grid)

@@ -71,6 +71,12 @@ class GridSpec:
     ) -> "GridSpec":
         return cls(Box.cube(dim, lo, hi), points_per_axis)
 
+    @classmethod
+    def default(cls, dim: int) -> "GridSpec":
+        """The default search mesh: the cube [-10, 10]^dim at
+        ``default_points_per_axis(dim)``, refined twice."""
+        return cls(Box.cube(dim), default_points_per_axis(dim))
+
     def mesh(self) -> np.ndarray:
         """The box meshed at ``points_per_axis``, C order, read-only; one
         shared array per distinct grid."""
@@ -81,10 +87,6 @@ class GridSpec:
 def default_points_per_axis(dim: int) -> int:
     """Default mesh density of a ``dim``-dimensional search box."""
     return {1: 201, 2: 61, 3: 21}.get(dim, 9)
-
-
-def _default_grid(dim: int) -> GridSpec:
-    return GridSpec(Box.cube(dim), points_per_axis=default_points_per_axis(dim))
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +297,7 @@ def conjugate_value(
     if engine == "closed" or (engine == "auto" and f.exact is not None):
         return conjugate_closed_form(f, phi)
     if engine in ("grid", "auto"):
-        return conjugate_grid(f, phi, grid if grid is not None else _default_grid(f.dim))
+        return conjugate_grid(f, phi, grid if grid is not None else GridSpec.default(f.dim))
     raise InvariantViolation(f"unknown engine {engine!r}")
 
 
@@ -358,6 +360,13 @@ class FamilySearchGrid:
     def member(self, alpha: float, slope) -> GeneralizedQuadratic:
         return GeneralizedQuadratic.iso(self.family.dim, alpha, slope)
 
+    def member_at(self, k: int) -> GeneralizedQuadratic:
+        """The member at flat index k of every table over this grid:
+        curvature-major, slopes in C order (``table.flat[k]``)."""
+        slopes = self.slopes()
+        i, j = divmod(int(k), len(slopes))
+        return self.member(self.curvatures[i], slopes[j])
+
     @property
     def size(self) -> int:
         return len(self.curvatures) * self.slope_points_per_axis**self.family.dim
@@ -401,7 +410,7 @@ def family_conjugate_table(
     if f.dim != search.family.dim:
         raise InvariantViolation("dimension mismatch in conjugate")
     mats = [GeneralizedQuadratic.iso(f.dim, beta).A for beta in search.curvatures]
-    g = grid if grid is not None else _default_grid(f.dim)
+    g = grid if grid is not None else GridSpec.default(f.dim)
     return _grid_sup_table(f, mats, slopes, 0.0, g)[0]
 
 
@@ -411,25 +420,34 @@ def family_conjugate_table(
 _QUERY_BLOCK = 256
 
 
+def _never_one_row(X: np.ndarray) -> np.ndarray:
+    """X, with a lone row repeated: BLAS rounds a one-row product
+    (``L.apply``, ``X @ u``, ``Xb @ slopes.T``) differently from the batched
+    product the same row gets in a longer X.  The x.A x terms need no
+    padding: ``quadratic_form`` rounds a row alike at every batch size."""
+    return np.repeat(X, 2, axis=0) if len(X) == 1 else X
+
+
 def _biconjugate_argmax(
     X: np.ndarray, search: FamilySearchGrid, table: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """``biconjugate_many`` values plus, per point, the flat table index of
     the first member attaining them (-1 where no finite member exists).
 
-    Every block has at least two rows unless X has one: a one-row product
-    goes through BLAS's matrix-vector path, whose rounding differs, and the
-    value at a point must not depend on the batch it comes in.  The value is
-    the curvatures' tops reduced by ``np.maximum`` in curvature order, the
-    winner the first curvature attaining it; past a NaN top (an overflowing
-    |x|) the winner stays the one before it."""
-    X = np.asarray(X, dtype=float)
+    A lone row is evaluated twice and every block has at least two rows, so
+    no product goes through BLAS's matrix-vector path, whose rounding
+    differs: the value at a point does not depend on the batch it comes in.
+    The value is the curvatures' tops reduced by ``np.maximum`` in curvature
+    order, the winner the first curvature attaining it; past a NaN top (an
+    overflowing |x|) the winner stays the one before it."""
+    n_rows = len(X)
+    X = _never_one_row(np.asarray(X, dtype=float))
     values = np.full(len(X), -INF)
     winner = np.full(len(X), -1)
     finite = np.isfinite(table)
     live = np.flatnonzero(finite.any(axis=1))
     if not len(X) or not len(live):
-        return values, winner
+        return values[:n_rows], winner[:n_rows]
     whole = finite.all(axis=1)
     # Gathered where a row is partly finite, so that a -inf entry (a
     # grid-engine improper window) is skipped rather than turned into +inf.
@@ -465,7 +483,7 @@ def _biconjugate_argmax(
         winner[start:stop] = np.where(
             tops[k, at] > -INF, live[k] * len(slopes) + col[k, at], -1)
         start = stop
-    return values, winner
+    return values[:n_rows], winner[:n_rows]
 
 
 def _biconjugate_lower_bound(

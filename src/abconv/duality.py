@@ -24,7 +24,6 @@ from .conjugates import (
     _subdiff_terms,
     conjugate_closed_form,
     conjugate_value,
-    default_points_per_axis,
     eps_subdiff_contains,
     family_conjugate_table,
     minimize_quadratic,
@@ -109,13 +108,9 @@ class ProblemInstance:
         if psi_search is None:
             psi_search = FamilySearchGrid.default(psi)
         if x_search is None:
-            x_search = GridSpec.cube(
-                L.in_dim, points_per_axis=default_points_per_axis(L.in_dim)
-            )
+            x_search = GridSpec.default(L.in_dim)
         if y_search is None:
-            y_search = GridSpec.cube(
-                L.out_dim, points_per_axis=default_points_per_axis(L.out_dim)
-            )
+            y_search = GridSpec.default(L.out_dim)
         return cls(f, g, L, phi, psi, psi_search, x_search, y_search, name)
 
     @cached_property
@@ -145,13 +140,12 @@ class ProblemInstance:
     def composite_objective(self) -> Objective:
         """``x -> f(x) + g(Lx)`` as a single objective."""
         if self.is_exact:
-            return Objective.quadratic(self.composite_quad(), name="composite")
+            return Objective.quadratic(self.composite_quad())
         f, g, L = self.f, self.g, self.L
         return Objective.from_callable(
             L.in_dim,
             lambda x: _ext_add(f.value(x), g.value(L.apply(x))),
             domain_box=f.domain_box,
-            name="composite",
         )
 
 
@@ -294,8 +288,7 @@ def dcp_value(
 
     Members with ``g*(psi) = +inf`` (dual-infeasible) or an unbounded inner
     infimum contribute -inf and are excluded from attainment. Ties keep the
-    first grid index (curvature-major, slope C order)."""
-    search = instance.psi_search
+    first grid index (``FamilySearchGrid.member_at``)."""
     if inf_table is None:
         inf_table = composite_inf_table(instance)
     if gstar_table is None:
@@ -313,10 +306,8 @@ def dcp_value(
             -INF, None, engine, ("all_members_excluded",),
             int(np.sum(infeasible)), int(np.sum(unbounded)),
         )
-    i, j = np.unravel_index(flat, obj.shape)
-    attaining = search.member(search.curvatures[i], search.slopes()[j])
     return DualResult(
-        value, attaining, engine, (),
+        value, instance.psi_search.member_at(flat), engine, (),
         int(np.sum(infeasible)), int(np.sum(unbounded)),
     )
 
@@ -366,10 +357,10 @@ def weak_duality_check(
     shifted = _with_f_shifted_by(instance, phi)
     fpsi_star = -composite_inf_table(shifted)
     gstar = g_conjugate_table(instance)
-    best = INF
-    for a, b in zip(fpsi_star.ravel(), gstar.ravel()):
-        best = min(best, _ext_add(float(a), float(b)))
-    return lhs <= best + VALUE_TOL
+    # _ext_add over the tables: a pair holding +inf sums to +inf, even with -inf
+    with np.errstate(invalid="ignore"):
+        sums = np.where((fpsi_star == INF) | (gstar == INF), INF, fpsi_star + gstar)
+    return lhs <= float(np.min(sums)) + VALUE_TOL
 
 
 def composite_condition_check(
@@ -643,18 +634,14 @@ def epi_decompose(
         raise InvariantViolation("point is not in the composite conjugate epigraph")
     search = instance.psi_search
     slopes = search.slopes()
-    params: list[tuple[float, int, int]] = []
-    for i, beta in enumerate(search.curvatures):
-        norms = np.sqrt(beta * beta + np.sum(slopes * slopes, axis=1))
-        for j in range(len(slopes)):
-            params.append((float(norms[j]), i, j))
-    params.sort(key=lambda t: (t[0], t[1], t[2]))
-    gstar = g_conjugate_table(instance)
-    for _, i, j in params:
-        c_psi = float(gstar[i, j])
+    betas = np.asarray(search.curvatures)[:, None]
+    norms = np.sqrt(betas * betas + np.sum(slopes * slopes, axis=1))
+    gstar = g_conjugate_table(instance).ravel()
+    for k in np.argsort(norms.ravel(), kind="stable"):  # ties keep table order
+        c_psi = float(gstar[k])
         if c_psi == INF:
             continue
-        psi = search.member(search.curvatures[i], slopes[j])
+        psi = search.member_at(k)
         phi1 = combine(1.0, point.phi, -1.0, pullback(psi, instance.L))
         if not instance.phi.contains(phi1):
             continue
@@ -719,35 +706,22 @@ def decomposition_condition_check(
     conditions: dict[str, bool] = {}
     details: dict[str, float | str] = {}
     search = instance.psi_search
-    slopes = search.slopes()
 
     if which == "a":
         if phi is None or r is None:
             raise InvariantViolation("condition (a) needs the pair (phi, r)")
         if not epi_contains(instance, "g_of_L", EpiPoint(phi, r), tol=max(tol, 1e-6)):
             raise InvariantViolation("(phi, r) is not in the epigraph of (g o L)*")
-        gstar = g_conjugate_table(instance)
-        found = False
+        gstar = g_conjugate_table(instance).ravel()
         best_miss = INF
-        for i, beta in enumerate(search.curvatures):
-            for j in range(len(slopes)):
-                if gstar[i, j] > r + tol:
-                    continue
-                member = search.member(beta, slopes[j])
-                diff = combine(1.0, pullback(member, instance.L), -1.0, phi)
-                low, _ = minimize_quadratic(diff)
-                if low >= -tol:
-                    found = True
-                    details["psi_curvature"] = float(beta)
-                    details["psi_slope_norm"] = float(np.linalg.norm(slopes[j]))
-                    break
-                best_miss = min(best_miss, -low)
-            if found:
-                break
-        conditions["majorizing_psi_found"] = found
-        if not found:
-            details["smallest_violation"] = best_miss
-        return ConditionCheck(found, which, conditions, details)
+        for k in np.flatnonzero(gstar <= r + tol):
+            member = search.member_at(k)
+            low, _ = minimize_quadratic(combine(1.0, pullback(member, instance.L), -1.0, phi))
+            if low >= -tol:
+                return _psi_found(which, member)
+            best_miss = min(best_miss, -low)
+        return ConditionCheck(False, which, {"majorizing_psi_found": False},
+                              {"smallest_violation": best_miss})
 
     if which == "b":
         def admissible(member: GeneralizedQuadratic) -> tuple[bool, float, float]:
@@ -764,17 +738,11 @@ def decomposition_condition_check(
             details["gstar"] = gs
             details["min_psi_oL_minus_g_oL"] = diff
             return ConditionCheck(ok, which, conditions, details)
-        for i, beta in enumerate(search.curvatures):
-            for j in range(len(slopes)):
-                member = search.member(beta, slopes[j])
-                ok, gs, diff = admissible(member)
-                if ok:
-                    conditions["majorizing_psi_found"] = True
-                    details["psi_curvature"] = float(beta)
-                    details["psi_slope_norm"] = float(np.linalg.norm(slopes[j]))
-                    return ConditionCheck(True, which, conditions, details)
-        conditions["majorizing_psi_found"] = False
-        return ConditionCheck(False, which, conditions, details)
+        for k in range(search.size):
+            member = search.member_at(k)
+            if admissible(member)[0]:
+                return _psi_found(which, member)
+        return ConditionCheck(False, which, {"majorizing_psi_found": False}, {})
 
     if which == "c":
         if phi is None or psi is None:
@@ -825,6 +793,13 @@ def decomposition_condition_check(
         return ConditionCheck(all(conditions.values()), which, conditions, details)
 
     raise InvariantViolation(f"unknown condition {which!r}")
+
+
+def _psi_found(which: str, psi: GeneralizedQuadratic) -> ConditionCheck:
+    """Condition (a) or (b) holding at the grid member psi."""
+    return ConditionCheck(True, which, {"majorizing_psi_found": True},
+                          {"psi_curvature": float(psi.A[0, 0]),
+                           "psi_slope_norm": float(np.linalg.norm(psi.u))})
 
 
 def _g_of_l_gap(instance: ProblemInstance, member: GeneralizedQuadratic) -> float:

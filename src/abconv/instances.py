@@ -251,6 +251,11 @@ def _without_negative_zero(obj):
     return obj
 
 
+def _default_y_points(n: int, m: int, x_points: int) -> int:
+    """The y mesh density of a file that gives none: x's when m == n."""
+    return x_points if m == n else default_points_per_axis(m)
+
+
 def instance_to_dict(instance: ProblemInstance) -> dict:
     """Descriptor dict for an instance (file-loaded instances reuse their
     original descriptor so blackbox payloads survive).  No float in it is
@@ -267,6 +272,13 @@ def instance_to_dict(instance: ProblemInstance) -> dict:
         "points_per_axis": instance.x_search.points_per_axis,
         "refine_rounds": instance.x_search.refine_rounds,
     }
+    # Written only where the reader's defaults differ, so no older file changes.
+    x, y = instance.x_search, instance.y_search
+    if y.points_per_axis != _default_y_points(instance.L.in_dim, instance.L.out_dim,
+                                              x.points_per_axis):
+        search["y_points_per_axis"] = y.points_per_axis
+    if y.refine_rounds != x.refine_rounds:
+        search["y_refine_rounds"] = y.refine_rounds
     return {
         "schema_version": SCHEMA_VERSION,
         "name": instance.name,
@@ -311,6 +323,11 @@ def instance_from_dict(data: dict) -> ProblemInstance:
         "search.points_per_axis",
     )
     rounds = _as_int(search.get("refine_rounds", 2), "search.refine_rounds")
+    y_points = _as_int(
+        search.get("y_points_per_axis", _default_y_points(n, m, points)),
+        "search.y_points_per_axis",
+    )
+    y_rounds = _as_int(search.get("y_refine_rounds", rounds), "search.y_refine_rounds")
     x_box = (
         _box_from_dict(search["x_box"], "search.x_box")
         if "x_box" in search
@@ -348,8 +365,7 @@ def instance_from_dict(data: dict) -> ProblemInstance:
     try:
         psi_search = FamilySearchGrid(psi, slope_box, slope_points, curvatures)
         x_search = GridSpec(x_box, points, rounds)
-        y_points = default_points_per_axis(m) if m != n else points
-        y_search = GridSpec(y_box, y_points, rounds)
+        y_search = GridSpec(y_box, y_points, y_rounds)
         instance = ProblemInstance(
             f, g, L, phi, psi, psi_search, x_search, y_search,
             name=str(data.get("name", "")),

@@ -20,6 +20,7 @@ from .conjugates import (
     _VALUE_BLOCK,
     _biconjugate_argmax,
     _biconjugate_lower_bound,
+    _never_one_row,
     _quadratic_sup_many,
     biconjugate_many,
     conjugate_value,
@@ -118,14 +119,6 @@ class LpResult:
     flags: tuple[str, ...] = ()
 
 
-def _never_one_row(X: np.ndarray) -> np.ndarray:
-    """X, with a lone row repeated: BLAS rounds a one-row product
-    (``L.apply``, ``X @ u``, ``Xb @ slopes.T``) differently from the batched
-    product the same row gets in a longer X.  The x.A x terms need no
-    padding: ``quadratic_form`` rounds a row alike at every batch size."""
-    return np.repeat(X, 2, axis=0) if len(X) == 1 else X
-
-
 def lp_value(ctx: LagrangianContext) -> LpResult:
     """``inf_x [f(x) + g**(Lx)]`` over the x search mesh, with the class
     biconjugate of g taken over the shared member grid (grid-truncated).
@@ -146,17 +139,15 @@ def lp_value(ctx: LagrangianContext) -> LpResult:
     feasible = np.flatnonzero(fv != INF)
     sample = feasible[::_LP_SAMPLE_STRIDE]
     rest = np.delete(feasible, np.s_[::_LP_SAMPLE_STRIDE])
-    gdd, winner = _biconjugate_argmax(_never_one_row(LX[sample]), search, table)
-    total[sample] = fv[sample] + gdd[:len(sample)]
+    gdd, winner = _biconjugate_argmax(LX[sample], search, table)
+    total[sample] = fv[sample] + gdd
     incumbent = np.min(total[sample], initial=INF)
     if np.isfinite(incumbent) and len(rest):
-        winner = winner[:len(sample)]
         lower, scale = _biconjugate_lower_bound(
             LX[rest], np.unique(winner[winner >= 0]), search, table)
         slack = _LP_PRUNE_RTOL * (np.abs(fv[rest]) + scale + abs(incumbent))
         rest = rest[~(fv[rest] + lower > incumbent + slack)]
-    total[rest] = fv[rest] + biconjugate_many(
-        inst.g, _never_one_row(LX[rest]), search, table)[:len(rest)]
+    total[rest] = fv[rest] + biconjugate_many(inst.g, LX[rest], search, table)
     idx = int(np.argmin(total))
     value = float(total[idx])
     flags: tuple[str, ...] = ("grid_truncated",)

@@ -106,7 +106,6 @@ class Objective:
     quad: GeneralizedQuadratic | None = None
     fn: Callable[[np.ndarray], float] | None = None
     domain_box: Box | None = None
-    name: str = ""
 
     def __post_init__(self) -> None:
         if (self.quad is None) == (self.fn is None):
@@ -123,9 +122,8 @@ class Objective:
         cls,
         q: GeneralizedQuadratic,
         domain_box: Box | None = None,
-        name: str = "",
     ) -> "Objective":
-        return cls(q.dim, quad=q, domain_box=domain_box, name=name)
+        return cls(q.dim, quad=q, domain_box=domain_box)
 
     @classmethod
     def from_callable(
@@ -133,9 +131,8 @@ class Objective:
         dim: int,
         fn: Callable[[np.ndarray], float],
         domain_box: Box | None = None,
-        name: str = "",
     ) -> "Objective":
-        return cls(dim, fn=fn, domain_box=domain_box, name=name)
+        return cls(dim, fn=fn, domain_box=domain_box)
 
     # -- evaluation ------------------------------------------------------
 

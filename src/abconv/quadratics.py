@@ -109,11 +109,14 @@ class GeneralizedQuadratic:
         """Evaluate at one point ``(dim,)`` or a batch ``(N, dim)``."""
         x = np.asarray(x, dtype=float)
         if x.ndim == 1:
-            return float(x @ self.A @ x + self.u @ x + self.c)
-        if x.ndim != 2 or x.shape[1] != self.dim:
-            raise InvariantViolation(
-                f"point shape {x.shape} != ({self.dim},) or (N, {self.dim})")
-        return quadratic_form(x, self.A) + x @ self.u + self.c
+            try:
+                return float(x @ self.A @ x + self.u @ x + self.c)
+            except ValueError:  # a wrong length, reported below
+                pass
+        elif x.ndim == 2 and x.shape[1] == self.dim:
+            return quadratic_form(x, self.A) + x @ self.u + self.c
+        raise InvariantViolation(
+            f"point shape {x.shape} != ({self.dim},) or (N, {self.dim})")
 
     def gradient(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)

@@ -178,8 +178,12 @@ def biconjugate_argmax_loop(X, search, table):
     its per-call setup was vectorised.  It walks the curvatures in order,
     keeps a running best and moves the winner only on a strict gain, so the
     winner is the first member attaining the max and the value carries the
-    bits ``np.maximum`` leaves."""
+    bits ``np.maximum`` leaves.  A lone row is evaluated twice, as the
+    kernel does, so that its products take BLAS's matrix-matrix path."""
+    rows_in = len(X)
     X = np.asarray(X, dtype=float)
+    if rows_in == 1:
+        X = np.repeat(X, 2, axis=0)
     slopes = search.slopes()
     n = len(slopes)
     rows = []
@@ -212,7 +216,7 @@ def biconjugate_argmax_loop(X, search, table):
             won[better] = members[j[better]]
             np.maximum(best, top, out=best)
         start += len(Xb)
-    return values, winner
+    return values[:rows_in], winner[:rows_in]
 
 
 def lp_dense(fv, LX, slopes, curvatures, table):

@@ -203,6 +203,13 @@ class TestGridEngine:
         # the cap itself is allowed
         assert GridSpec.cube(3, points_per_axis=100).points_per_axis ** 3 == MAX_MESH_POINTS
 
+    def test_default_mesh(self):
+        for dim, points in ((1, 201), (2, 61), (3, 21), (4, 9)):
+            grid = GridSpec.default(dim)
+            assert (grid.points_per_axis, grid.refine_rounds) == (points, 2)
+            assert grid.box.lower.tolist() == [-10.0] * dim
+            assert grid.box.upper.tolist() == [10.0] * dim
+
 
 class TestDispatch:
     def test_auto_prefers_closed(self):
@@ -241,6 +248,18 @@ class TestFamilySearchGrid:
         assert any(abs(s[0]) == 0.0 for s in grid.slopes())
         m = grid.member(-1.0, [2.0])
         assert m(np.array([1.0])) == pytest.approx(1.0)
+
+    def test_member_at_follows_the_table_layout(self):
+        f = Objective.quadratic(GeneralizedQuadratic(2, [[1.0, 0.2], [0.2, 0.5]], [1.0, -2.0], 0.3))
+        search = FamilySearchGrid(
+            Family(2, CurvatureSpec.nonpos()), Box([-1.0, 0.0], [1.0, 3.0]), 3, (-2.0, -0.5))
+        table = family_conjugate_table(f, search)
+        assert search.size == table.size == 18
+        for k in range(search.size):
+            psi = search.member_at(k)
+            assert psi.A[0, 0] == search.curvatures[k // 9]
+            assert psi.u.tobytes() == search.slopes()[k % 9].tobytes()
+            assert table.flat[k] == pytest.approx(conjugate_closed_form(f, psi).value, rel=1e-12)
 
     def test_validation(self):
         fam = Family(1, CurvatureSpec.zero())
@@ -544,6 +563,16 @@ class TestBiconjugates:
         np.testing.assert_allclose(phi - table[i, j], values, rtol=1e-12, atol=1e-12)
         _, none = _biconjugate_argmax(X, search, np.full_like(table, INF))
         assert np.all(none == -1)
+
+    @pytest.mark.parametrize("n,m", [(2, 2), (3, 2), (2, 3), (3, 3)])
+    def test_a_point_gets_its_batch_row_bits(self, n, m, fuzz_instance, rng):
+        inst = fuzz_instance(n, m, seed=10 * n + m)
+        search = inst.psi_search
+        table = family_conjugate_table(inst.g, search)
+        Y = rng.uniform(-8.0, 8.0, size=(120, m))
+        rows = biconjugate_many(inst.g, Y, search, table)
+        alone = np.array([biconjugate_at(inst.g, y, search, table) for y in Y])
+        assert alone.tobytes() == rows.tobytes()
 
     def test_is_phi_convex_at(self):
         search = FamilySearchGrid.default(Family(1, CurvatureSpec.zero()))

@@ -55,6 +55,7 @@ from abconv import (
     verify_optimality_at,
     weak_duality_check,
 )
+from abconv import duality
 from abconv.duality import _certificate_terms, _check_terms
 from abconv.report import CERT_LADDER, _certificate_entries
 
@@ -390,6 +391,17 @@ class TestWeakDualityCheck:
         inst = build(quad_obj(1, 1.0, [2.0], 1.0, box=Box([-10.0], [10.0])), quad_obj(1, 4.0))
         assert weak_duality_check(inst)
 
+    def test_a_pair_of_plus_and_minus_infinity_sums_to_plus_infinity(self, monkeypatch):
+        # lhs = (2x^2)*(0) = 0.  The member pairing (f + psi o L)* = +inf
+        # with g* = -inf must not set the minimum: only the other pair can.
+        inst = build(quad_obj(1, 1.0), quad_obj(1, 1.0), psi_search=FamilySearchGrid(
+            Family(1, CurvatureSpec.zero()), Box.cube(1, -1.0, 1.0), 2, (0.0,)))
+        monkeypatch.setattr(duality, "composite_inf_table", lambda _: np.array([[-INF, -1.0]]))
+        for gstar, holds in ((0.5, True), (-2.0, False)):
+            monkeypatch.setattr(duality, "g_conjugate_table",
+                                lambda _, v=gstar: np.array([[-INF, v]]))
+            assert weak_duality_check(inst) is holds
+
 
 class TestCompositeConditionCheck:
     def test_difference_and_sum_inside_class(self, inst47):
@@ -640,6 +652,21 @@ class TestEpiDecompose:
         with pytest.raises(InvariantViolation):
             epi_decompose(inst56, point)
 
+    @pytest.mark.parametrize("curvatures,first", [((-1.0, 1.0), -1.0), ((1.0, -1.0), 1.0)])
+    def test_tied_norms_take_the_first_member_in_table_order(self, curvatures, first):
+        # Every member decomposes the pair; the slope-0 members of both
+        # curvatures tie at the least norm, and the first curvature wins.
+        inst = build(quad_obj(1, 10.0), quad_obj(1, 10.0),
+                     phi_spec=CurvatureSpec.any(), psi_spec=CurvatureSpec.any(),
+                     psi_search=FamilySearchGrid(Family(1, CurvatureSpec.any()),
+                                                 Box.cube(1, -1.0, 1.0), 3, curvatures))
+        split = epi_decompose(inst, EpiPoint(GeneralizedQuadratic.zero(1), 1000.0))
+        assert (split.psi.A[0, 0], split.psi.u[0]) == (first, 0.0)
+        inst = dataclasses.replace(inst, psi_search=FamilySearchGrid(
+            Family(1, CurvatureSpec.any()), Box.cube(1, -1.0, 1.0), 2, curvatures))
+        split = epi_decompose(inst, EpiPoint(GeneralizedQuadratic.zero(1), 1000.0))
+        assert (split.psi.A[0, 0], split.psi.u[0]) == (first, -1.0)
+
     def test_returns_none_when_every_member_is_infeasible(self):
         inst = build(
             quad_obj(1, 1.0), quad_obj(1, -1.0), phi_spec=CurvatureSpec.zero()
@@ -689,6 +716,30 @@ class TestDecompositionConditions:
         assert check.holds
         assert check.details["psi_curvature"] == pytest.approx(1.0)
         assert check.details["psi_slope_norm"] == pytest.approx(0.0)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("callable_g", [False, True])
+    def test_condition_b_grid_search_on_a_boxed_g(self, m, callable_g):
+        # g = -|y|^2 on a box: the only admissible member is g's own
+        # quadratic, the slope-0 member of curvature -1.
+        gq, box = GeneralizedQuadratic.iso(m, -1.0), Box.cube(m, -3.0, 2.0)
+        g = (Objective.from_callable(m, lambda y: float(gq(np.asarray(y))), domain_box=box)
+             if callable_g else Objective.quadratic(gq, domain_box=box))
+        psi = Family(m, CurvatureSpec.nonpos())
+        grid = FamilySearchGrid(psi, Box.cube(m), 5, (-2.0, -1.0, 0.0))
+        inst = ProblemInstance.build(
+            f=quad_obj(m, 1.0), g=g, L=LinearMap.identity(m),
+            phi=Family(m, CurvatureSpec.nonpos()), psi=psi, psi_search=grid,
+            x_search=GridSpec(Box.cube(m), {1: 31, 2: 11}[m], 2),
+            y_search=GridSpec(Box.cube(m), {1: 21, 2: 7}[m], 1))
+        check = decomposition_condition_check(inst, "b")
+        assert check.holds and check.conditions == {"majorizing_psi_found": True}
+        assert check.details == {"psi_curvature": -1.0, "psi_slope_norm": 0.0}
+        inst = dataclasses.replace(inst, psi_search=dataclasses.replace(
+            grid, curvatures=(-2.0, 0.0)))
+        check = decomposition_condition_check(inst, "b")
+        assert not check.holds
+        assert check.conditions == {"majorizing_psi_found": False} and check.details == {}
 
     def test_condition_b_grid_search_fails_without_constants(self, inst610):
         check = decomposition_condition_check(inst610, "b")

@@ -2,6 +2,8 @@
 
 import copy
 import hashlib
+import importlib
+import importlib.util
 import json
 from pathlib import Path
 
@@ -12,6 +14,7 @@ from abconv import (
     Box,
     CurvatureSpec,
     Family,
+    FamilySearchGrid,
     GapCertificate,
     GeneralizedQuadratic,
     GridSpec,
@@ -44,7 +47,8 @@ from abconv import (
 )
 
 ALL_NAMES = ("ex4.7", "ex4.7-reversed", "ex4.8", "ex5.6", "ex6.10", "ex6.11")
-GAP_REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference" / "gap"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+GAP_REFERENCE = PERFBENCH / "reference" / "gap"
 CATALOG_FACTS = GAP_REFERENCE.parent / "catalog_facts.json"
 
 
@@ -165,6 +169,90 @@ class TestInstanceRoundTrip:
         path = tmp_path / "bb.json"
         save_instance(inst, path)
         assert json.loads(path.read_text())["f"]["kind"] == "blackbox-poly"
+
+
+def _boxed_1x1(x_points: int, y_points: int, y_rounds: int) -> ProblemInstance:
+    return ProblemInstance.build(
+        f=Objective.quadratic(GeneralizedQuadratic.iso(1, 1.0, [1.0]), domain_box=Box([-2.0], [3.0])),
+        g=Objective.quadratic(GeneralizedQuadratic.iso(1, -0.5, [0.3]), domain_box=Box([-4.0], [1.5])),
+        L=LinearMap([[0.8]]),
+        phi=Family(1, CurvatureSpec.nonpos()),
+        psi=Family(1, CurvatureSpec.nonpos()),
+        psi_search=FamilySearchGrid.default(
+            Family(1, CurvatureSpec.nonpos()), slope_points=31, curvature_points=11),
+        x_search=GridSpec(Box.cube(1), x_points, 2),
+        y_search=GridSpec(Box.cube(1), y_points, y_rounds),
+    )
+
+
+def _grid_fields(grid: GridSpec) -> tuple:
+    return grid.box.lower.tobytes(), grid.box.upper.tobytes(), grid.points_per_axis, grid.refine_rounds
+
+
+class TestSearchGridFields:
+    """The y mesh and the psi grid as an instance file writes and reads them."""
+
+    @pytest.mark.parametrize("y_points,y_rounds", [(41, 2), (51, 1), (41, 0)])
+    def test_a_y_mesh_off_the_defaults_round_trips(self, y_points, y_rounds):
+        inst = _boxed_1x1(51, y_points, y_rounds)
+        search = instance_to_dict(inst)["search"]
+        assert ("y_points_per_axis" in search) == (y_points != 51)
+        assert ("y_refine_rounds" in search) == (y_rounds != 2)
+        loaded = instance_from_dict(json.loads(dumps(instance_to_dict(inst))))
+        assert _grid_fields(loaded.y_search) == _grid_fields(inst.y_search)
+        assert report_json(run_report(loaded)) == report_json(run_report(inst))
+
+    def test_a_file_without_the_y_fields_loads_as_before(self):
+        # y takes x's density when m == n and the default one otherwise,
+        # and x's refine rounds
+        data = instance_to_dict(_boxed_1x1(51, 51, 2))
+        assert "y_points_per_axis" not in data["search"]
+        data["search"]["refine_rounds"] = 1
+        assert _grid_fields(instance_from_dict(data).y_search)[2:] == (51, 1)
+        raw = random_instance(RandomSpec(n=2, m=1), 0)
+        data = instance_to_dict(raw)
+        assert "y_points_per_axis" not in data["search"]
+        assert instance_from_dict(data).y_search.points_per_axis == 201
+        del data["search"]["points_per_axis"]
+        assert instance_from_dict(data).x_search.points_per_axis == 61
+
+    def test_bad_y_fields_are_parse_errors(self):
+        data = instance_to_dict(_boxed_1x1(51, 41, 1))
+        for key, bad in (("y_points_per_axis", BAD_LEAVES + (2, 10**7)),
+                         ("y_refine_rounds", (None, "x", True, [1], -1, 0.5, float("nan")))):
+            for value in bad:
+                mutant = copy.deepcopy(data)
+                mutant["search"][key] = value
+                with pytest.raises(InstanceParseError):
+                    instance_from_dict(mutant)
+
+    def test_a_curvature_count_and_a_missing_psi_grid(self):
+        data = instance_to_dict(random_instance(RandomSpec(n=1, m=2), 3))
+        psi = Family(2, CurvatureSpec.nonpos())
+        data["search"]["psi_curv_grid"] = 5
+        loaded = instance_from_dict(data).psi_search
+        assert loaded.curvatures == tuple(float(a) for a in psi.curvature.grid(points=5))
+        assert loaded.curvatures == (-10.0, -7.5, -5.0, -2.5, 0.0)
+        for key in ("psi_curv_grid", "psi_slope_points_per_axis", "psi_slope_box"):
+            del data["search"][key]
+        loaded, default = instance_from_dict(data).psi_search, FamilySearchGrid.default(psi)
+        assert loaded.curvatures == default.curvatures
+        assert loaded.slope_points_per_axis == default.slope_points_per_axis == 41
+        assert loaded.slopes().tobytes() == default.slopes().tobytes()
+
+
+class TestBenchmarkTargets:
+    def test_every_traced_function_exists(self):
+        """The benchmark's tracer finds each target by module and attribute
+        name, and reports a missing one only as a zero count."""
+        spec = importlib.util.spec_from_file_location("perfbench_spans", PERFBENCH / "spans.py")
+        spans = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(spans)
+        for _, module, attribute in spans.TARGETS:
+            obj = importlib.import_module(module)
+            for part in attribute.split("."):
+                obj = getattr(obj, part, None)
+            assert callable(obj), f"{module}.{attribute} is not in the tree"
 
 
 def _sha256(texts) -> str:

@@ -55,6 +55,9 @@ class TestGeneralizedQuadratic:
         q2 = GeneralizedQuadratic(2, [[2.0, 1.0], [1.0, 3.0]], [1.0, -1.0], 0.5)
         with pytest.raises(InvariantViolation, match="point shape"):
             q2(np.zeros((3, 3)))
+        for x in (np.zeros(3), np.zeros(1), np.zeros(0)):
+            with pytest.raises(InvariantViolation, match=rf"point shape \({len(x)},\) != \(2,\)"):
+                q2(x)
         assert q(np.zeros((0, 1))).shape == (0,)
 
     def test_gradient(self):
