@@ -1,7 +1,6 @@
 """Conjugates, subdifferentials, and composite duality over abstract
 function classes of generalized quadratics."""
 
-from .config import global_tol
 from .conjugates import (
     ConjugateValue,
     FamilySearchGrid,

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import TOL, VALUE_TOL
 from .conjugates import FamilySearchGrid, conjugate_value
 from .duality import (
     EpiPoint,
@@ -156,7 +157,7 @@ class CheckRow:
     detail: str
 
 
-def _value_row(label: str, computed: float, expected: float, tol: float = 1e-6) -> CheckRow:
+def _value_row(label: str, computed: float, expected: float, tol: float = VALUE_TOL) -> CheckRow:
     if expected == INF or expected == -INF:
         ok = computed == expected
     else:
@@ -278,13 +279,13 @@ def _checks_ex56(inst: ProblemInstance) -> list[CheckRow]:
     rows.append(
         _bool_row(
             "split output member is zero",
-            bool(split.psi.is_zero(1e-9)),
+            bool(split.psi.is_zero()),
             True,
             f"psi = {split.psi.A[0, 0]:.3g} z^2 + {split.psi.u[0]:.3g} z + {split.psi.c:.3g}",
         )
     )
-    rows.append(_value_row("input-part level", split.c_phi, 1.0, tol=1e-9))
-    rows.append(_value_row("output-part level", split.c_psi, 0.0, tol=1e-9))
+    rows.append(_value_row("input-part level", split.c_phi, 1.0, tol=TOL))
+    rows.append(_value_row("output-part level", split.c_psi, 0.0, tol=TOL))
     member_f = epi_contains(inst, "f", EpiPoint(split.phi1, split.c_phi))
     member_g = epi_contains(inst, "g", EpiPoint(split.psi, split.c_psi))
     rows.append(
@@ -317,7 +318,7 @@ def _checks_ex610(inst: ProblemInstance) -> list[CheckRow]:
     rows.append(
         _bool_row(
             "support-point route is empty (level below min f)",
-            bool(min_f > d.value + 1e-6),
+            bool(min_f > d.value + VALUE_TOL),
             True,
             f"min f = {min_f:.6g} > level {d.value:.6g}",
         )

@@ -40,13 +40,7 @@ from .lagrange import (
 )
 from .quadratics import GeneralizedQuadratic
 from .randomgen import RandomSpec, random_instance
-from .report import _fmt, _fmt_member, _fmt_vec, report_json, report_table, run_report
-
-
-def _print_rows(rows: list[tuple[str, str]]) -> None:
-    width = max(len(k) for k, _ in rows) + 2
-    for k, v in rows:
-        print(f"{k:<{width}}{v}")
+from .report import _fmt, _fmt_member, _fmt_rows, _fmt_vec, report_json, report_table, run_report
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +145,7 @@ def _cmd_conjugate(args) -> int:
         ("composite maximizer", "-" if cstar.maximizer is None else _fmt_vec(cstar.maximizer)),
         ("engine", f"{fstar.engine}/{cstar.engine}"),
     ]
-    _print_rows(rows)
+    print(_fmt_rows(rows), end="")
     return 0
 
 
@@ -175,7 +169,7 @@ def _cmd_certify(args) -> int:
         check = verify_gap_certificate(inst, data["certs"][0])
         rows = [(k, str(v)) for k, v in check.conditions.items()]
         rows.append(("verdict", "holds" if check.holds else "does not hold"))
-        _print_rows(rows)
+        print(_fmt_rows(rows), end="")
         return 0
     certs = tuple(data["certs"]) or None
     result = verify_optimality_at(inst, data["x"], eps_ladder=data["ladder"], certs=certs)
@@ -186,7 +180,7 @@ def _cmd_certify(args) -> int:
     rows.append(("value at x", _fmt(result.value_at_x)))
     rows.append(("primal value", _fmt(result.primal)))
     rows.append(("verdict", "holds" if result.holds else "does not hold"))
-    _print_rows(rows)
+    print(_fmt_rows(rows), end="")
     return 0
 
 
@@ -208,7 +202,7 @@ def _cmd_strong(args) -> int:
         ("input membership", str(epi_contains(inst, "f", EpiPoint(split.phi1, split.c_phi)))),
         ("output membership", str(epi_contains(inst, "g", EpiPoint(split.psi, split.c_psi)))),
     ]
-    _print_rows(rows)
+    print(_fmt_rows(rows), end="")
     return 0
 
 
@@ -244,7 +238,7 @@ def _cmd_lagrange(args) -> int:
                 ("intersection property",
                  f"holds at t={witness.t0:.12g} (min {_fmt(witness.min_value)})")
             )
-    _print_rows(rows)
+    print(_fmt_rows(rows), end="")
     return 0
 
 

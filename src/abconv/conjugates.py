@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .config import VALUE_TOL, global_tol
+from .config import TOL, VALUE_TOL
 from .errors import InvariantViolation
 from .objectives import INF, Box, Objective, mesh_windows, shrink_windows
 from .quadratics import Family, GeneralizedQuadratic, quadratic_form
@@ -108,17 +108,16 @@ def conjugate_closed_form(
         raise InvariantViolation("closed-form engine needs an unconstrained quadratic")
     if q.dim != phi.dim:
         raise InvariantViolation("dimension mismatch in conjugate")
-    tol = global_tol()
     D = phi.A - q.A
     v = phi.u - q.u
     k = phi.c - q.c
     w, V = np.linalg.eigh(D)
-    scale = tol * max(1.0, float(np.max(np.abs(w), initial=0.0)))
+    scale = TOL * max(1.0, float(np.max(np.abs(w), initial=0.0)))
     if np.any(w > scale):
         return ConjugateValue(INF, None, "closed", "unbounded-direction")
     coeffs = V.T @ v
     ker = np.abs(w) <= scale
-    ktol = tol * max(1.0, float(np.max(np.abs(v), initial=0.0)))
+    ktol = TOL * max(1.0, float(np.max(np.abs(v), initial=0.0)))
     if np.any(np.abs(coeffs[ker]) > ktol):
         return ConjugateValue(INF, None, "closed", "linear-escape")
     neg = w < -scale
@@ -137,9 +136,7 @@ def minimize_quadratic(q: GeneralizedQuadratic) -> tuple[float, np.ndarray | Non
     return -res.value, res.maximizer
 
 
-def _quadratic_sup_many(
-    D: np.ndarray, v: np.ndarray, k: float | np.ndarray, tol: float
-) -> np.ndarray:
+def _quadratic_sup_many(D: np.ndarray, v: np.ndarray, k: float | np.ndarray) -> np.ndarray:
     """``sup_x x.D_b x + v.x + k_b`` for a stack of symmetric matrices.
 
     ``D`` has shape (B, n, n); the linear terms ``v`` are shared, shape
@@ -150,7 +147,7 @@ def _quadratic_sup_many(
     split as ``conjugate_closed_form``)."""
     w, V = np.linalg.eigh(D)
     k = np.broadcast_to(np.asarray(k, dtype=float), (len(D),))
-    scale = tol * np.maximum(1.0, np.max(np.abs(w), axis=1, initial=0.0))[:, None]
+    scale = TOL * np.maximum(1.0, np.max(np.abs(w), axis=1, initial=0.0))[:, None]
     live = ~np.any(w > scale, axis=1)
     out = np.full((len(D), v.shape[-2]), INF)
     w, V, scale = w[live], V[live], scale[live]
@@ -167,7 +164,7 @@ def _quadratic_sup_many(
     vals = k[live][:, None] - 0.25 * total
     ker = ~neg  # live rows have no ascent direction
     if np.any(ker):
-        ktol = tol * np.maximum(1.0, np.max(np.abs(v), axis=-1, initial=0.0))
+        ktol = TOL * np.maximum(1.0, np.max(np.abs(v), axis=-1, initial=0.0))
         for i in np.flatnonzero(np.any(ker, axis=0)):
             vals[(np.abs(coeffs[..., i]) > ktol) & ker[:, None, i]] = INF
     out[live] = vals
@@ -329,10 +326,8 @@ class FamilySearchGrid:
         check_mesh_size(self.slope_points_per_axis, self.family.dim)
         if len(self.curvatures) == 0:
             raise InvariantViolation("curvature list must be nonempty")
-        # CurvatureSpec.admits, with the tolerance read once per grid
-        spec, tol = self.family.curvature, global_tol()
         for a in self.curvatures:
-            if not abs(a - spec.nearest_admissible(a)) <= tol:
+            if not self.family.curvature.admits(a):
                 raise InvariantViolation(f"curvature {a} not admissible")
 
     @classmethod
@@ -406,7 +401,7 @@ def family_conjugate_table(
     if q is not None:
         betas = np.asarray(search.curvatures)[:, None, None]
         D = betas * np.eye(q.dim) - q.A
-        return _quadratic_sup_many(D, slopes - q.u, -q.c, global_tol())
+        return _quadratic_sup_many(D, slopes - q.u, -q.c)
     if f.dim != search.family.dim:
         raise InvariantViolation("dimension mismatch in conjugate")
     mats = [GeneralizedQuadratic.iso(f.dim, beta).A for beta in search.curvatures]
@@ -562,10 +557,10 @@ def eps_subdiff_contains(
     engine: str = "auto",
     grid: GridSpec | None = None,
 ) -> bool:
-    """Membership test ``f(x) + f*(phi) <= phi(x) + eps`` (slack ``global_tol()``)."""
+    """Membership test ``f(x) + f*(phi) <= phi(x) + eps`` (slack ``TOL``)."""
     if eps < 0:
         raise InvariantViolation("eps must be nonnegative")
-    return _subdiff_holds(_subdiff_terms(f, phi, x, engine, grid), eps, global_tol())
+    return _subdiff_holds(_subdiff_terms(f, phi, x, engine, grid), eps)
 
 
 def _subdiff_terms(f, phi, x, engine="auto", grid=None) -> tuple[float, float, float]:
@@ -577,10 +572,10 @@ def _subdiff_terms(f, phi, x, engine="auto", grid=None) -> tuple[float, float, f
     return fx, fstar, float(phi(np.asarray(x, dtype=float)))
 
 
-def _subdiff_holds(terms: tuple[float, float, float], eps: float, tol: float) -> bool:
+def _subdiff_holds(terms: tuple[float, float, float], eps: float) -> bool:
     """``eps_subdiff_contains`` at one eps, from the terms of ``_subdiff_terms``."""
     fx, fstar, phi_x = terms
-    return fstar != INF and fx + fstar <= phi_x + eps + tol
+    return fstar != INF and fx + fstar <= phi_x + eps + TOL
 
 
 def dom_conjugate_probe(
@@ -610,12 +605,11 @@ def dom_conjugate_probe(
     sq = np.sum(X * X, axis=1)
     lin = X @ slopes.T
     eps_min = float(min(eps_list))
-    tol = global_tol()
     survivors: list[tuple[float, tuple[float, ...]]] = []
     for i, beta in enumerate(search.curvatures):
         row = table[i]
         phi_vals = beta * sq[:, None] + lin
         slack = np.min(fvals[:, None] + row[None, :] - phi_vals, axis=0)
-        for j in np.nonzero(slack <= eps_min + tol)[0]:
+        for j in np.nonzero(slack <= eps_min + TOL)[0]:
             survivors.append((float(beta), tuple(float(s) for s in slopes[j])))
     return survivors

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .config import VALUE_TOL, global_tol
+from .config import TOL, VALUE_TOL
 from .conjugates import (
     FamilySearchGrid,
     GridSpec,
@@ -227,7 +227,7 @@ def composite_inf_table(instance: ProblemInstance) -> np.ndarray:
         # q_v(x) = f(x) + beta*||Lx||^2 + (M^T v).x ; inf = -sup(-q_v)
         betas = np.asarray(search.curvatures)[:, None, None]
         D = -(q.A + betas * (M.T @ M))
-        return -_quadratic_sup_many(D, -(slopes @ M + q.u), -q.c, global_tol())
+        return -_quadratic_sup_many(D, -(slopes @ M + q.u), -q.c)
 
     fvals = instance.f_on_mesh
     ok = np.isfinite(fvals)
@@ -459,22 +459,21 @@ def _check_terms(terms: dict, eps: float, require_zero_sum: bool = False) -> Cer
     """The conditions and details of a certificate at one eps."""
     if eps < 0:
         raise InvariantViolation("certificate eps must be nonnegative")
-    tol = global_tol()
     conditions = {"psi_in_family": terms["psi_in_family"],
-                  "psi_subgradient": _subdiff_holds(terms["psi_subgradient"], eps, tol)}
+                  "psi_subgradient": _subdiff_holds(terms["psi_subgradient"], eps)}
     if terms["kind"] == "thm42":
         sup0, bound = terms["conjugate_at_zero"], terms["slack"] + eps
-        conditions["conjugate_bound"] = sup0 <= bound + tol
+        conditions["conjugate_bound"] = sup0 <= bound + TOL
         details = {"conjugate_at_zero": sup0, "bound": bound}
     else:
         low, at_x = terms["sum_min"], terms["sum_at_x"]
         conditions["phi_in_family"] = terms["phi_in_family"]
-        conditions["phi_subgradient"] = _subdiff_holds(terms["phi_subgradient"], eps, tol)
-        conditions["sum_lower_bound"] = low >= -eps - tol
-        conditions["sum_small_at_x"] = at_x <= eps + tol
+        conditions["phi_subgradient"] = _subdiff_holds(terms["phi_subgradient"], eps)
+        conditions["sum_lower_bound"] = low >= -eps - TOL
+        conditions["sum_small_at_x"] = at_x <= eps + TOL
         details = {"sum_min": low, "sum_at_x": at_x}
         if require_zero_sum:
-            conditions["sum_identically_zero"] = terms["combo"].is_zero(tol)
+            conditions["sum_identically_zero"] = terms["combo"].is_zero()
     return CertificateCheck(all(conditions.values()), terms["kind"], conditions, details)
 
 
@@ -593,13 +592,12 @@ def epi_contains(
     instance: ProblemInstance,
     target: str,
     point: EpiPoint,
-    tol: float | None = None,
+    tol: float = TOL,
 ) -> bool:
     """Whether ``point.r >= (target function)*(point.phi)``.
 
     target is one of "f", "g", "g_of_L", "composite"; the member must belong
     to the matching class."""
-    tol = global_tol() if tol is None else tol
     obj, family = _target_objective(instance, target)
     if not family.contains(point.phi):
         raise InvariantViolation("epigraph point member is outside the class")
@@ -629,8 +627,7 @@ def epi_decompose(
     member is tried first), keeps candidates whose difference phi - psi o L
     stays in the input class, gives psi its minimal level g*(psi), and accepts
     when f*(phi - psi o L) fits under the remaining level."""
-    tol = global_tol()
-    if not epi_contains(instance, "composite", point, tol=max(tol, 1e-6)):
+    if not epi_contains(instance, "composite", point, tol=VALUE_TOL):
         raise InvariantViolation("point is not in the composite conjugate epigraph")
     search = instance.psi_search
     slopes = search.slopes()
@@ -647,7 +644,7 @@ def epi_decompose(
             continue
         c_phi = point.r - c_psi
         fstar = conjugate_value(instance.f, phi1, grid=instance.x_search).value
-        if fstar <= c_phi + tol:
+        if fstar <= c_phi + TOL:
             return Decomposition(phi1, c_phi, psi, c_psi)
     return None
 
@@ -661,7 +658,7 @@ class ConditionCheck:
 
 
 def _nonneg_quadratic_minorant(
-    family: Family, h: GeneralizedQuadratic, tol: float
+    family: Family, h: GeneralizedQuadratic
 ) -> GeneralizedQuadratic | None:
     """A class member phi1 <= h (exact construction), or None.
 
@@ -673,7 +670,7 @@ def _nonneg_quadratic_minorant(
         return None
     c = h.c
     if not family.includes_constants:
-        if h.c < -tol:
+        if h.c < -TOL:
             return None
         c = 0.0
     return GeneralizedQuadratic.iso(h.dim, alpha, h.u, min(c, h.c))
@@ -702,7 +699,6 @@ def decomposition_condition_check(
     which = "d": the input class is closed under differences, and the given
     witness (psi, x, phi_eps, eps1, eps2) satisfies the eps-subgradient and
     strict-gap inequalities."""
-    tol = global_tol()
     conditions: dict[str, bool] = {}
     details: dict[str, float | str] = {}
     search = instance.psi_search
@@ -710,14 +706,14 @@ def decomposition_condition_check(
     if which == "a":
         if phi is None or r is None:
             raise InvariantViolation("condition (a) needs the pair (phi, r)")
-        if not epi_contains(instance, "g_of_L", EpiPoint(phi, r), tol=max(tol, 1e-6)):
+        if not epi_contains(instance, "g_of_L", EpiPoint(phi, r), tol=VALUE_TOL):
             raise InvariantViolation("(phi, r) is not in the epigraph of (g o L)*")
         gstar = g_conjugate_table(instance).ravel()
         best_miss = INF
-        for k in np.flatnonzero(gstar <= r + tol):
+        for k in np.flatnonzero(gstar <= r + TOL):
             member = search.member_at(k)
             low, _ = minimize_quadratic(combine(1.0, pullback(member, instance.L), -1.0, phi))
-            if low >= -tol:
+            if low >= -TOL:
                 return _psi_found(which, member)
             best_miss = min(best_miss, -low)
         return ConditionCheck(False, which, {"majorizing_psi_found": False},
@@ -726,15 +722,15 @@ def decomposition_condition_check(
     if which == "b":
         def admissible(member: GeneralizedQuadratic) -> tuple[bool, float, float]:
             gs = conjugate_value(instance.g, member, grid=instance.y_search).value
-            if gs > tol:
+            if gs > TOL:
                 return False, gs, -INF
             diff = _g_of_l_gap(instance, member)
-            return diff >= -tol, gs, diff
+            return diff >= -TOL, gs, diff
 
         if psi is not None:
             ok, gs, diff = admissible(psi)
-            conditions["gstar_nonpositive"] = gs <= tol
-            conditions["majorizes_g_of_L"] = diff >= -tol
+            conditions["gstar_nonpositive"] = gs <= TOL
+            conditions["majorizes_g_of_L"] = diff >= -TOL
             details["gstar"] = gs
             details["min_psi_oL_minus_g_oL"] = diff
             return ConditionCheck(ok, which, conditions, details)
@@ -748,13 +744,13 @@ def decomposition_condition_check(
         if phi is None or psi is None:
             raise InvariantViolation("condition (c) needs phi and psi")
         if r is not None and not epi_contains(
-            instance, "composite", EpiPoint(phi, r), tol=max(tol, 1e-6)
+            instance, "composite", EpiPoint(phi, r), tol=VALUE_TOL
         ):
             raise InvariantViolation("(phi, r) is not in the composite epigraph")
         pb = pullback(psi, instance.L)
         h1 = combine(1.0, phi, -1.0, pb)
-        m1 = _nonneg_quadratic_minorant(instance.phi, h1, tol)
-        m2 = _nonneg_quadratic_minorant(instance.phi, pb, tol)
+        m1 = _nonneg_quadratic_minorant(instance.phi, h1)
+        m2 = _nonneg_quadratic_minorant(instance.phi, pb)
         conditions["difference_has_minorant"] = m1 is not None
         conditions["pullback_has_minorant"] = m2 is not None
         if m1 is not None:

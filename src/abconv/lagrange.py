@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import VALUE_TOL, global_tol
+from .config import TOL, VALUE_TOL
 from .conjugates import (
     _VALUE_BLOCK,
     _biconjugate_argmax,
@@ -210,7 +210,7 @@ def _combo_matrices(
 
 
 def _combo_min_many(
-    phi1: GeneralizedQuadratic, phi2: GeneralizedQuadratic, ts: np.ndarray, tol: float
+    phi1: GeneralizedQuadratic, phi2: GeneralizedQuadratic, ts: np.ndarray
 ) -> np.ndarray:
     """``min_z [t*phi1 + (1-t)*phi2](z)`` at every t, with one batched
     eigendecomposition: ``min q = -sup(-q)``, and ``sup(-q)`` is +inf along
@@ -219,15 +219,15 @@ def _combo_min_many(
     v = -(s * phi1.u + (1.0 - s) * phi2.u)
     k = -(ts * phi1.c + (1.0 - ts) * phi2.c)
     D = -_combo_matrices(phi1, phi2, ts)
-    return -_quadratic_sup_many(D, v[:, None, :], k, tol)[:, 0]
+    return -_quadratic_sup_many(D, v[:, None, :], k)[:, 0]
 
 
-def _zoom(a: float, b: float, locate, t_tol: float) -> tuple[float, float]:
-    """Shrink the bracket [a, b] to width t_tol.  Each round samples it at
+def _zoom(a: float, b: float, locate) -> tuple[float, float]:
+    """Shrink the bracket [a, b] to width ``_ZOOM_T_TOL``.  Each round samples it at
     ``_ZOOM_POINTS`` evenly spaced points ``ts`` in one batched call and keeps
     ``[ts[i], ts[j]]`` for ``(i, j) = locate(ts)``; it stops early once no
     float lies strictly inside the bracket."""
-    while b - a > t_tol:
+    while b - a > _ZOOM_T_TOL:
         ts = np.linspace(a, b, _ZOOM_POINTS)
         i, j = locate(ts)
         if ts[j] - ts[i] >= b - a:
@@ -254,7 +254,6 @@ def intersection_property(
         raise InvariantViolation("dimension mismatch")
     if np.isnan(alpha):
         raise InvariantViolation("alpha must not be NaN")
-    tol = global_tol()
     candidates: set[float] = {0.0, 1.0}
 
     # slope cancellation: u(t) = t*u1 + (1-t)*u2 = 0 (needle maxima of m)
@@ -283,24 +282,24 @@ def intersection_property(
     scan = np.linspace(0.0, 1.0, 101)
     neg = negative(scan)
     for i in np.flatnonzero(neg[:-1] != neg[1:]):
-        candidates.update(_zoom(float(scan[i]), float(scan[i + 1]), sign_change, _ZOOM_T_TOL))
+        candidates.update(_zoom(float(scan[i]), float(scan[i + 1]), sign_change))
 
     # coarse scan for a finite bracket, then zoom in on its best point
     def around_max(ts: np.ndarray) -> tuple[int, int]:
-        i = int(np.argmax(_combo_min_many(phi1, phi2, ts, tol)))
+        i = int(np.argmax(_combo_min_many(phi1, phi2, ts)))
         return max(i - 1, 0), min(i + 1, len(ts) - 1)
 
     tgrid = np.linspace(0.0, 1.0, 1001)
-    scan_vals = _combo_min_many(phi1, phi2, tgrid, tol)
+    scan_vals = _combo_min_many(phi1, phi2, tgrid)
     best_idx = int(np.argmax(scan_vals))
     if np.isfinite(scan_vals[best_idx]):
         lo, hi = max(best_idx - 1, 0), min(best_idx + 1, len(tgrid) - 1)
-        a, b = _zoom(float(tgrid[lo]), float(tgrid[hi]), around_max, _ZOOM_T_TOL)
+        a, b = _zoom(float(tgrid[lo]), float(tgrid[hi]), around_max)
         candidates.add(0.5 * (a + b))
         candidates.add(float(tgrid[best_idx]))
 
     ts = np.array(sorted(candidates))
-    vals = _combo_min_many(phi1, phi2, ts, tol)
+    vals = _combo_min_many(phi1, phi2, ts)
     k = int(np.argmax(vals))  # the first maximum: the smallest t0
     if vals[k] == -INF or vals[k] < alpha - _WITNESS_TOL:
         return None
@@ -332,7 +331,7 @@ def _value_function_many(ctx: LagrangianContext, Y: np.ndarray) -> np.ndarray:
         U = inst.f.quad.u + (2.0 * (Y @ gq.A) + gq.u) @ inst.L.matrix
         C = inst.f.quad.c + gq(Y)
         # V = -sup(0 - q_y), the differences formed as minimize_quadratic forms them
-        sup = _quadratic_sup_many((0.0 - A)[None], 0.0 - U, 0.0, global_tol())[0]
+        sup = _quadratic_sup_many((0.0 - A)[None], 0.0 - U, 0.0)[0]
         return -((0.0 - C) + sup)
     X = inst.x_search.mesh()
     fv, LX = inst.f_on_mesh, inst.L.apply(X)
@@ -413,7 +412,6 @@ def support_point_scan(
     ``g(L x0) <= 0``.  All four certify sup-inf == inf-sup.  The first two
     depend on psi only and are computed once; the point conditions come
     from one batched evaluation over L X0."""
-    tol = global_tol()
     inst = ctx.instance
     X0 = np.asarray(X0, dtype=float)
     if X0.ndim != 2 or X0.shape[1] != inst.L.in_dim:
@@ -448,11 +446,11 @@ def support_point_scan(
     fx0, psi_at, g_at = inst.f.values(X0)[:n], psi(LX0)[:n], inst.g.values(LX0)[:n]
     sup_a = biconjugate_many(inst.g, LX0, inst.psi_search, ctx.gstar_table())[:n]
     conditions = {
-        "psi_supports_g": np.full(n, low >= -tol),
-        "alpha_below_inf": np.full(n, alpha <= inf_fpsi + tol),
-        "sandwich": (fx0 <= alpha + tol) & (alpha <= psi_at + tol),
-        "point_in_support_set": sup_a <= tol,
-        "g_nonpositive_at_point": g_at <= tol,
+        "psi_supports_g": np.full(n, low >= -TOL),
+        "alpha_below_inf": np.full(n, alpha <= inf_fpsi + TOL),
+        "sandwich": (fx0 <= alpha + TOL) & (alpha <= psi_at + TOL),
+        "point_in_support_set": sup_a <= TOL,
+        "g_nonpositive_at_point": g_at <= TOL,
     }
     details = {
         "support_slack": np.full(n, low),

@@ -8,14 +8,16 @@ from typing import Callable
 import numpy as np
 
 from .errors import InvariantViolation
-from .quadratics import GeneralizedQuadratic, LinearMap
+from .quadratics import GeneralizedQuadratic, LinearMap, _ByBytes
 
 INF = float("inf")
 
 
-@dataclass(frozen=True)
-class Box:
+@dataclass(frozen=True, eq=False)
+class Box(_ByBytes):
     """Axis-aligned box; infinite bounds allowed (whole-space axes)."""
+
+    _ARRAYS = ("lower", "upper")
 
     lower: np.ndarray
     upper: np.ndarray
@@ -46,9 +48,9 @@ class Box:
     def is_finite(self) -> bool:
         return bool(np.all(np.isfinite(self.lower)) and np.all(np.isfinite(self.upper)))
 
-    def contains(self, x, tol: float = 0.0) -> bool:
+    def contains(self, x) -> bool:
         x = np.asarray(x, dtype=float)
-        return bool(np.all(x >= self.lower - tol) and np.all(x <= self.upper + tol))
+        return bool(np.all(x >= self.lower) and np.all(x <= self.upper))
 
     def contains_batch(self, X: np.ndarray) -> np.ndarray:
         return np.all(X >= self.lower, axis=1) & np.all(X <= self.upper, axis=1)

@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .config import global_tol
+from .config import TOL
 from .errors import InvariantViolation
 
 SYMMETRY_RTOL = 1e-12
@@ -67,9 +67,29 @@ def quadratic_form(X: np.ndarray, A: np.ndarray) -> np.ndarray:
     return acc
 
 
-@dataclass(frozen=True)
-class GeneralizedQuadratic:
+class _ByBytes:
+    """``==`` and ``hash`` over the shapes and bytes of the fields named in
+    ``_ARRAYS``, so -0.0 and 0.0 differ as in the report bytes.  Dataclasses
+    that use it pass ``eq=False``, which keeps these methods."""
+
+    def _key(self) -> tuple:
+        arrays = (np.asarray(getattr(self, name)) for name in self._ARRAYS)
+        return tuple((a.shape, a.tobytes()) for a in arrays)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+
+@dataclass(frozen=True, eq=False)
+class GeneralizedQuadratic(_ByBytes):
     """``q(x) = x.A x + u.x + c`` on R^dim, A symmetric (unhalved form)."""
+
+    _ARRAYS = ("A", "u", "c")
 
     dim: int
     A: np.ndarray
@@ -147,8 +167,7 @@ class GeneralizedQuadratic:
             self(y),
         )
 
-    def is_zero(self, tol: float | None = None) -> bool:
-        tol = global_tol() if tol is None else tol
+    def is_zero(self, tol: float = TOL) -> bool:
         return (
             float(np.max(np.abs(self.A), initial=0.0)) <= tol
             and float(np.max(np.abs(self.u), initial=0.0)) <= tol
@@ -266,13 +285,13 @@ class CurvatureSpec:
         return max(lo, min(hi, alpha))  # max(0.0, -0.0) is 0.0
 
     def admits(self, alpha: float) -> bool:
-        return abs(alpha - self.nearest_admissible(alpha)) <= global_tol()
+        return abs(alpha - self.nearest_admissible(alpha)) <= TOL
 
     def largest_at_most(self, bound: float) -> float | None:
-        """Largest admissible curvature <= bound (within ``global_tol()``),
+        """Largest admissible curvature <= bound (within ``TOL``),
         or None if none exists."""
         lo, hi = self.interval
-        return max(lo, min(hi, bound)) if lo <= bound + global_tol() else None
+        return max(lo, min(hi, bound)) if lo <= bound + TOL else None
 
     @property
     def closed_under_differences(self) -> bool:
@@ -327,28 +346,29 @@ class Family:
         element every class is assumed to carry), including fixed-curvature
         classes whose value is nonzero.
         """
-        tol = global_tol()
         if q.dim != self.dim:
             return False
-        if not self.includes_constants and abs(q.c) > tol:
+        if not self.includes_constants and abs(q.c) > TOL:
             return False
-        if q.is_zero(tol):
+        if q.is_zero():
             return True
         diag = np.diagonal(q.A)
         alpha = self.curvature.nearest_admissible(
             0.5 * (float(np.max(diag)) + float(np.min(diag)))
         )
         off = q.A - alpha * np.eye(self.dim)
-        return float(np.max(np.abs(off), initial=0.0)) <= tol
+        return float(np.max(np.abs(off), initial=0.0)) <= TOL
 
 
 # ---------------------------------------------------------------------------
 # Linear maps
 
 
-@dataclass(frozen=True)
-class LinearMap:
+@dataclass(frozen=True, eq=False)
+class LinearMap(_ByBytes):
     """Dense linear map R^in_dim -> R^out_dim."""
+
+    _ARRAYS = ("matrix",)
 
     matrix: np.ndarray
 

@@ -87,6 +87,13 @@ def _fmt_member(member: dict) -> str:
     return f"a={_fmt(member['a'])} u={_fmt_vec(member['u'])} c={_fmt(member['c'])}"
 
 
+def _fmt_rows(rows: list[tuple[str, str]]) -> str:
+    """Key/value rows as fixed-width lines: keys padded to the longest key
+    plus two spaces."""
+    width = max(len(k) for k, _ in rows) + 2
+    return "".join(f"{k:<{width}}{v}\n" for k, v in rows)
+
+
 def report_table(report: dict) -> str:
     """Fixed-width text table over the scalar report fields."""
     rows = [("instance", report["name"] or "(unnamed)")]
@@ -102,5 +109,4 @@ def report_table(report: dict) -> str:
         else:
             rows.append((label, f"{entry['kind']} holds={entry['holds']}"))
     rows.append(("weak duality", "ok" if report["weak_duality_ok"] else "VIOLATED"))
-    width = max(len(k) for k, _ in rows) + 2
-    return "\n".join(f"{k:<{width}}{v}" for k, v in rows) + "\n"
+    return _fmt_rows(rows)

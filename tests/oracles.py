@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from abconv.config import global_tol
+from abconv.config import TOL
 from abconv.conjugates import _QUERY_BLOCK, biconjugate_at, minimize_quadratic
 from abconv.errors import InvariantViolation
 from abconv.lagrange import (
@@ -267,11 +267,10 @@ def conjugate_table_dense(f, search, grid):
     return out
 
 
-def support_point_dense(ctx, psi, x0, alpha, tol=None):
+def support_point_dense(ctx, psi, x0, alpha):
     """Reference support-point zero-gap check: the scalar check as it was
     before ``support_point_scan``, one base point per call, recomputing the
     psi-only conditions and taking g** at L x0 from a one-row batch."""
-    tol = global_tol() if tol is None else tol
     inst = ctx.instance
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     Lx0 = inst.L.apply(x0)
@@ -286,7 +285,7 @@ def support_point_dense(ctx, psi, x0, alpha, tol=None):
         gv = inst.g.values(Y)
         ok = np.isfinite(gv)
         low = float(np.min(gv[ok] - np.asarray(psi(Y[ok])))) if np.any(ok) else INF
-    conditions["psi_supports_g"] = low >= -tol
+    conditions["psi_supports_g"] = low >= -TOL
     details["support_slack"] = low
 
     # (level): alpha <= inf_x f + psi o L
@@ -298,21 +297,21 @@ def support_point_dense(ctx, psi, x0, alpha, tol=None):
         ok = np.isfinite(fv)
         pb = pullback(psi, inst.L)
         inf_fpsi = float(np.min(fv[ok] + np.asarray(pb(X[ok])))) if np.any(ok) else INF
-    conditions["alpha_below_inf"] = alpha <= inf_fpsi + tol
+    conditions["alpha_below_inf"] = alpha <= inf_fpsi + TOL
     details["inf_f_plus_psi"] = inf_fpsi
 
     # (sandwich): f(x0) <= alpha <= psi(L x0)
     fx0 = inst.f.value(x0)
     psi_at = float(psi(Lx0))
-    conditions["sandwich"] = fx0 <= alpha + tol and alpha <= psi_at + tol
+    conditions["sandwich"] = fx0 <= alpha + TOL and alpha <= psi_at + TOL
     details["f_at_x0"] = fx0
     details["psi_at_Lx0"] = psi_at
 
     # (point): L x0 supported by g* over the member grid, or g(L x0) <= 0
     sup_a = biconjugate_at(inst.g, Lx0, inst.psi_search, table=ctx.gstar_table())
     g_at = inst.g.value(Lx0)
-    point_in_a = sup_a <= tol
-    g_nonpos = g_at <= tol
+    point_in_a = sup_a <= TOL
+    g_nonpos = g_at <= TOL
     conditions["point_in_support_set"] = point_in_a
     conditions["g_nonpositive_at_point"] = g_nonpos
     details["sup_member_minus_gstar"] = sup_a
@@ -366,20 +365,19 @@ def nearest_admissible_chain(spec, alpha):
 
 
 def admits_chain(spec, alpha):
-    return abs(alpha - nearest_admissible_chain(spec, alpha)) <= global_tol()
+    return abs(alpha - nearest_admissible_chain(spec, alpha)) <= TOL
 
 
 def largest_at_most_chain(spec, bound):
-    tol = global_tol()
     if spec.kind == "any":
         return bound
     if spec.kind == "nonpos":
         return min(0.0, bound)
     if spec.kind == "zero":
-        return 0.0 if bound >= -tol else None
+        return 0.0 if bound >= -TOL else None
     if spec.kind == "nonneg":
-        return max(0.0, bound) if bound >= -tol else None
-    return spec.value if spec.value <= bound + tol else None  # fixed
+        return max(0.0, bound) if bound >= -TOL else None
+    return spec.value if spec.value <= bound + TOL else None  # fixed
 
 
 def grid_chain(spec, points=21):

@@ -1,14 +1,16 @@
 """End-to-end CLI behaviour: exit codes, stdout rows, files written."""
 
 import json
+import os
 import re
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from abconv import catalog_instance, global_tol, report_json, run_report
+from abconv import catalog_instance, report_json, run_report
 from abconv.cli import main, parse_epi_point, parse_member
 
 
@@ -420,16 +422,29 @@ class TestUsageAndEnvironment:
         assert exc.value.code == 2
         capsys.readouterr()
 
-    def test_tol_env_override(self, monkeypatch):
-        monkeypatch.delenv("ABCONV_TOL", raising=False)
-        assert global_tol() == 1e-9
-        monkeypatch.setenv("ABCONV_TOL", "1e-3")
-        assert global_tol() == 1e-3
-        monkeypatch.setenv("ABCONV_TOL", "")
-        assert global_tol() == 1e-9
-        monkeypatch.setenv("ABCONV_TOL", "-1")
-        with pytest.raises(ValueError):
-            global_tol()
+    @pytest.mark.parametrize("value", ["1e-3", "-1", "abc"])
+    def test_results_do_not_depend_on_the_environment(self, value, tmp_path):
+        """The tolerances are fixed: a stray, malformed or negative
+        ABCONV_TOL (once a knob) changes neither the exit code nor a byte."""
+        out = tmp_path / "gap.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "abconv", "gap", "ex4.7", "--json", str(out)],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "ABCONV_TOL": value},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert out.read_text() == report_json(run_report(catalog_instance("ex4.7")))
+
+    def test_the_package_reads_no_environment_variable(self):
+        """No module of the package imports os, so no setting can come in
+        through the environment unnoticed."""
+        src = Path(__file__).resolve().parent.parent / "src" / "abconv"
+        modules = sorted(src.glob("*.py"))
+        assert modules
+        for path in modules:
+            text = path.read_text()
+            assert not re.search(r"^\s*(import|from)\s+os\b", text, re.M), path.name
+            assert "os.environ" not in text and "getenv" not in text, path.name
 
     @pytest.mark.skipif(
         shutil.which("abconv") is None,

@@ -241,6 +241,75 @@ class TestSearchGridFields:
         assert loaded.slopes().tobytes() == default.slopes().tobytes()
 
 
+MODEL_CLASSES = ("GeneralizedQuadratic", "Box", "LinearMap", "GridSpec",
+                 "FamilySearchGrid", "Objective", "ProblemInstance")
+# The leaf array each model is built on; moving one of its entries by one
+# ulp must make the model unequal.
+MODEL_LEAF = {"GeneralizedQuadratic": "quad", "Box": "box", "LinearMap": "L",
+              "GridSpec": "box", "FamilySearchGrid": "box", "Objective": "quad",
+              "ProblemInstance": "L"}
+
+
+def _model(name: str, dim: int, bump: str = "") -> object:
+    """A fresh model of class ``name`` in dimension dim; the leaf named by
+    ``bump`` has its last entry one ulp higher."""
+    def leaf(key, values):
+        values = np.array(values, dtype=float)
+        if key == bump:
+            values.flat[-1] = np.nextafter(values.flat[-1], INF)
+        return values
+
+    quad = GeneralizedQuadratic(dim, np.eye(dim), leaf("quad", np.arange(1.0, dim + 1)), 0.5)
+    box = Box(-np.ones(dim), leaf("box", np.arange(1.0, dim + 1)))
+    L = LinearMap(leaf("L", np.arange(1.0, dim * dim + 1).reshape(dim, dim)))
+    grid = GridSpec(box, 5, 1)
+    family = Family(dim, CurvatureSpec.nonneg())
+    search = FamilySearchGrid(family, box, 3, (0.0, 1.0))
+    f = Objective.quadratic(quad, domain_box=box)
+    g = Objective.quadratic(GeneralizedQuadratic.iso(dim, 1.0))
+    inst = ProblemInstance(f, g, L, family, family, search, grid, grid, "eq")
+    return {"GeneralizedQuadratic": quad, "Box": box, "LinearMap": L, "GridSpec": grid,
+            "FamilySearchGrid": search, "Objective": f, "ProblemInstance": inst}[name]
+
+
+class TestModelEquality:
+    """Models compare and hash by value: array leaves by shape and bytes
+    (so -0.0 and 0.0 differ, as in the report bytes), composites through
+    their fields."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("name", MODEL_CLASSES)
+    def test_equal_copies_compare_and_hash_alike(self, name, dim):
+        a, b = _model(name, dim), _model(name, dim)
+        assert a is not b
+        assert a == b and not a != b
+        assert hash(a) == hash(b)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("name", MODEL_CLASSES)
+    def test_one_ulp_makes_them_unequal(self, name, dim):
+        a, b = _model(name, dim), _model(name, dim, bump=MODEL_LEAF[name])
+        assert a != b and not a == b
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_cached_meshes_are_not_compared(self, dim):
+        a, b = _model("ProblemInstance", dim), _model("ProblemInstance", dim)
+        a.f_on_mesh, a.g_on_mesh
+        assert a == b and b == a
+        assert hash(a) == hash(b)
+
+    def test_signed_zeros_and_shapes_differ(self):
+        assert GeneralizedQuadratic.zero(2) != GeneralizedQuadratic.iso(2, -0.0)
+        assert Box(np.zeros(1), np.ones(1)) != Box(-np.zeros(1), np.ones(1))
+        assert LinearMap(np.ones((2, 3))) != LinearMap(np.ones((3, 2)))
+
+    def test_a_callable_compares_by_identity(self):
+        fn = np.sum
+        assert Objective.from_callable(2, fn) == Objective.from_callable(2, fn)
+        assert Objective.from_callable(2, fn) != Objective.from_callable(2, lambda x: fn(x))
+        assert len({catalog_instance("ex4.8"), catalog_instance("ex4.8")}) == 1
+
+
 class TestBenchmarkTargets:
     def test_every_traced_function_exists(self):
         """The benchmark's tracer finds each target by module and attribute

@@ -21,7 +21,6 @@ class TestBox:
         box = Box([-1.0, 0.0], [1.0, 2.0])
         assert box.contains([0.0, 1.0])
         assert not box.contains([0.0, 3.0])
-        assert box.contains([0.0, 2.0 + 1e-9], tol=1e-6)
 
     def test_mesh_is_c_ordered(self):
         box = Box([0.0, 0.0], [1.0, 1.0])

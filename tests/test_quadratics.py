@@ -12,12 +12,12 @@ from abconv import (
     Family,
     GeneralizedQuadratic,
     InvariantViolation,
-    global_tol,
     LinearMap,
     combine,
     pullback,
     pullback_shifted,
 )
+from abconv.config import TOL
 from abconv.quadratics import quadratic_form
 
 SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf, 1e300, -1e300, 5e-324, -2.5e-310, 1.0, -3.0])
@@ -243,8 +243,7 @@ SPECS = [CurvatureSpec.zero(), CurvatureSpec.nonneg(), CurvatureSpec.nonpos(),
 
 def _probes() -> list[float]:
     """0, the tolerance and one ulp either side of it, 10 and inf, both signs."""
-    tol = global_tol()
-    pts = [0.0, tol, math.nextafter(tol, 0.0), math.nextafter(tol, math.inf), 10.0, math.inf]
+    pts = [0.0, TOL, math.nextafter(TOL, 0.0), math.nextafter(TOL, math.inf), 10.0, math.inf]
     return pts + [-p for p in pts]
 
 
