@@ -5,7 +5,8 @@ For every generated instance the script checks, at tolerance --tol:
   * conjugate dual <= primal,
   * lagrange dual  <= convexified primal,
   * lagrange dual  == conjugate dual (they share parameter tables),
-  * the instance survives a serialization round trip bit-for-bit,
+  * the instance survives a serialization round trip bit-for-bit, and
+    the instance read back from its file is equal to it,
   * the convexified primal, which prunes mesh points, has the value and the
     first minimizer of f + g**(L.) with g** evaluated at every mesh point,
   * the grid engine's table of g, searched over the default grid with no
@@ -125,8 +126,11 @@ def check_instance(inst: ProblemInstance, tol: float) -> list[str]:
     ):
         problems.append(f"convexified primal {lp.value!r} != dense {float(total[idx])!r}")
     text = dumps(instance_to_dict(inst))
-    if dumps(instance_to_dict(instance_from_dict(json.loads(text)))) != text:
+    loaded = instance_from_dict(json.loads(text))
+    if dumps(instance_to_dict(loaded)) != text:
         problems.append("serialization round trip is not stable")
+    if loaded != inst:
+        problems.append("the instance read back from its file is not equal to it")
     return problems + grid_vs_closed(inst)
 
 

@@ -254,6 +254,8 @@ def _cmd_reproduce(args) -> int:
 
 
 def _cmd_random(args) -> int:
+    if args.seed < 0:
+        raise InstanceParseError(f"--seed: expected a non-negative integer, got {args.seed}")
     spec = RandomSpec.from_dict(read_json(args.spec)) if args.spec else RandomSpec()
     inst = random_instance(spec, args.seed)
     save_instance(inst, args.out)

@@ -16,11 +16,11 @@ import numpy as np
 from .config import TOL, VALUE_TOL
 from .errors import InvariantViolation
 from .objectives import INF, Box, Objective, mesh_windows, shrink_windows
-from .quadratics import Family, GeneralizedQuadratic, quadratic_form
+from .quadratics import Family, GeneralizedQuadratic, _ByBytes, quadratic_form
 
 
-@dataclass(frozen=True)
-class ConjugateValue:
+@dataclass(frozen=True, eq=False)
+class ConjugateValue(_ByBytes):
     """Result of a conjugate evaluation (value may be +/-inf)."""
 
     value: float

@@ -34,6 +34,7 @@ from .quadratics import (
     Family,
     GeneralizedQuadratic,
     LinearMap,
+    _ByBytes,
     combine,
     pullback,
     pullback_shifted,
@@ -168,8 +169,8 @@ def coupling_value(
 # Primal
 
 
-@dataclass(frozen=True)
-class PrimalResult:
+@dataclass(frozen=True, eq=False)
+class PrimalResult(_ByBytes):
     value: float
     minimizer: np.ndarray | None
     engine: str
@@ -385,8 +386,8 @@ def composite_condition_check(
 # Zero-gap certificates
 
 
-@dataclass(frozen=True)
-class GapCertificate:
+@dataclass(frozen=True, eq=False)
+class GapCertificate(_ByBytes):
     """Witness of a (near-)zero duality gap at accuracy eps.
 
     kind "thm42": psi alone must be an eps-subgradient of g at Lx whose dual

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -145,16 +146,29 @@ def _box_from_dict(data, where: str) -> Box:
         raise InstanceParseError(f"{where}: missing field {exc.args[0]!r}") from exc
 
 
+@dataclass(frozen=True)
+class _Blackbox:
+    """A ``blackbox-poly`` objective's callable: its quadratic behind an
+    opaque ``fn``, so every consumer goes through the grid engines, while
+    the writer can still read the payload back."""
+
+    quad: GeneralizedQuadratic
+
+    def __call__(self, x) -> float:
+        return float(self.quad(np.asarray(x, dtype=float)))
+
+
 def _objective_to_dict(obj: Objective) -> dict:
-    if not obj.is_quadratic:
+    quad = obj.fn.quad if isinstance(obj.fn, _Blackbox) else obj.quad
+    if quad is None:
         raise InstanceParseError(
             "only quadratic-backed objectives can be serialized"
         )
     out = {
-        "kind": "quadratic",
-        "A": _floats(obj.quad.A),
-        "u": _floats(obj.quad.u),
-        "c": obj.quad.c + 0.0,
+        "kind": "quadratic" if obj.is_quadratic else "blackbox-poly",
+        "A": _floats(quad.A),
+        "u": _floats(quad.u),
+        "c": quad.c + 0.0,
     }
     if obj.domain_box is not None:
         out["domain_box"] = _box_to_dict(obj.domain_box)
@@ -188,11 +202,7 @@ def _objective_from_dict(data, dim: int, where: str) -> Objective:
         raise InstanceParseError(f"{where}: {exc}") from exc
     if kind == "quadratic":
         return Objective.quadratic(quad, domain_box=box)
-    # blackbox-poly: same payload evaluated behind an opaque callable, so all
-    # consumers must go through the grid engines
-    return Objective.from_callable(
-        dim, lambda x, q=quad: float(q(np.asarray(x, dtype=float))), domain_box=box
-    )
+    return Objective.from_callable(dim, _Blackbox(quad), domain_box=box)
 
 
 def _family_to_dict(family: Family) -> dict:
@@ -239,30 +249,14 @@ def _member_from_dict(data, dim: int, where: str) -> GeneralizedQuadratic:
 # Instances
 
 
-def _without_negative_zero(obj):
-    """Copy of a loaded descriptor with every -0.0 replaced by 0.0 (see
-    ``_floats``)."""
-    if isinstance(obj, dict):
-        return {k: _without_negative_zero(v) for k, v in obj.items()}
-    if isinstance(obj, list):
-        return [_without_negative_zero(v) for v in obj]
-    if isinstance(obj, (float, np.floating)):
-        return obj + 0.0
-    return obj
-
-
 def _default_y_points(n: int, m: int, x_points: int) -> int:
     """The y mesh density of a file that gives none: x's when m == n."""
     return x_points if m == n else default_points_per_axis(m)
 
 
 def instance_to_dict(instance: ProblemInstance) -> dict:
-    """Descriptor dict for an instance (file-loaded instances reuse their
-    original descriptor so blackbox payloads survive).  No float in it is
-    -0.0, so dumping, loading and dumping again gives the same bytes."""
-    source = getattr(instance, "_source", None)
-    if source is not None:
-        return _without_negative_zero(source)
+    """Descriptor dict written from the model.  No float in it is -0.0, so
+    dumping, loading and dumping again gives the same bytes."""
     search = {
         "psi_slope_box": _box_to_dict(instance.psi_search.slope_box),
         "psi_curv_grid": _floats(instance.psi_search.curvatures),
@@ -291,6 +285,13 @@ def instance_to_dict(instance: ProblemInstance) -> dict:
         "psi": _family_to_dict(instance.psi),
         "search": search,
     }
+
+
+def _search_box(search: dict, key: str, dim: int) -> Box:
+    """The box ``search[key]``, or the default cube when the file gives none."""
+    if key not in search:
+        return Box.cube(dim)
+    return _box_from_dict(search[key], f"search.{key}")
 
 
 def instance_from_dict(data: dict) -> ProblemInstance:
@@ -328,21 +329,9 @@ def instance_from_dict(data: dict) -> ProblemInstance:
         "search.y_points_per_axis",
     )
     y_rounds = _as_int(search.get("y_refine_rounds", rounds), "search.y_refine_rounds")
-    x_box = (
-        _box_from_dict(search["x_box"], "search.x_box")
-        if "x_box" in search
-        else Box.cube(n)
-    )
-    y_box = (
-        _box_from_dict(search["y_box"], "search.y_box")
-        if "y_box" in search
-        else Box.cube(m)
-    )
-    slope_box = (
-        _box_from_dict(search["psi_slope_box"], "search.psi_slope_box")
-        if "psi_slope_box" in search
-        else Box.cube(m)
-    )
+    x_box = _search_box(search, "x_box", n)
+    y_box = _search_box(search, "y_box", m)
+    slope_box = _search_box(search, "psi_slope_box", m)
     if "psi_curv_grid" not in search or "psi_slope_points_per_axis" not in search:
         default_grid = FamilySearchGrid.default(psi)
     if "psi_curv_grid" in search:
@@ -366,14 +355,12 @@ def instance_from_dict(data: dict) -> ProblemInstance:
         psi_search = FamilySearchGrid(psi, slope_box, slope_points, curvatures)
         x_search = GridSpec(x_box, points, rounds)
         y_search = GridSpec(y_box, y_points, y_rounds)
-        instance = ProblemInstance(
+        return ProblemInstance(
             f, g, L, phi, psi, psi_search, x_search, y_search,
             name=str(data.get("name", "")),
         )
     except ValueError as exc:
         raise InstanceParseError(str(exc)) from exc
-    object.__setattr__(instance, "_source", data)
-    return instance
 
 
 def read_json(path):

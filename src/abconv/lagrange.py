@@ -39,7 +39,7 @@ from .duality import (
 )
 from .errors import InvariantViolation
 from .objectives import INF
-from .quadratics import GeneralizedQuadratic, combine, pullback
+from .quadratics import GeneralizedQuadratic, _ByBytes, combine, pullback
 
 # lp_value evaluates g** exactly at every 32nd feasible mesh point first: 7,
 # 53 and 42 points of the 1-, 2- and 3-D fuzz meshes.  Every 16th was slower
@@ -112,8 +112,8 @@ def ld_value(ctx: LagrangianContext) -> DualResult:
     )
 
 
-@dataclass(frozen=True)
-class LpResult:
+@dataclass(frozen=True, eq=False)
+class LpResult(_ByBytes):
     value: float
     minimizer: np.ndarray | None
     flags: tuple[str, ...] = ()

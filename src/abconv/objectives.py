@@ -17,8 +17,6 @@ INF = float("inf")
 class Box(_ByBytes):
     """Axis-aligned box; infinite bounds allowed (whole-space axes)."""
 
-    _ARRAYS = ("lower", "upper")
-
     lower: np.ndarray
     upper: np.ndarray
 

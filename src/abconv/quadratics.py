@@ -9,7 +9,7 @@ scalar multiple of the identity, ``A = alpha*I``, with the admissible range of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -68,13 +68,15 @@ def quadratic_form(X: np.ndarray, A: np.ndarray) -> np.ndarray:
 
 
 class _ByBytes:
-    """``==`` and ``hash`` over the shapes and bytes of the fields named in
-    ``_ARRAYS``, so -0.0 and 0.0 differ as in the report bytes.  Dataclasses
-    that use it pass ``eq=False``, which keeps these methods."""
+    """``==`` and ``hash`` field by field: an ndarray or float field by its
+    shape and bytes, so -0.0 and 0.0 differ as in the report bytes, and any
+    other field by its own ``==``.  Dataclasses that use it pass
+    ``eq=False``, which keeps these methods."""
 
     def _key(self) -> tuple:
-        arrays = (np.asarray(getattr(self, name)) for name in self._ARRAYS)
-        return tuple((a.shape, a.tobytes()) for a in arrays)
+        values = (getattr(self, f.name) for f in fields(self))
+        return tuple((np.shape(v), np.asarray(v).tobytes())
+                     if isinstance(v, (np.ndarray, float)) else v for v in values)
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
@@ -88,8 +90,6 @@ class _ByBytes:
 @dataclass(frozen=True, eq=False)
 class GeneralizedQuadratic(_ByBytes):
     """``q(x) = x.A x + u.x + c`` on R^dim, A symmetric (unhalved form)."""
-
-    _ARRAYS = ("A", "u", "c")
 
     dim: int
     A: np.ndarray
@@ -367,8 +367,6 @@ class Family:
 @dataclass(frozen=True, eq=False)
 class LinearMap(_ByBytes):
     """Dense linear map R^in_dim -> R^out_dim."""
-
-    _ARRAYS = ("matrix",)
 
     matrix: np.ndarray
 

@@ -1,5 +1,6 @@
 """End-to-end CLI behaviour: exit codes, stdout rows, files written."""
 
+import ast
 import json
 import os
 import re
@@ -400,6 +401,12 @@ class TestRandom:
         assert main(["gap", str(path)]) == 2
         assert "exceeds" in capsys.readouterr().err
 
+    def test_negative_seed_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        out_file = tmp_path / "inst.json"
+        assert main(["random", "--seed", "-1", "-o", str(out_file)]) == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not out_file.exists()
+
     def test_generated_instance_is_loadable(self, tmp_path, capsys):
         out_file = tmp_path / "inst.json"
         main(["random", "--seed", "11", "-o", str(out_file)])
@@ -445,6 +452,28 @@ class TestUsageAndEnvironment:
             text = path.read_text()
             assert not re.search(r"^\s*(import|from)\s+os\b", text, re.M), path.name
             assert "os.environ" not in text and "getenv" not in text, path.name
+
+    def test_frozen_models_get_no_state_after_construction(self):
+        """``object.__setattr__`` appears only inside a ``__post_init__``, so
+        no hidden state can be attached to a frozen model unnoticed."""
+        src = Path(__file__).resolve().parent.parent / "src" / "abconv"
+        modules = sorted(src.glob("*.py"))
+        assert modules
+        found = []
+
+        def visit(node, function, path):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                function = node.name
+            if (isinstance(node, ast.Attribute) and node.attr == "__setattr__"
+                    and isinstance(node.value, ast.Name) and node.value.id == "object"
+                    and function != "__post_init__"):
+                found.append(f"{path.name}:{node.lineno} in {function}")
+            for child in ast.iter_child_nodes(node):
+                visit(child, function, path)
+
+        for path in modules:
+            visit(ast.parse(path.read_text()), None, path)
+        assert not found
 
     @pytest.mark.skipif(
         shutil.which("abconv") is None,

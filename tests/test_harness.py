@@ -1,6 +1,7 @@
 """Serialization, the bundled catalog, seeded generation, and reports."""
 
 import copy
+import dataclasses
 import hashlib
 import importlib
 import importlib.util
@@ -10,8 +11,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import abconv.instances as instances
 from abconv import (
     Box,
+    ConjugateValue,
     CurvatureSpec,
     Family,
     FamilySearchGrid,
@@ -23,7 +26,9 @@ from abconv import (
     InvariantViolation,
     LagrangianContext,
     LinearMap,
+    LpResult,
     Objective,
+    PrimalResult,
     ProblemInstance,
     RandomSpec,
     UnknownCatalogName,
@@ -31,11 +36,13 @@ from abconv import (
     catalog_names,
     certificate_from_dict,
     certificate_to_dict,
+    conjugate_value,
     dumps,
     instance_from_dict,
     instance_to_dict,
     load_certificate_file,
     load_instance,
+    lp_value,
     lsc_probe_at_zero,
     primal_value,
     random_instance,
@@ -241,6 +248,56 @@ class TestSearchGridFields:
         assert loaded.slopes().tobytes() == default.slopes().tobytes()
 
 
+class TestWriterFromModel:
+    """Files are written from the model alone: what the reader built is what
+    the round trip checks."""
+
+    def test_a_loaded_instance_does_not_alias_its_dict(self, inst47):
+        data = instance_to_dict(inst47)
+        loaded = instance_from_dict(data)
+        before = dumps(instance_to_dict(loaded))
+        data["f"]["c"] = 123.5
+        assert dumps(instance_to_dict(loaded)) == before
+
+    def test_equal_instances_write_equal_bytes(self):
+        # a hand-written file that leaves name and refine_rounds to the reader
+        data = instance_to_dict(catalog_instance("ex4.7"))
+        del data["name"], data["search"]["refine_rounds"]
+        loaded = instance_from_dict(data)
+        copied = dataclasses.replace(loaded)
+        assert copied == loaded
+        assert dumps(instance_to_dict(copied)) == dumps(instance_to_dict(loaded))
+        written = instance_to_dict(loaded)
+        assert written["name"] == "" and written["search"]["refine_rounds"] == 2
+        assert instance_from_dict(json.loads(dumps(written))) == loaded
+
+    def test_blackbox_files(self, inst47):
+        data = instance_to_dict(inst47)
+        data["g"] = dict(data["g"], kind="blackbox-poly")
+        text = dumps(data)
+        a, b = (instance_from_dict(json.loads(text)) for _ in range(2))
+        assert not a.g.is_quadratic
+        assert a == b and hash(a) == hash(b)
+        assert dumps(instance_to_dict(a)) == text
+        renamed = dataclasses.replace(a, name="renamed")
+        assert dumps(instance_to_dict(renamed)) == dumps(dict(json.loads(text), name="renamed"))
+        opaque = dataclasses.replace(a, g=Objective.from_callable(a.g.dim, lambda y: 0.0))
+        with pytest.raises(InstanceParseError, match="only quadratic-backed"):
+            instance_to_dict(opaque)
+
+    def test_the_text_round_trip_catches_a_reader_fault(self, monkeypatch):
+        text = dumps(instance_to_dict(_boxed_1x1(51, 51, 1)))
+        assert dumps(instance_to_dict(instance_from_dict(json.loads(text)))) == text
+        rounds_seen = []
+
+        def grid_ignoring_y_rounds(box, points, rounds):
+            rounds_seen.append(rounds)  # the x mesh is built first
+            return GridSpec(box, points, rounds_seen[0])
+
+        monkeypatch.setattr(instances, "GridSpec", grid_ignoring_y_rounds)
+        assert dumps(instance_to_dict(instance_from_dict(json.loads(text)))) != text
+
+
 MODEL_CLASSES = ("GeneralizedQuadratic", "Box", "LinearMap", "GridSpec",
                  "FamilySearchGrid", "Objective", "ProblemInstance")
 # The leaf array each model is built on; moving one of its entries by one
@@ -308,6 +365,61 @@ class TestModelEquality:
         assert Objective.from_callable(2, fn) == Objective.from_callable(2, fn)
         assert Objective.from_callable(2, fn) != Objective.from_callable(2, lambda x: fn(x))
         assert len({catalog_instance("ex4.8"), catalog_instance("ex4.8")}) == 1
+
+
+RESULT_CLASSES = ("PrimalResult", "ConjugateValue", "LpResult", "GapCertificate")
+
+
+def _result(name: str, dim: int, bump: str = "") -> object:
+    """A fresh result of class ``name`` holding a point of ``dim`` entries;
+    ``bump`` moves the last entry of the "point" or the "value" one ulp up."""
+    x = np.linspace(-1.0, 2.5, dim)
+    value = {"PrimalResult": -2.5, "ConjugateValue": 0.75, "LpResult": -1.25,
+             "GapCertificate": 1e-3}[name]
+    if bump == "point":
+        x[-1] = np.nextafter(x[-1], INF)
+    if bump == "value":
+        value = float(np.nextafter(value, INF))
+    if name == "PrimalResult":
+        return PrimalResult(value, x, "grid", ("infeasible_window",))
+    if name == "ConjugateValue":
+        return ConjugateValue(value, x, "closed", "note")
+    if name == "LpResult":
+        return LpResult(value, x, ("grid_truncated",))
+    return GapCertificate("thm43", value, x, GeneralizedQuadratic.iso(1, -1.0, [2.0]),
+                          GeneralizedQuadratic.iso(dim, 0.5, x))
+
+
+class TestResultEquality:
+    """Results that hold arrays compare and hash like the models: ndarray
+    and float fields by shape and bytes, the other fields by their own ==."""
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("name", RESULT_CLASSES)
+    def test_equal_copies_compare_and_hash_alike(self, name, dim):
+        a, b = _result(name, dim), _result(name, dim)
+        assert a is not b
+        assert a == b and not a != b
+        assert hash(a) == hash(b)
+
+    @pytest.mark.parametrize("bump", ["point", "value"])
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("name", RESULT_CLASSES)
+    def test_one_ulp_makes_them_unequal(self, name, dim, bump):
+        a, b = _result(name, dim), _result(name, dim, bump=bump)
+        assert a != b and not a == b
+
+    def test_copies_of_the_ex48_results(self, inst48):
+        primal = primal_value(inst48)
+        results = (
+            primal,
+            lp_value(LagrangianContext(inst48)),
+            conjugate_value(inst48.f, GeneralizedQuadratic.iso(2, -1.0)),
+            GapCertificate("thm42", 1e-3, primal.minimizer, GeneralizedQuadratic.iso(1, -1.0)),
+        )
+        for result in results:
+            copied = copy.deepcopy(result)
+            assert copied == result and hash(copied) == hash(result)
 
 
 class TestBenchmarkTargets:
