@@ -28,6 +28,7 @@ import numpy as np
 from abconv import (
     Box,
     FamilySearchGrid,
+    GeneralizedQuadratic,
     GridSpec,
     LagrangianContext,
     Objective,
@@ -91,7 +92,7 @@ def grid_vs_closed(inst: ProblemInstance) -> list[str]:
             where = f"member beta={beta:g}, slope={slope.tolist()}"
             if low > exact + slack:
                 problems.append(f"grid conjugate {low!r} exceeds closed {exact!r} at {where}")
-            res = conjugate_closed_form(g, search.member(beta, slope))
+            res = conjugate_closed_form(g, GeneralizedQuadratic.iso(m, beta, slope))
             if res.maximizer is not None and grid.box.contains(res.maximizer):
                 if low < res.value - norm_d * m * (h / 2) ** 2 - slack:
                     problems.append(f"grid conjugate {low!r} is not within the mesh "

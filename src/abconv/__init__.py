@@ -85,7 +85,6 @@ from .quadratics import (
     LinearMap,
     combine,
     pullback,
-    pullback_shifted,
 )
 from .randomgen import RandomSpec, random_instance
 from .report import report_json, report_table, run_report

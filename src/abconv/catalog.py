@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import TOL, VALUE_TOL
-from .conjugates import FamilySearchGrid, conjugate_value
+from .conjugates import conjugate_value, minimize_quadratic
 from .duality import (
     EpiPoint,
     GapCertificate,
@@ -123,29 +123,6 @@ def _ex611() -> ProblemInstance:
     )
 
 
-_CATALOG = {
-    "ex4.7": _ex47,
-    "ex4.7-reversed": _ex47_reversed,
-    "ex4.8": _ex48,
-    "ex5.6": _ex56,
-    "ex6.10": _ex610,
-    "ex6.11": _ex611,
-}
-
-
-def catalog_names() -> tuple[str, ...]:
-    return tuple(_CATALOG)
-
-
-def catalog_instance(name: str) -> ProblemInstance:
-    try:
-        maker = _CATALOG[name]
-    except KeyError:
-        known = ", ".join(_CATALOG)
-        raise UnknownCatalogName(f"unknown instance {name!r} (known: {known})") from None
-    return maker()
-
-
 # ---------------------------------------------------------------------------
 # Reproduction checks
 
@@ -234,7 +211,7 @@ def _checks_ex48(inst: ProblemInstance) -> list[CheckRow]:
     # kink, parabolic above it.
     def gstar(c, dslope):
         member = GeneralizedQuadratic.iso(1, -c, [dslope])
-        return conjugate_value(inst.g, member, engine="closed").value
+        return conjugate_value(inst.g, member).value
 
     rows.append(_value_row("output conjugate at curvature 0.5", gstar(0.5, 1.0), INF))
     rows.append(_value_row("output conjugate at the kink", gstar(1.0, 2.0), 1.0))
@@ -257,8 +234,8 @@ def _checks_ex48(inst: ProblemInstance) -> list[CheckRow]:
 def _checks_ex56(inst: ProblemInstance) -> list[CheckRow]:
     phi = GeneralizedQuadratic.affine([1.0, 1.0])
     comp = inst.composite_objective()
-    comp_star = conjugate_value(comp, phi, engine="closed").value
-    f_star = conjugate_value(inst.f, phi, engine="closed").value
+    comp_star = conjugate_value(comp, phi).value
+    f_star = conjugate_value(inst.f, phi).value
     rows = [
         _value_row("composite conjugate at the probe slope", comp_star, 0.1),
         _value_row("input conjugate at the probe slope", f_star, 0.5),
@@ -313,8 +290,7 @@ def _checks_ex610(inst: ProblemInstance) -> list[CheckRow]:
     # The support-point route is empty here even though the gap is zero: the
     # level alpha = -19 sits strictly below min f = -10.75, so no base point
     # can satisfy f(x0) <= alpha.
-    fq = inst.f.quad
-    min_f = fq.c - fq.u[0] ** 2 / (4.0 * fq.A[0, 0])
+    min_f = minimize_quadratic(inst.f.exact)[0]
     rows.append(
         _bool_row(
             "support-point route is empty (level below min f)",
@@ -367,17 +343,34 @@ def _checks_ex611(inst: ProblemInstance) -> list[CheckRow]:
     return rows
 
 
-_CHECKS = {
-    "ex4.7": _checks_ex47,
-    "ex4.7-reversed": _checks_ex47_reversed,
-    "ex4.8": _checks_ex48,
-    "ex5.6": _checks_ex56,
-    "ex6.10": _checks_ex610,
-    "ex6.11": _checks_ex611,
+# ---------------------------------------------------------------------------
+# The catalog: each name's instance builder and reproduction checks
+
+
+_CATALOG = {
+    "ex4.7": (_ex47, _checks_ex47),
+    "ex4.7-reversed": (_ex47_reversed, _checks_ex47_reversed),
+    "ex4.8": (_ex48, _checks_ex48),
+    "ex5.6": (_ex56, _checks_ex56),
+    "ex6.10": (_ex610, _checks_ex610),
+    "ex6.11": (_ex611, _checks_ex611),
 }
+
+
+def catalog_names() -> tuple[str, ...]:
+    return tuple(_CATALOG)
+
+
+def catalog_instance(name: str) -> ProblemInstance:
+    try:
+        build, _ = _CATALOG[name]
+    except KeyError:
+        known = ", ".join(_CATALOG)
+        raise UnknownCatalogName(f"unknown instance {name!r} (known: {known})") from None
+    return build()
 
 
 def reproduce_checks(name: str) -> list[CheckRow]:
     """Recompute the reference facts for a bundled instance."""
     inst = catalog_instance(name)
-    return _CHECKS[name](inst)
+    return _CATALOG[name][1](inst)

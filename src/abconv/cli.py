@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .catalog import catalog_instance, catalog_names, reproduce_checks
 from .config import VALUE_TOL
-from .conjugates import conjugate_value
+from .conjugates import conjugate_closed_form, conjugate_grid, conjugate_value
 from .duality import (
     EpiPoint,
     epi_contains,
@@ -133,9 +133,13 @@ def _load(ref: str):
 def _cmd_conjugate(args) -> int:
     inst = _load(args.instance)
     phi = parse_member(args.phi, inst.L.in_dim, "phi")
-    fstar = conjugate_value(inst.f, phi, engine=args.engine, grid=inst.x_search)
-    comp = inst.composite_objective()
-    cstar = conjugate_value(comp, phi, engine=args.engine, grid=inst.x_search)
+    conjugate = {
+        "auto": lambda f: conjugate_value(f, phi, grid=inst.x_search),
+        "closed": lambda f: conjugate_closed_form(f, phi),
+        "grid": lambda f: conjugate_grid(f, phi, inst.x_search),
+    }[args.engine]
+    fstar = conjugate(inst.f)
+    cstar = conjugate(inst.composite_objective())
     rows = [
         ("member", args.phi),
         ("in input class", str(inst.phi.contains(phi))),

@@ -62,16 +62,6 @@ class GridSpec:
         check_mesh_size(self.points_per_axis, self.box.dim)
 
     @classmethod
-    def cube(
-        cls,
-        dim: int,
-        lo: float = -10.0,
-        hi: float = 10.0,
-        points_per_axis: int = 201,
-    ) -> "GridSpec":
-        return cls(Box.cube(dim, lo, hi), points_per_axis)
-
-    @classmethod
     def default(cls, dim: int) -> "GridSpec":
         """The default search mesh: the cube [-10, 10]^dim at
         ``default_points_per_axis(dim)``, refined twice."""
@@ -287,15 +277,13 @@ def conjugate_grid(
 def conjugate_value(
     f: Objective,
     phi: GeneralizedQuadratic,
-    engine: str = "auto",
     grid: GridSpec | None = None,
 ) -> ConjugateValue:
-    """Dispatch to the closed-form engine when exact, else the grid engine."""
-    if engine == "closed" or (engine == "auto" and f.exact is not None):
+    """The closed-form engine when ``f.exact`` is set, else the grid engine
+    (on ``grid``, the default mesh without one)."""
+    if f.exact is not None:
         return conjugate_closed_form(f, phi)
-    if engine in ("grid", "auto"):
-        return conjugate_grid(f, phi, grid if grid is not None else GridSpec.default(f.dim))
-    raise InvariantViolation(f"unknown engine {engine!r}")
+    return conjugate_grid(f, phi, grid if grid is not None else GridSpec.default(f.dim))
 
 
 # ---------------------------------------------------------------------------
@@ -352,15 +340,12 @@ class FamilySearchGrid:
         box = self.slope_box
         return _box_mesh(box.lower.tobytes(), box.upper.tobytes(), self.slope_points_per_axis)
 
-    def member(self, alpha: float, slope) -> GeneralizedQuadratic:
-        return GeneralizedQuadratic.iso(self.family.dim, alpha, slope)
-
     def member_at(self, k: int) -> GeneralizedQuadratic:
         """The member at flat index k of every table over this grid:
         curvature-major, slopes in C order (``table.flat[k]``)."""
         slopes = self.slopes()
         i, j = divmod(int(k), len(slopes))
-        return self.member(self.curvatures[i], slopes[j])
+        return GeneralizedQuadratic.iso(self.family.dim, self.curvatures[i], slopes[j])
 
     @property
     def size(self) -> int:
@@ -554,21 +539,20 @@ def eps_subdiff_contains(
     phi: GeneralizedQuadratic,
     x,
     eps: float,
-    engine: str = "auto",
     grid: GridSpec | None = None,
 ) -> bool:
     """Membership test ``f(x) + f*(phi) <= phi(x) + eps`` (slack ``TOL``)."""
     if eps < 0:
         raise InvariantViolation("eps must be nonnegative")
-    return _subdiff_holds(_subdiff_terms(f, phi, x, engine, grid), eps)
+    return _subdiff_holds(_subdiff_terms(f, phi, x, grid), eps)
 
 
-def _subdiff_terms(f, phi, x, engine="auto", grid=None) -> tuple[float, float, float]:
+def _subdiff_terms(f, phi, x, grid=None) -> tuple[float, float, float]:
     """The eps-free terms ``(f(x), f*(phi), phi(x))`` of ``eps_subdiff_contains``."""
     fx = f.value(x)
     if fx == INF:
         raise InvariantViolation("x outside the domain of f")
-    fstar = conjugate_value(f, phi, engine=engine, grid=grid).value
+    fstar = conjugate_value(f, phi, grid=grid).value
     return fx, fstar, float(phi(np.asarray(x, dtype=float)))
 
 

@@ -37,7 +37,6 @@ from .quadratics import (
     _ByBytes,
     combine,
     pullback,
-    pullback_shifted,
 )
 
 
@@ -188,7 +187,7 @@ def _composite_min(instance: ProblemInstance, y=None) -> PrimalResult:
         if y is None:
             q = instance.composite_quad()
         else:
-            q = instance.f.quad + pullback_shifted(instance.g.quad, instance.L, y)
+            q = instance.f.quad + pullback(instance.g.quad.shifted(y), instance.L)
         value, argmin = minimize_quadratic(q)
         flags = ("unbounded",) if value == -INF else ()
         return PrimalResult(value, argmin, "closed", flags)
@@ -404,8 +403,8 @@ class GapCertificate(_ByBytes):
     def __post_init__(self) -> None:
         if self.kind not in ("thm42", "thm43"):
             raise InvariantViolation(f"unknown certificate kind {self.kind!r}")
-        if self.eps < 0:
-            raise InvariantViolation("certificate eps must be nonnegative")
+        if not 0 <= self.eps < INF:
+            raise InvariantViolation("certificate eps must be finite and nonnegative")
         if self.kind == "thm43" and self.phi is None:
             raise InvariantViolation("kind thm43 needs phi")
         object.__setattr__(self, "x", np.asarray(self.x, dtype=float).reshape(-1))
@@ -540,7 +539,11 @@ def verify_optimality_at(
     For each eps in the ladder a certificate at the *same* x must verify
     (given ones are used as-is; otherwise tangent construction is tried),
     and f(x) + g(Lx) must match the primal value within ``VALUE_TOL``.
-    The tangent certificate is evaluated once and compared at every eps."""
+    The tangent certificate is evaluated once and compared at every eps.
+    An empty ladder (no eps, or no given certificate) checks nothing and
+    is rejected."""
+    if len(eps_ladder if certs is None else certs) == 0:
+        raise InvariantViolation("an empty certificate ladder certifies nothing")
     x = np.asarray(x, dtype=float).reshape(-1)
     value = _ext_add(instance.f.value(x), instance.g.value(instance.L.apply(x)))
     primal = primal_value(instance).value

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import VALUE_TOL
 from .conjugates import FamilySearchGrid, GridSpec, default_points_per_axis
 from .duality import GapCertificate, ProblemInstance
 from .errors import InstanceParseError
@@ -165,7 +166,7 @@ def _objective_to_dict(obj: Objective) -> dict:
             "only quadratic-backed objectives can be serialized"
         )
     out = {
-        "kind": "quadratic" if obj.is_quadratic else "blackbox-poly",
+        "kind": "quadratic" if obj.quad is not None else "blackbox-poly",
         "A": _floats(quad.A),
         "u": _floats(quad.u),
         "c": quad.c + 0.0,
@@ -431,7 +432,10 @@ def load_certificate_file(path, n: int, m: int) -> dict:
     """Parse a certificate file: either a single certificate object or a
     ladder ``{"kind": "thm44", "x": [...], "ladder": [...], "certs": [...]}``.
 
-    Returns {"kind": ..., "certs": [...], "x": ..., "ladder": ...}."""
+    Returns {"kind": ..., "certs": [...], "x": ..., "ladder": ...}.  A
+    ladder must hold at least one eps, each finite and nonnegative, and every
+    given certificate must sit at x (within ``VALUE_TOL``); no certs means
+    the tangent certificate is tried at each eps."""
     data = read_json(path)
     if not isinstance(data, dict):
         raise InstanceParseError("certificate file must hold a JSON object")
@@ -448,6 +452,14 @@ def load_certificate_file(path, n: int, m: int) -> dict:
         if not isinstance(ladder, list) or not isinstance(certs, list):
             raise InstanceParseError("thm44 ladder and certs must be JSON lists")
         ladder = tuple(_as_float(e, "ladder") for e in ladder)
+        if not ladder:
+            raise InstanceParseError("thm44 ladder must hold at least one eps")
+        for eps in ladder:
+            if not 0 <= eps < math.inf:
+                raise InstanceParseError(f"ladder: eps {eps!r} is not finite and nonnegative")
         certs = [certificate_from_dict(c, n, m) for c in certs]
+        for cert in certs:
+            if np.max(np.abs(cert.x - x)) > VALUE_TOL:
+                raise InstanceParseError("ladder certificates must share the point x")
         return {"kind": kind, "x": x, "ladder": ladder, "certs": certs}
     raise InstanceParseError(f"certificate kind: expected thm42|thm43|thm44, got {kind!r}")

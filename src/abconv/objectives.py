@@ -137,10 +137,6 @@ class Objective:
     # -- evaluation ------------------------------------------------------
 
     @property
-    def is_quadratic(self) -> bool:
-        return self.quad is not None
-
-    @property
     def exact(self) -> GeneralizedQuadratic | None:
         """The quadratic when the closed-form engines apply (a quadratic
         with no domain box), else None."""
@@ -194,7 +190,7 @@ def weak_convexity_modulus(f: Objective) -> WeakConvexityReport:
     callables: midpoint-violation estimate on random segments inside the
     domain box (not certified; a lower bound on the true modulus).
     """
-    if f.is_quadratic:
+    if f.quad is not None:
         lam = f.quad.min_eigenvalue()
         return WeakConvexityReport(
             modulus=max(0.0, -lam),

@@ -409,10 +409,3 @@ def pullback(q: GeneralizedQuadratic, L: LinearMap) -> GeneralizedQuadratic:
         raise InvariantViolation(f"dimension mismatch: {q.dim} vs {L.out_dim}")
     M = L.matrix
     return GeneralizedQuadratic(L.in_dim, M.T @ q.A @ M, M.T @ q.u, q.c)
-
-
-def pullback_shifted(
-    q: GeneralizedQuadratic, L: LinearMap, y
-) -> GeneralizedQuadratic:
-    """The quadratic ``x -> q(Lx + y)``."""
-    return pullback(q.shifted(y), L)

@@ -263,7 +263,8 @@ def conjugate_table_dense(f, search, grid):
     out = np.empty((len(search.curvatures), len(slopes)))
     for i, beta in enumerate(search.curvatures):
         for j in range(len(slopes)):
-            out[i, j] = conjugate_grid_dense(f, search.member(beta, slopes[j]), grid)[0]
+            member = GeneralizedQuadratic.iso(f.dim, beta, slopes[j])
+            out[i, j] = conjugate_grid_dense(f, member, grid)[0]
     return out
 
 
@@ -278,7 +279,7 @@ def support_point_dense(ctx, psi, x0, alpha):
     details: dict[str, float] = {}
 
     # (support): min (g - psi) >= 0
-    if inst.g.is_quadratic and inst.g.domain_box is None:
+    if inst.g.quad is not None and inst.g.domain_box is None:
         low, _ = minimize_quadratic(combine(1.0, inst.g.quad, -1.0, psi))
     else:
         Y = inst.y_search.box.mesh(inst.y_search.points_per_axis)
@@ -289,7 +290,7 @@ def support_point_dense(ctx, psi, x0, alpha):
     details["support_slack"] = low
 
     # (level): alpha <= inf_x f + psi o L
-    if inst.f.is_quadratic and inst.f.domain_box is None:
+    if inst.f.quad is not None and inst.f.domain_box is None:
         inf_fpsi, _ = minimize_quadratic(inst.f.quad + pullback(psi, inst.L))
     else:
         X = inst.x_search.box.mesh(inst.x_search.points_per_axis)

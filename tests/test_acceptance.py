@@ -28,7 +28,8 @@ from abconv import (
     catalog_instance,
     combine,
     composite_condition_check,
-    conjugate_value,
+    conjugate_closed_form,
+    conjugate_grid,
     dcp_value,
     epi_contains,
     epi_decompose,
@@ -112,7 +113,7 @@ class TestAcceptance:
         branch_errors = []
         for c in (0.2, 0.5, 0.8, 0.9, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0):
             for d in (-2.0, 0.0, 2.0, 4.0, 6.0):
-                val = conjugate_value(inst.g, iso1(-c, d), engine="closed").value
+                val = conjugate_closed_form(inst.g, iso1(-c, d)).value
                 if c < 1.0 or (c == 1.0 and d != 2.0):
                     expected = INF
                 elif c == 1.0:
@@ -263,12 +264,11 @@ class TestAcceptance:
             phi = GeneralizedQuadratic.iso(
                 n, rng.uniform(-2.0, 0.0), rng.uniform(-2, 2, n), rng.uniform(-1, 1)
             )
-            closed = conjugate_value(f, phi, engine="closed")
+            closed = conjugate_closed_form(f, phi)
             interior = (closed.maximizer is not None
                         and float(np.max(np.abs(closed.maximizer))) < 7.0)
-            grid = conjugate_value(
-                f, phi, engine="grid",
-                grid=GridSpec(Box.cube(n, -10.0, 10.0), {1: 201, 2: 61}[n], 4),
+            grid = conjugate_grid(
+                f, phi, GridSpec(Box.cube(n, -10.0, 10.0), {1: 201, 2: 61}[n], 4),
             ).value
             rel = abs(closed.value - grid) / max(1.0, abs(closed.value))
             worst_rel = max(worst_rel, rel)
@@ -341,7 +341,7 @@ class TestAcceptance:
             phi = iso1(rng.uniform(-2.0, 0.0), rng.uniform(-3, 3),
                        rng.uniform(-2, 2))
             x = rng.uniform(-5, 5)
-            fstar = conjugate_value(f, phi, engine="closed").value
+            fstar = conjugate_closed_form(f, phi).value
             if f.value([x]) + fstar < float(phi(np.array([x]))) - 1e-9:
                 fy_bad += 1
 
@@ -363,8 +363,8 @@ class TestAcceptance:
                        rng.uniform(-2, 2))
             x = [rng.uniform(-3, 3)]
             lo, hi = sorted(rng.uniform(0.0, 1.0, 2))
-            if (eps_subdiff_contains(f, phi, x, lo, engine="closed")
-                    and not eps_subdiff_contains(f, phi, x, hi, engine="closed")):
+            if (eps_subdiff_contains(f, phi, x, lo)
+                    and not eps_subdiff_contains(f, phi, x, hi)):
                 nest_bad += 1
 
         ctx = LagrangianContext(catalog_instance("ex4.7"))

@@ -174,6 +174,12 @@ class TestConjugate:
         assert main(["conjugate", "nope.json", "--phi", "u=1"]) == 2
         assert "no such file or catalog name" in capsys.readouterr().err
 
+    def test_unknown_engine_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["conjugate", "ex4.7", "--phi", "u=1", "--engine", "symbolic"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
 
 class TestCertify:
     def write(self, tmp_path, payload):
@@ -254,6 +260,36 @@ class TestCertify:
                                      "ladder": [1.0, float("nan")]})
         assert main(["certify", "ex4.7", "--cert", cert, "--kind", "thm44"]) == 2
         assert "ladder: bad number nan" in capsys.readouterr().err
+
+    def test_empty_ladder_exits_2(self, tmp_path, capsys):
+        """No rung means nothing is checked: the file is rejected, not
+        reported as holding."""
+        cert = self.write(tmp_path, {"kind": "thm44", "x": [-0.2], "ladder": []})
+        assert main(["certify", "ex4.7", "--cert", cert, "--kind", "thm44"]) == 2
+        assert "at least one eps" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rung", [-1e-3, "inf", "-inf"])
+    def test_rung_that_is_negative_or_infinite_exits_2(self, rung, tmp_path, capsys):
+        cert = self.write(tmp_path, {"kind": "thm44", "x": [-0.2], "ladder": [1.0, rung]})
+        assert main(["certify", "ex4.7", "--cert", cert, "--kind", "thm44"]) == 2
+        assert "is not finite and nonnegative" in capsys.readouterr().err
+
+    def test_ladder_certificate_at_another_point_exits_2(self, tmp_path, capsys):
+        cert = self.write(tmp_path, {"kind": "thm44", "x": [-0.2], "certs": [
+            {"kind": "thm42", "eps": 1e-3, "x": [0.5], "psi": {"a": 0.0, "u": [-1.6], "c": 0.0}}]})
+        assert main(["certify", "ex4.7", "--cert", cert, "--kind", "thm44"]) == 2
+        assert "must share the point x" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("eps", ["inf", -1e-3])
+    def test_infinite_or_negative_eps_exits_2(self, eps, tmp_path, capsys):
+        """At eps = inf every condition holds vacuously, even at x = 5,
+        which is not the minimizer."""
+        cert = self.write(tmp_path, {
+            "kind": "thm42", "eps": eps, "x": [5.0],
+            "psi": {"a": 0.0, "u": [-1.6], "c": 0.0},
+        })
+        assert main(["certify", "ex4.7", "--cert", cert, "--kind", "thm42"]) == 2
+        assert "finite and nonnegative" in capsys.readouterr().err
 
     def test_missing_cert_file_exits_2(self, capsys):
         assert main(["certify", "ex4.7", "--cert", "absent.json",
@@ -474,6 +510,27 @@ class TestUsageAndEnvironment:
         for path in modules:
             visit(ast.parse(path.read_text()), None, path)
         assert not found
+
+    def test_every_import_is_used(self):
+        """Each name a module imports is read in that module: a leftover
+        import keeps a second way in alive.  ``__init__.py`` imports to
+        re-export, and ``from __future__`` binds nothing."""
+        src = Path(__file__).resolve().parent.parent / "src" / "abconv"
+        modules = sorted(p for p in src.glob("*.py") if p.name != "__init__.py")
+        assert modules
+        unused = []
+        for path in modules:
+            tree = ast.parse(path.read_text())
+            used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                    continue
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    for alias in node.names:
+                        name = alias.asname or alias.name.split(".")[0]
+                        if name not in used:
+                            unused.append(f"{path.name}:{node.lineno} {name}")
+        assert not unused
 
     @pytest.mark.skipif(
         shutil.which("abconv") is None,

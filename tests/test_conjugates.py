@@ -134,7 +134,7 @@ class TestMinimizeQuadratic:
 class TestGridEngine:
     def test_grid_hits_exact_value_on_mesh(self):
         obj = Objective.quadratic(F_SHIFTED_SQUARE)
-        res = conjugate_grid(obj, member(-1.0, 0.0), GridSpec.cube(1))
+        res = conjugate_grid(obj, member(-1.0, 0.0), GridSpec(Box.cube(1), 201))
         assert res.engine == "grid"
         assert res.value == pytest.approx(-0.5, abs=1e-9)
 
@@ -143,14 +143,14 @@ class TestGridEngine:
         for _ in range(20):
             phi = member(float(rng.uniform(-2.0, 0.5)), float(rng.uniform(-4.0, 4.0)))
             closed = conjugate_closed_form(obj, phi).value
-            grid = conjugate_grid(obj, phi, GridSpec.cube(1)).value
+            grid = conjugate_grid(obj, phi, GridSpec(Box.cube(1), 201)).value
             assert grid <= closed + 1e-9
 
     def test_grid_respects_domain_box(self):
         obj = Objective.quadratic(
             GeneralizedQuadratic.iso(1, 1.0), domain_box=Box([0.0], [2.0])
         )
-        res = conjugate_grid(obj, GeneralizedQuadratic.affine([-1.0]), GridSpec.cube(1))
+        res = conjugate_grid(obj, GeneralizedQuadratic.affine([-1.0]), GridSpec(Box.cube(1), 201))
         assert res.value == pytest.approx(0.0, abs=1e-12)
         np.testing.assert_allclose(res.maximizer, [0.0], atol=1e-12)
 
@@ -159,7 +159,7 @@ class TestGridEngine:
             GeneralizedQuadratic.iso(1, 1.0), domain_box=Box([5.0], [6.0])
         )
         res = conjugate_grid(
-            obj, GeneralizedQuadratic.zero(1), GridSpec.cube(1, -1.0, 1.0)
+            obj, GeneralizedQuadratic.zero(1), GridSpec(Box.cube(1, -1.0, 1.0), 201)
         )
         assert res.value == -INF and res.note == "improper-window"
 
@@ -193,7 +193,7 @@ class TestGridEngine:
         tracemalloc.start()
         try:
             with pytest.raises(InvariantViolation, match="exceeds"):
-                GridSpec.cube(3, points_per_axis=10**6)
+                GridSpec(Box.cube(3), 10**6)
             with pytest.raises(InvariantViolation, match="exceeds"):
                 FamilySearchGrid(fam, Box.cube(3), 10**6, (0.0,))
             peak = tracemalloc.get_traced_memory()[1]
@@ -201,7 +201,7 @@ class TestGridEngine:
             tracemalloc.stop()
         assert peak < 1 << 20
         # the cap itself is allowed
-        assert GridSpec.cube(3, points_per_axis=100).points_per_axis ** 3 == MAX_MESH_POINTS
+        assert GridSpec(Box.cube(3), 100).points_per_axis ** 3 == MAX_MESH_POINTS
 
     def test_default_mesh(self):
         for dim, points in ((1, 201), (2, 61), (3, 21), (4, 9)):
@@ -222,14 +222,9 @@ class TestDispatch:
 
     def test_forced_grid(self):
         obj = Objective.quadratic(F_SHIFTED_SQUARE)
-        res = conjugate_value(obj, member(-1.0, 0.0), engine="grid")
+        res = conjugate_grid(obj, member(-1.0, 0.0), GridSpec.default(1))
         assert res.engine == "grid"
         assert res.value == pytest.approx(-0.5, abs=1e-9)
-
-    def test_unknown_engine(self):
-        obj = Objective.quadratic(F_SHIFTED_SQUARE)
-        with pytest.raises(InvariantViolation):
-            conjugate_value(obj, member(0.0, 0.0), engine="symbolic")
 
 
 class TestFamilySearchGrid:
@@ -246,7 +241,7 @@ class TestFamilySearchGrid:
         grid = FamilySearchGrid.default(Family(1, CurvatureSpec.nonpos()))
         assert 0.0 in grid.curvatures
         assert any(abs(s[0]) == 0.0 for s in grid.slopes())
-        m = grid.member(-1.0, [2.0])
+        m = GeneralizedQuadratic.iso(1, -1.0, [2.0])
         assert m(np.array([1.0])) == pytest.approx(1.0)
 
     def test_member_at_follows_the_table_layout(self):
@@ -297,7 +292,7 @@ class TestFamilyConjugateTable:
         search = FamilySearchGrid(
             Family(1, CurvatureSpec.zero()), Box.cube(1, -2.0, 2.0), 5, (0.0,)
         )
-        table = family_conjugate_table(f, search, grid=GridSpec.cube(1))
+        table = family_conjugate_table(f, search, grid=GridSpec(Box.cube(1), 201))
         slopes = search.slopes()[:, 0]
         np.testing.assert_allclose(table[0], slopes**2 / 4.0, atol=1e-10)
 
@@ -435,17 +430,17 @@ class TestGridTable:
         g = Objective.quadratic(GeneralizedQuadratic.iso(m, 1.0),
                                 domain_box=Box.cube(m, 5.0, 6.0))
         search = _search(m, 3)
-        table = family_conjugate_table(g, search, grid=GridSpec.cube(m, -1.0, 1.0, 11))
+        table = family_conjugate_table(g, search, grid=GridSpec(Box.cube(m, -1.0, 1.0), 11))
         assert np.all(table == -INF)
         np.testing.assert_array_equal(
             _bits(table),
-            _bits(oracles.conjugate_table_dense(g, search, GridSpec.cube(m, -1.0, 1.0, 11))))
+            _bits(oracles.conjugate_table_dense(g, search, GridSpec(Box.cube(m, -1.0, 1.0), 11))))
 
     def test_ties_keep_the_first_index_and_the_earlier_round(self):
         g = Objective.from_callable(1, _plateau)
         search = FamilySearchGrid(Family(1, CurvatureSpec.nonpos()),
                                   Box.cube(1, -1.0, 1.0), 5, (-1.0, 0.0))
-        grid = GridSpec.cube(1, points_per_axis=201)
+        grid = GridSpec(Box.cube(1), 201)
         table = family_conjugate_table(g, search, grid=grid)
         np.testing.assert_array_equal(
             _bits(table), _bits(oracles.conjugate_table_dense(g, search, grid)))
@@ -454,12 +449,12 @@ class TestGridTable:
     @pytest.mark.parametrize("case", ["quadratic", "callable-2d", "hole",
                                       "infeasible", "plateau", "general-phi"])
     def test_conjugate_grid_is_the_one_member_call(self, case):
-        grid = GridSpec.cube(1, points_per_axis=201)
+        grid = GridSpec(Box.cube(1), 201)
         phi = GeneralizedQuadratic.zero(1)
         if case == "quadratic":
             f, phi = _boxed_g(1, False, 5), member(-0.5, 1.5)
         elif case == "callable-2d":
-            f, grid = _boxed_g(2, True, 6), GridSpec.cube(2, -3.0, 3.0, 11)
+            f, grid = _boxed_g(2, True, 6), GridSpec(Box.cube(2, -3.0, 3.0), 11)
             phi = GeneralizedQuadratic.iso(2, -0.25, [0.5, -1.0])
         elif case == "hole":
             f = Objective.from_callable(1, lambda y: INF if y[0] < 0.3 else float(y[0]))
@@ -471,7 +466,7 @@ class TestGridTable:
         else:
             f = _boxed_g(2, False, 7)
             phi = GeneralizedQuadratic(2, [[-1.0, 0.3], [0.3, 0.5]], [1.0, 2.0], -0.7)
-            grid = GridSpec.cube(2, -3.0, 3.0, 11)
+            grid = GridSpec(Box.cube(2, -3.0, 3.0), 11)
         res = conjugate_grid(f, phi, grid)
         value, x, note = oracles.conjugate_grid_dense(f, phi, grid)
         assert res.engine == "grid" and res.note == note

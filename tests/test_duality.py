@@ -107,7 +107,7 @@ class TestProblemInstance:
         g = quad_obj(1, 2.0, box=Box([-5.0], [5.0]))
         inst = build(f, g)
         comp = inst.composite_objective()
-        assert not comp.is_quadratic
+        assert comp.quad is None
         assert comp.value([1.0]) == pytest.approx(3.0)
         assert comp.value([6.0]) == INF  # outside g's box through L = id
 
@@ -249,7 +249,7 @@ class TestDualSweep:
             table[0], 1.0 - (2.0 + slopes[:, 0]) ** 2 / 4.0, atol=1e-10
         )
         for j in (0, 57, 200):
-            member = search.member(search.curvatures[0], slopes[j])
+            member = GeneralizedQuadratic.iso(1, search.curvatures[0], slopes[j])
             low, _ = minimize_quadratic(inst47.f.quad + pullback(member, inst47.L))
             assert table[0, j] == pytest.approx(low, abs=1e-10)
 
@@ -293,7 +293,7 @@ class TestDualSweep:
         ):
             assert table.shape == (5, len(slopes))
             expected = np.array([
-                [scalar(search.member(beta, s)) for s in slopes]
+                [scalar(GeneralizedQuadratic.iso(dim, beta, s)) for s in slopes]
                 for beta in search.curvatures
             ])
             np.testing.assert_array_equal(table == bad, expected == bad)
@@ -435,6 +435,12 @@ class TestGapCertificates:
         with pytest.raises(InvariantViolation):
             GapCertificate("thm43", 0.1, [0.0], GeneralizedQuadratic.zero(1))
 
+    @pytest.mark.parametrize("eps", [INF, float("nan")])
+    def test_a_non_finite_eps_is_rejected(self, eps):
+        """At eps = inf every condition would hold vacuously."""
+        with pytest.raises(InvariantViolation, match="finite"):
+            GapCertificate("thm42", eps, [0.0], GeneralizedQuadratic.zero(1))
+
     def test_thm42_frozen_certificate_holds(self, inst48):
         cert = GapCertificate(
             "thm42", 1e-3, [-2.0, 3.0], GeneralizedQuadratic.iso(1, -1.0, [2.0])
@@ -524,6 +530,12 @@ class TestVerifyOptimalityAt:
         cert = build_tangent_certificate(inst47, [0.5], 1e-4)
         with pytest.raises(InvariantViolation):
             verify_optimality_at(inst47, [-0.2], certs=(cert,))
+
+    @pytest.mark.parametrize("empty", [{"eps_ladder": ()}, {"certs": ()}])
+    def test_an_empty_ladder_is_rejected(self, inst47, empty):
+        """A ladder with no rung checks nothing, so it cannot certify x."""
+        with pytest.raises(InvariantViolation, match="empty certificate ladder"):
+            verify_optimality_at(inst47, [-0.2], **empty)
 
 
 def _bits(check):

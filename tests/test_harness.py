@@ -1,10 +1,12 @@
 """Serialization, the bundled catalog, seeded generation, and reports."""
 
+import ast
 import copy
 import dataclasses
 import hashlib
 import importlib
 import importlib.util
+import inspect
 import json
 from pathlib import Path
 
@@ -167,7 +169,7 @@ class TestInstanceRoundTrip:
         data = instance_to_dict(inst47)
         data["f"] = dict(data["f"], kind="blackbox-poly")
         inst = instance_from_dict(data)
-        assert not inst.f.is_quadratic
+        assert inst.f.quad is None
         assert inst.f.value([2.0]) == pytest.approx(9.0)  # (x+1)^2 behind a callable
         res = primal_value(inst)
         assert res.engine == "grid"
@@ -276,7 +278,7 @@ class TestWriterFromModel:
         data["g"] = dict(data["g"], kind="blackbox-poly")
         text = dumps(data)
         a, b = (instance_from_dict(json.loads(text)) for _ in range(2))
-        assert not a.g.is_quadratic
+        assert a.g.quad is None
         assert a == b and hash(a) == hash(b)
         assert dumps(instance_to_dict(a)) == text
         renamed = dataclasses.replace(a, name="renamed")
@@ -422,18 +424,51 @@ class TestResultEquality:
             assert copied == result and hash(copied) == hash(result)
 
 
+def _load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", PERFBENCH / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans
+
+
+def _resolve(module: str, attribute: str):
+    obj = importlib.import_module(module)
+    for part in attribute.split("."):
+        obj = getattr(obj, part, None)
+    return obj
+
+
 class TestBenchmarkTargets:
     def test_every_traced_function_exists(self):
         """The benchmark's tracer finds each target by module and attribute
         name, and reports a missing one only as a zero count."""
-        spec = importlib.util.spec_from_file_location("perfbench_spans", PERFBENCH / "spans.py")
-        spans = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(spans)
-        for _, module, attribute in spans.TARGETS:
-            obj = importlib.import_module(module)
-            for part in attribute.split("."):
-                obj = getattr(obj, part, None)
-            assert callable(obj), f"{module}.{attribute} is not in the tree"
+        for _, module, attribute in _load_spans().TARGETS:
+            assert callable(_resolve(module, attribute)), f"{module}.{attribute} is not in the tree"
+
+    def test_every_counted_argument_keeps_its_position_and_name(self):
+        """The tracer's counters read a target's arguments by position or by
+        keyword (``_arg(args, kwargs, index, name)``); a moved or renamed
+        parameter would be counted as 0 without an error."""
+        spans = _load_spans()
+        found = set()
+        for layer, counter in spans._COUNTERS.items():
+            for node in ast.walk(ast.parse(inspect.getsource(counter))):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                        and node.func.id == "_arg"):
+                    found.add((layer, node.args[2].value, node.args[3].value))
+        assert found >= {
+            ("conjugates.biconjugate_many", 1, "X"),
+            ("conjugates.biconjugate_many", 2, "search"),
+            ("conjugates.biconjugate_many", 3, "table"),
+            ("conjugates.family_conjugate_table", 1, "search"),
+            ("objectives.values", 1, "X"),
+            ("duality.dcp_value", 1, "inf_table"),
+            ("duality.dcp_value", 2, "gstar_table"),
+        }
+        targets = {name: (module, attribute) for name, module, attribute in spans.TARGETS}
+        for layer, index, name in sorted(found):
+            params = list(inspect.signature(_resolve(*targets[layer])).parameters)
+            assert params[index:index + 1] == [name], (layer, index, name, params)
 
 
 def _sha256(texts) -> str:

@@ -543,7 +543,7 @@ def table_members(ctx, rng, count):
     finite = np.argwhere(np.isfinite(table))
     for k in rng.choice(len(finite), size=min(count, len(finite)), replace=False):
         i, j = finite[k]
-        member = inst.psi_search.member(inst.psi_search.curvatures[i], slopes[j])
+        member = GeneralizedQuadratic.iso(inst.L.out_dim, inst.psi_search.curvatures[i], slopes[j])
         yield GeneralizedQuadratic(member.dim, member.A, member.u, member.c - table[i, j])
 
 

@@ -77,7 +77,7 @@ class TestObjective:
     def test_quadratic_value_and_batch(self):
         q = GeneralizedQuadratic.iso(1, 1.0, [2.0], 1.0)  # (x+1)^2
         f = Objective.quadratic(q)
-        assert f.is_quadratic
+        assert f.quad is not None
         assert f.value([-1.0]) == 0.0
         np.testing.assert_allclose(f.values(np.array([[0.0], [1.0]])), [1.0, 4.0])
 
@@ -91,7 +91,7 @@ class TestObjective:
 
     def test_callable_objective(self):
         f = Objective.from_callable(1, lambda x: float(x[0]) ** 4)
-        assert not f.is_quadratic
+        assert f.quad is None
         assert f.value([2.0]) == 16.0
         np.testing.assert_allclose(f.values(np.array([[1.0], [2.0]])), [1.0, 16.0])
 

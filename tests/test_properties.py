@@ -20,14 +20,14 @@ from abconv import (
     biconjugate_at,
     catalog_instance,
     combine,
-    conjugate_value,
+    conjugate_closed_form,
+    conjugate_grid,
     dumps,
     eps_subdiff_contains,
     instance_from_dict,
     instance_to_dict,
     lagrangian_value,
     pullback,
-    pullback_shifted,
 )
 
 # "suite" (the default) is derandomized, so every run checks the same examples;
@@ -68,7 +68,7 @@ points = st.floats(-3.0, 3.0)
 class TestConjugateInequalities:
     @given(f=convex_f, phi=concave_member, x=points)
     def test_fenchel_young(self, f, phi, x):
-        fstar = conjugate_value(Objective.quadratic(f), phi, engine="closed")
+        fstar = conjugate_closed_form(Objective.quadratic(f), phi)
         assert np.isfinite(fstar.value)
         lhs = f(np.array([x])) + fstar.value
         assert lhs >= phi(np.array([x])) - 1e-9
@@ -77,9 +77,7 @@ class TestConjugateInequalities:
     def test_fenchel_young_is_tight_at_the_gradient_member(self, f, x):
         slope = float(2.0 * f.A[0, 0] * x + f.u[0])
         tangent = iso1(0.0, slope, 0.0)
-        assert eps_subdiff_contains(
-            Objective.quadratic(f), tangent, [x], eps=0.0, engine="closed"
-        )
+        assert eps_subdiff_contains(Objective.quadratic(f), tangent, [x], eps=0.0)
 
     @given(f=any_f, x=points)
     def test_biconjugate_never_exceeds_f(self, f, x):
@@ -112,17 +110,16 @@ class TestConjugateInequalities:
     def test_eps_subdifferentials_are_nested(self, f, phi, x, eps):
         lo, hi = sorted(eps)
         obj = Objective.quadratic(f)
-        inner = eps_subdiff_contains(obj, phi, [x], lo, engine="closed")
-        outer = eps_subdiff_contains(obj, phi, [x], hi, engine="closed")
+        inner = eps_subdiff_contains(obj, phi, [x], lo)
+        outer = eps_subdiff_contains(obj, phi, [x], hi)
         assert outer or not inner
 
     @given(f=convex_f, phi=concave_member)
     def test_grid_conjugate_never_exceeds_closed(self, f, phi):
         obj = Objective.quadratic(f)
-        closed = conjugate_value(obj, phi, engine="closed").value
-        grid = conjugate_value(
-            obj, phi, engine="grid",
-            grid=GridSpec(Box([-10.0], [10.0]), points_per_axis=201, refine_rounds=2),
+        closed = conjugate_closed_form(obj, phi).value
+        grid = conjugate_grid(
+            obj, phi, GridSpec(Box([-10.0], [10.0]), points_per_axis=201, refine_rounds=2),
         ).value
         assert grid <= closed + 1e-9
 
@@ -156,7 +153,7 @@ class TestQuadraticAlgebra:
         xv = np.array(x)
         Lx = L.matrix @ xv
         assert pullback(q, L)(xv) == pytest.approx(q(Lx), abs=1e-9)
-        assert pullback_shifted(q, L, [shift])(xv) == pytest.approx(
+        assert pullback(q.shifted([shift]), L)(xv) == pytest.approx(
             q(Lx + shift), abs=1e-9
         )
 

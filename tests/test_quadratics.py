@@ -15,7 +15,6 @@ from abconv import (
     LinearMap,
     combine,
     pullback,
-    pullback_shifted,
 )
 from abconv.config import TOL
 from abconv.quadratics import quadratic_form
@@ -376,7 +375,7 @@ class TestPullback:
         L = LinearMap(np.array([[2.0], [1.0]]))  # R^1 -> R^2
         q = GeneralizedQuadratic.iso(2, 1.0, [1.0, -1.0], 0.0)
         y = np.array([0.5, -0.25])
-        pb = pullback_shifted(q, L, y)
+        pb = pullback(q.shifted(y), L)
         x = rng.normal(size=1)
         assert pb(x) == pytest.approx(q(L.apply(x) + y), rel=1e-12)
 
