@@ -134,29 +134,43 @@ def _quadratic_sup_many(D: np.ndarray, v: np.ndarray, k: float | np.ndarray) -> 
     constant per matrix.  Returns shape (B, N): +inf along an ascent
     direction or a kernel direction with a nonzero linear term, else
     ``k - (1/4) sum coeff_i^2 / w_i`` over the negative eigenpairs (the same
-    split as ``conjugate_closed_form``)."""
+    split as ``conjugate_closed_form``).
+
+    ``eigh`` sorts each row of eigenvalues ascending, and a row with a NaN
+    is NaN throughout, so max|w| and the ascent test read the first and
+    last columns.  The live matrices are gathered only when some are not
+    live, and the kernel directions are tested only when a live row has
+    one."""
     w, V = np.linalg.eigh(D)
-    k = np.broadcast_to(np.asarray(k, dtype=float), (len(D),))
-    scale = TOL * np.maximum(1.0, np.max(np.abs(w), axis=1, initial=0.0))[:, None]
-    live = ~np.any(w > scale, axis=1)
-    out = np.full((len(D), v.shape[-2]), INF)
-    w, V, scale = w[live], V[live], scale[live]
-    if v.ndim == 3:
-        v = v[live]
+    scale = TOL * np.maximum(1.0, np.maximum(-w[:, 0], w[:, -1]))
+    live = ~(w[:, -1] > scale)
+    if not live.any():
+        return np.full((len(D), v.shape[-2]), INF)
+    k = np.asarray(k, dtype=float).reshape(-1, 1)  # (1, 1) or one row per matrix
+    every = live.all()
+    if not every:
+        w, V, scale = w[live], V[live], scale[live]
+        if len(k) == len(live):
+            k = k[live]
+        if v.ndim == 3:
+            v = v[live]
     coeffs = v @ V
-    neg = w < -scale
+    neg = w < -scale[:, None]
     div = np.where(neg, w, INF)
     # Left fold from 0.0 over the eigenpairs: the order of ``sum(axis=-1)``
     # without its per-row cost on a short axis.
     total = np.zeros(coeffs.shape[:-1])
     for i in range(w.shape[1]):
         total += coeffs[..., i] ** 2 / div[:, None, i]
-    vals = k[live][:, None] - 0.25 * total
-    ker = ~neg  # live rows have no ascent direction
-    if np.any(ker):
+    vals = k - 0.25 * total
+    if not neg[:, -1].all():  # a live row with a kernel direction
+        ker = ~neg
         ktol = TOL * np.maximum(1.0, np.max(np.abs(v), axis=-1, initial=0.0))
-        for i in np.flatnonzero(np.any(ker, axis=0)):
+        for i in np.flatnonzero(ker.any(axis=0)):
             vals[(np.abs(coeffs[..., i]) > ktol) & ker[:, None, i]] = INF
+    if every:
+        return vals
+    out = np.full((len(D), v.shape[-2]), INF)
     out[live] = vals
     return out
 
@@ -472,19 +486,22 @@ def _biconjugate_lower_bound(
     """Max of ``phi(x) - f*(phi)`` over the given flat table indices of
     finite members: a lower bound of ``biconjugate_many`` at every x.  Also
     returns, per x, a bound on the magnitudes of the summed terms, which
-    bounds the rounding by which the two can disagree."""
+    bounds the rounding by which the two can disagree.
+
+    Each value is the max of one row of the product of the points
+    ``(|x|^2, x, 1)`` with the members ``(beta, s, -f*)``, in blocks of
+    ``_QUERY_BLOCK`` points.  It rounds differently from the kernel, by at
+    most ``(dim + 2) * 2**-53`` times the bound: a prune test only."""
     slopes = search.slopes()
-    betas = np.asarray(search.curvatures)[members // len(slopes)]
-    S = slopes[members % len(slopes)]
-    conj = table.ravel()[members]
+    W = np.column_stack([np.asarray(search.curvatures)[members // len(slopes)],
+                         slopes[members % len(slopes)], -table.ravel()[members]])
+    sq = np.sum(X * X, axis=1)
+    P = np.column_stack([sq, X, np.ones(len(X))])
     lower = np.empty(len(X))
     for start in range(0, len(X), _QUERY_BLOCK):
-        Xb = X[start:start + _QUERY_BLOCK]
-        vals = betas * np.sum(Xb * Xb, axis=1)[:, None] + Xb @ S.T - conj
-        lower[start:start + len(Xb)] = vals.max(axis=1)
-    scale = (np.max(np.abs(betas)) * np.sum(X * X, axis=1)
-             + np.abs(X).sum(axis=1) * np.max(np.abs(S))
-             + np.max(np.abs(conj)))
+        lower[start:start + _QUERY_BLOCK] = (P[start:start + _QUERY_BLOCK] @ W.T).max(axis=1)
+    top = np.abs(W).max(axis=0)
+    scale = top[0] * sq + np.abs(X).sum(axis=1) * top[1:-1].max() + top[-1]
     return lower, scale
 
 

@@ -541,9 +541,11 @@ def verify_optimality_at(
     and f(x) + g(Lx) must match the primal value within ``VALUE_TOL``.
     The tangent certificate is evaluated once and compared at every eps.
     An empty ladder (no eps, or no given certificate) checks nothing and
-    is rejected."""
+    is rejected, and so is an eps that is negative, NaN or infinite."""
     if len(eps_ladder if certs is None else certs) == 0:
         raise InvariantViolation("an empty certificate ladder certifies nothing")
+    if not all(0 <= eps < INF for eps in eps_ladder):
+        raise InvariantViolation("ladder eps must be finite and nonnegative")
     x = np.asarray(x, dtype=float).reshape(-1)
     value = _ext_add(instance.f.value(x), instance.g.value(instance.L.apply(x)))
     primal = primal_value(instance).value

@@ -9,6 +9,7 @@ scalar multiple of the identity, ``A = alpha*I``, with the admissible range of
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from functools import cached_property
 
@@ -45,11 +46,34 @@ def _symmetrized(A: np.ndarray, scale: float) -> np.ndarray:
     return 0.5 * (A + A.T)
 
 
+class _Symmetric:
+    """A matrix of the right shape that the package formed exactly
+    symmetric: alpha*I, or a stored matrix, or a sum or multiple of them."""
+
+    __slots__ = ("matrix",)
+
+    def __init__(self, matrix: np.ndarray) -> None:
+        self.matrix = matrix
+
+
+def _checked_symmetric(A: np.ndarray) -> np.ndarray:
+    """An exactly symmetric matrix as ``_as_matrix`` returns it: A itself.
+    ``0.5 * (A + A.T)`` doubles each entry and halves it, which gives back
+    its bits whenever the doubling stays finite, so only the finiteness
+    check and the overflow check remain, with ``_as_matrix``'s errors."""
+    top = float(np.abs(A).max(initial=0.0))
+    if top <= _HALF_MAX:
+        return A
+    if not np.isfinite(top):  # a NaN entry fails both tests
+        raise InvariantViolation("matrix entries must be finite")
+    raise InvariantViolation("matrix entries overflow when symmetrized")
+
+
 def _as_vector(u, dim: int) -> np.ndarray:
     u = np.asarray(u, dtype=float).reshape(-1)
     if u.shape != (dim,):
         raise InvariantViolation(f"vector shape {u.shape} != ({dim},)")
-    if not np.all(np.isfinite(u)):
+    if not np.isfinite(u).all():
         raise InvariantViolation("vector entries must be finite")
     return u
 
@@ -89,7 +113,12 @@ class _ByBytes:
 
 @dataclass(frozen=True, eq=False)
 class GeneralizedQuadratic(_ByBytes):
-    """``q(x) = x.A x + u.x + c`` on R^dim, A symmetric (unhalved form)."""
+    """``q(x) = x.A x + u.x + c`` on R^dim, A symmetric (unhalved form).
+
+    The quadratics the package derives (``zero``, ``affine``, ``iso``,
+    negation, scalar multiples, ``combine``, ``shifted``) go through
+    ``_derived``, which skips only the symmetry scan: each equals the
+    constructor's quadratic on the same fields, bit for bit."""
 
     dim: int
     A: np.ndarray
@@ -97,10 +126,15 @@ class GeneralizedQuadratic(_ByBytes):
     c: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "A", _as_matrix(self.A, self.dim))
+        A = self.A
+        if isinstance(A, _Symmetric):
+            A = _checked_symmetric(A.matrix)
+        else:
+            A = _as_matrix(A, self.dim)
+        object.__setattr__(self, "A", A)
         object.__setattr__(self, "u", _as_vector(self.u, self.dim))
         object.__setattr__(self, "c", float(self.c))
-        if not np.isfinite(self.c):
+        if not math.isfinite(self.c):
             raise InvariantViolation("constant term must be finite")
         self.A.setflags(write=False)
         self.u.setflags(write=False)
@@ -108,20 +142,25 @@ class GeneralizedQuadratic(_ByBytes):
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def _derived(cls, dim: int, A: np.ndarray, u, c: float) -> "GeneralizedQuadratic":
+        """The quadratic on a matrix A the package formed exactly symmetric."""
+        return cls(dim, _Symmetric(A), u, c)
+
+    @classmethod
     def zero(cls, dim: int) -> "GeneralizedQuadratic":
-        return cls(dim, np.zeros((dim, dim)), np.zeros(dim), 0.0)
+        return cls._derived(dim, np.zeros((dim, dim)), np.zeros(dim), 0.0)
 
     @classmethod
     def affine(cls, u, c: float = 0.0) -> "GeneralizedQuadratic":
         u = np.asarray(u, dtype=float).reshape(-1)
-        return cls(u.size, np.zeros((u.size, u.size)), u, c)
+        return cls._derived(u.size, np.zeros((u.size, u.size)), u, c)
 
     @classmethod
     def iso(cls, dim: int, alpha: float, u=None, c: float = 0.0) -> "GeneralizedQuadratic":
         """Isotropic member ``alpha*||x||^2 + u.x + c``."""
         if u is None:
             u = np.zeros(dim)
-        return cls(dim, float(alpha) * np.eye(dim), u, c)
+        return cls._derived(dim, float(alpha) * np.eye(dim), u, c)
 
     # -- evaluation --------------------------------------------------------
 
@@ -151,16 +190,16 @@ class GeneralizedQuadratic(_ByBytes):
         return combine(1.0, self, -1.0, other)
 
     def __neg__(self) -> "GeneralizedQuadratic":
-        return GeneralizedQuadratic(self.dim, -self.A, -self.u, -self.c)
+        return GeneralizedQuadratic._derived(self.dim, -self.A, -self.u, -self.c)
 
     def __rmul__(self, s: float) -> "GeneralizedQuadratic":
         s = float(s)
-        return GeneralizedQuadratic(self.dim, s * self.A, s * self.u, s * self.c)
+        return GeneralizedQuadratic._derived(self.dim, s * self.A, s * self.u, s * self.c)
 
     def shifted(self, y) -> "GeneralizedQuadratic":
         """The quadratic ``x -> q(x + y)``."""
         y = _as_vector(y, self.dim)
-        return GeneralizedQuadratic(
+        return GeneralizedQuadratic._derived(
             self.dim,
             self.A,
             2.0 * (self.A @ y) + self.u,
@@ -187,7 +226,7 @@ def combine(
     """The quadratic ``s1*q1 + s2*q2`` (dims must match)."""
     if q1.dim != q2.dim:
         raise InvariantViolation(f"dimension mismatch: {q1.dim} vs {q2.dim}")
-    return GeneralizedQuadratic(
+    return GeneralizedQuadratic._derived(
         q1.dim,
         s1 * q1.A + s2 * q2.A,
         s1 * q1.u + s2 * q2.u,

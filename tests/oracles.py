@@ -219,6 +219,35 @@ def biconjugate_argmax_loop(X, search, table):
     return values[:rows_in], winner[:rows_in]
 
 
+def quadratic_sup_loop(D, v, k):
+    """Reference ``_quadratic_sup_many``: the package's kernel before it read
+    max|w| and the ascent test from the end columns of ``eigh``'s output.
+    It reduces over every eigenvalue, gathers the live matrices even when
+    all are live, and scatters them back into a +inf array."""
+    w, V = np.linalg.eigh(D)
+    k = np.broadcast_to(np.asarray(k, dtype=float), (len(D),))
+    scale = TOL * np.maximum(1.0, np.max(np.abs(w), axis=1, initial=0.0))[:, None]
+    live = ~np.any(w > scale, axis=1)
+    out = np.full((len(D), v.shape[-2]), INF)
+    w, V, scale = w[live], V[live], scale[live]
+    if v.ndim == 3:
+        v = v[live]
+    coeffs = v @ V
+    neg = w < -scale
+    div = np.where(neg, w, INF)
+    total = np.zeros(coeffs.shape[:-1])
+    for i in range(w.shape[1]):
+        total += coeffs[..., i] ** 2 / div[:, None, i]
+    vals = k[live][:, None] - 0.25 * total
+    ker = ~neg
+    if np.any(ker):
+        ktol = TOL * np.maximum(1.0, np.max(np.abs(v), axis=-1, initial=0.0))
+        for i in np.flatnonzero(np.any(ker, axis=0)):
+            vals[(np.abs(coeffs[..., i]) > ktol) & ker[:, None, i]] = INF
+    out[live] = vals
+    return out
+
+
 def lp_dense(fv, LX, slopes, curvatures, table):
     """Reference convexified primal on a mesh: ``(value, index)`` of the
     first-index argmin of ``f + biconjugate_dense(L.)``, +inf where f is."""

@@ -11,7 +11,12 @@ import pytest
 
 import oracles
 from abconv import conjugates
-from abconv.conjugates import MAX_MESH_POINTS, _biconjugate_argmax, _group_windows
+from abconv.conjugates import (
+    MAX_MESH_POINTS,
+    _biconjugate_argmax,
+    _group_windows,
+    _quadratic_sup_many,
+)
 from abconv import (
     Box,
     ConjugateValue,
@@ -661,6 +666,94 @@ class TestBiconjugateKernel:
             assert np.isnan(values[0]) and winner[0] // 5 == 1
             table[1] = INF
             self.assert_same(X, search, table)
+
+
+def _sup_stack(rng, dim, count, kinds):
+    """``count`` symmetric matrices, each drawn from ``kinds``: "neg"
+    (negative definite), "ker" (diagonal, zero on the last axis and on the
+    others at random, so its kernel is exact) or "dead" (a positive
+    eigenvalue, on the last axis of a diagonal matrix or in a random
+    direction)."""
+    out = []
+    for kind in rng.choice(kinds, size=count):
+        M = rng.normal(size=(dim, dim))
+        if kind == "neg":
+            out.append(-(M @ M.T) - 0.5 * np.eye(dim))
+        elif kind == "ker":
+            d = -rng.uniform(0.5, 2.0, size=dim)
+            d[rng.random(dim) < 0.3] = 0.0
+            d[-1] = 0.0
+            out.append(np.diag(d))
+        else:
+            e = rng.uniform(-2.0, 2.0, size=dim)
+            e[-1] = rng.uniform(0.5, 2.0)
+            Q = np.linalg.qr(M)[0] if rng.random() < 0.5 else np.eye(dim)
+            R = Q @ np.diag(e) @ Q.T
+            out.append(0.5 * (R + R.T))
+    return np.array(out)
+
+
+SUP_KINDS = {"dead": ("dead",), "mixed": ("neg", "ker", "dead"), "live": ("neg", "ker")}
+
+
+class TestQuadraticSupKernel:
+    """``_quadratic_sup_many`` against the kernel it replaced
+    (``oracles.quadratic_sup_loop``), byte for byte: dead, mixed and live
+    stacks, kernel directions with zero and nonzero linear terms, shared
+    and per-matrix linear terms, scalar and per-matrix constants."""
+
+    @staticmethod
+    def assert_same(D, v, k):
+        got, want = _quadratic_sup_many(D, v, k), oracles.quadratic_sup_loop(D, v, k)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        return got
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("liveness", sorted(SUP_KINDS))
+    @pytest.mark.parametrize("per_matrix_v", [False, True])
+    @pytest.mark.parametrize("per_matrix_k", [False, True])
+    def test_same_bits_as_the_loop(self, dim, liveness, per_matrix_v, per_matrix_k):
+        rng = np.random.default_rng([dim, len(liveness), per_matrix_v, per_matrix_k])
+        for count in (1, 2, 9):
+            D = _sup_stack(rng, dim, count, SUP_KINDS[liveness])
+            v = rng.normal(size=(count, 8, dim) if per_matrix_v else (8, dim))
+            # the kernel axis gets no linear term in half the rows, a signed
+            # zero in some: those stay finite, the others escape to +inf
+            v[..., :4, -1] = np.where(rng.random(v[..., :4, -1].shape) < 0.5, 0.0, -0.0)
+            k = rng.normal(size=count) if per_matrix_k else float(rng.choice([-0.0, 0.0, 1.5]))
+            got = self.assert_same(D, v, k)
+            if liveness == "dead":
+                assert np.all(got == INF)
+
+    def test_every_outcome_occurs(self):
+        rng = np.random.default_rng(7)
+        D = _sup_stack(rng, 2, 30, SUP_KINDS["mixed"])
+        v = rng.normal(size=(8, 2))
+        v[:4, -1] = 0.0
+        got = self.assert_same(D, v, 0.5)
+        assert np.isfinite(got).any() and (got == INF).all(axis=1).any()
+        assert ((got == INF).any(axis=1) & np.isfinite(got).any(axis=1)).any()
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_matrices(self, dim, bad):
+        """A NaN row of eigenvalues is NaN throughout; where ``eigh``
+        fails, both kernels raise its error."""
+        rng = np.random.default_rng(dim)
+        D = _sup_stack(rng, dim, 6, SUP_KINDS["mixed"])
+        D[1] = bad
+        D[4, 0, 0] = bad
+        v = rng.normal(size=(5, dim))
+        for stack, k in ((D, rng.normal(size=6)), (D[1:2], 0.0), (D[4:5], -0.0)):
+            with np.errstate(invalid="ignore"):
+                try:
+                    want = oracles.quadratic_sup_loop(stack, v, k)
+                except np.linalg.LinAlgError:
+                    with pytest.raises(np.linalg.LinAlgError):
+                        _quadratic_sup_many(stack, v, k)
+                    continue
+                assert _quadratic_sup_many(stack, v, k).tobytes() == want.tobytes()
 
 
 class TestEpsSubdifferential:

@@ -537,6 +537,29 @@ class TestVerifyOptimalityAt:
         with pytest.raises(InvariantViolation, match="empty certificate ladder"):
             verify_optimality_at(inst47, [-0.2], **empty)
 
+    @pytest.mark.parametrize("ladder", [
+        (INF,), (1.0, -1e-3, INF), (1.0, -1e-3), (1e-2, float("nan")), (-INF,),
+    ])
+    @pytest.mark.parametrize("boxed_g", [False, True])
+    def test_a_bad_ladder_eps_is_rejected_first(self, inst47, ladder, boxed_g, monkeypatch):
+        """A negative, NaN or infinite eps is rejected before anything is
+        built, whether or not a tangent certificate exists at x (a boxed g
+        has none)."""
+        inst = inst47
+        if boxed_g:
+            g = Objective.quadratic(inst47.g.exact, domain_box=Box([-10.0], [10.0]))
+            inst = dataclasses.replace(inst47, g=g)
+        x = [-0.2]
+        assert (duality._tangent_ladder(inst, x, (1.0,))[0] is None) == boxed_g
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("built before the ladder was checked")
+
+        monkeypatch.setattr(duality, "_tangent_ladder", refuse)
+        monkeypatch.setattr(duality, "primal_value", refuse)
+        with pytest.raises(InvariantViolation, match="ladder eps must be finite"):
+            verify_optimality_at(inst, x, eps_ladder=ladder)
+
 
 def _bits(check):
     """A certificate check's verdict, conditions and details, floats as bytes."""

@@ -43,7 +43,8 @@ from abconv import (
     support_point_zero_gap_check,
     value_function,
 )
-from abconv.lagrange import _value_function_many
+from abconv.conjugates import _biconjugate_argmax, _biconjugate_lower_bound, biconjugate_many
+from abconv.lagrange import _LP_PRUNE_RTOL, _LP_SAMPLE_STRIDE, _value_function_many
 
 from conftest import FUZZ_DIMS
 
@@ -149,6 +150,22 @@ class TestLagrangianValue:
 
 
 class TestLdLp:
+    @pytest.mark.parametrize("n,m", FUZZ_DIMS)
+    def test_prune_bound_is_sound_on_fuzz_meshes(self, n, m, fuzz_instance):
+        """lp_value's prune bound never exceeds the exact biconjugate by
+        more than its slack on the term scale, at any mesh point: over the
+        sample winners lp_value uses, and over up to 2,000 finite members."""
+        inst = fuzz_instance(n, m, seed=11)
+        search, table = inst.psi_search, LagrangianContext(inst).gstar_table()
+        LX = inst.L.apply(inst.x_search.mesh())
+        exact = biconjugate_many(inst.g, LX, search, table)
+        finite = np.flatnonzero(np.isfinite(table.ravel()))
+        _, winner = _biconjugate_argmax(LX[::_LP_SAMPLE_STRIDE], search, table)
+        for members in (np.unique(winner[winner >= 0]), finite[::-(-len(finite) // 2000)]):
+            assert len(members)
+            lower, scale = _biconjugate_lower_bound(LX, members, search, table)
+            assert np.all(lower <= exact + _LP_PRUNE_RTOL * scale)
+
     def test_ld_is_the_dual_sweep_bit_for_bit(self, inst47, inst48, make_ctx):
         for inst in (inst47, inst48):
             ctx = make_ctx(inst)

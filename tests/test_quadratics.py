@@ -10,12 +10,14 @@ import oracles
 from abconv import (
     CurvatureSpec,
     Family,
+    FamilySearchGrid,
     GeneralizedQuadratic,
     InvariantViolation,
     LinearMap,
     combine,
     pullback,
 )
+from abconv import quadratics
 from abconv.config import TOL
 from abconv.quadratics import quadratic_form
 
@@ -142,6 +144,111 @@ def random_matrix(rng, dim):
     A = rng.normal(size=(dim, dim))
     A[rng.random((dim, dim)) < 0.2] = 0.0
     return A + A.T
+
+
+def _public(q):
+    """The quadratic the public constructor builds on q's fields."""
+    return GeneralizedQuadratic(q.dim, np.array(q.A), np.array(q.u), q.c)
+
+
+def _draw(rng, dim):
+    """A quadratic with signed zeros, subnormals and large entries among
+    its fields, through the public constructor."""
+    pool = np.array([0.0, -0.0, 5e-324, -2.5e-310, 1e150, -3.0, 0.5])
+    A = np.where(rng.random((dim, dim)) < 0.4, rng.choice(pool, (dim, dim)),
+                 rng.normal(size=(dim, dim)))
+    u = np.where(rng.random(dim) < 0.4, rng.choice(pool, dim), rng.normal(size=dim))
+    return GeneralizedQuadratic(dim, np.triu(A) + np.triu(A, 1).T, u,
+                                float(rng.choice([-0.0, 0.0, rng.normal()])))
+
+
+def _derived_and_public(rng, dim):
+    """Each derived construction paired with the public constructor on the
+    fields it forms, in the same arithmetic."""
+    q1, q2 = _draw(rng, dim), _draw(rng, dim)
+    s1, s2 = (float(rng.choice([-0.0, 0.0, 1.0, -1.0, rng.normal()])) for _ in range(2))
+    alpha = float(rng.choice([-0.0, 0.0, rng.normal()]))
+    u = np.where(rng.random(dim) < 0.3, -0.0, rng.normal(size=dim))
+    y = rng.normal(size=dim)
+    G = GeneralizedQuadratic
+    return [
+        (G.zero(dim), G(dim, np.zeros((dim, dim)), np.zeros(dim), 0.0)),
+        (G.affine(u, s1), G(dim, np.zeros((dim, dim)), u, s1)),
+        (G.iso(dim, alpha), G(dim, alpha * np.eye(dim), np.zeros(dim), 0.0)),
+        (G.iso(dim, alpha, u, s2), G(dim, alpha * np.eye(dim), u, s2)),
+        (-q1, G(dim, -q1.A, -q1.u, -q1.c)),
+        (s1 * q1, G(dim, s1 * q1.A, s1 * q1.u, s1 * q1.c)),
+        (combine(s1, q1, s2, q2),
+         G(dim, s1 * q1.A + s2 * q2.A, s1 * q1.u + s2 * q2.u, s1 * q1.c + s2 * q2.c)),
+        (q1 + q2, G(dim, q1.A + q2.A, q1.u + q2.u, q1.c + q2.c)),
+        (q1 - q2, G(dim, q1.A - q2.A, q1.u - q2.u, q1.c - q2.c)),
+        (q1.shifted(y), G(dim, q1.A, 2.0 * (q1.A @ y) + q1.u, q1(y))),
+    ]
+
+
+class TestDerivedConstruction:
+    """The quadratics the package derives skip the symmetry scan; each
+    equals the public constructor on the same fields, -0.0 included."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_derived_equals_public(self, dim):
+        rng = np.random.default_rng(dim)
+        for _ in range(30):
+            for derived, public in _derived_and_public(rng, dim):
+                assert derived == public
+                assert derived == _public(derived)
+                assert not derived.A.flags.writeable and not derived.u.flags.writeable
+
+    @pytest.mark.parametrize("s, match", [
+        (1.0, "overflow when symmetrized"),  # the sum passes _HALF_MAX
+        (3.0, "must be finite"),  # the sum overflows
+    ])
+    def test_combine_out_of_range_raises_as_the_constructor(self, s, match):
+        q = GeneralizedQuadratic(2, [[8e307, 0.0], [0.0, 1.0]], [0.0, 0.0], 0.0)
+        with np.errstate(over="ignore"):
+            with pytest.raises(InvariantViolation, match=match) as derived:
+                combine(s, q, s, q)
+            with pytest.raises(InvariantViolation) as public:
+                GeneralizedQuadratic(2, s * q.A + s * q.A, q.u, 0.0)
+            with pytest.raises(InvariantViolation, match=match):
+                (2.0 * s) * q
+        assert str(derived.value) == str(public.value)
+
+    def test_non_finite_fields_raise_on_the_derived_path(self):
+        q = GeneralizedQuadratic.iso(1, 1.0)
+        for build in (lambda: GeneralizedQuadratic.iso(1, np.nan),
+                      lambda: GeneralizedQuadratic.iso(1, 1.0, [np.inf]),
+                      lambda: GeneralizedQuadratic.affine([1.0], np.inf),
+                      lambda: np.inf * q,
+                      lambda: q.shifted([np.nan])):
+            with np.errstate(invalid="ignore"), pytest.raises(InvariantViolation):
+                build()
+
+    def test_derived_constructions_never_symmetrize(self, monkeypatch):
+        """Full validation must not come back on the derived path: with the
+        symmetrization disabled, every derived construction still builds."""
+        q = GeneralizedQuadratic(2, [[1.0, 0.5], [0.5, -2.0]], [1.0, -1.0], 0.5)
+        family = Family(2, CurvatureSpec.nonpos())
+        search = FamilySearchGrid.default(family, slope_points=3)
+
+        def refuse(*args):
+            raise AssertionError("a derived quadratic was symmetrized")
+
+        monkeypatch.setattr(quadratics, "_symmetrized", refuse)
+        GeneralizedQuadratic.zero(2)
+        GeneralizedQuadratic.affine([1.0, 2.0], 3.0)
+        GeneralizedQuadratic.iso(2, -1.5, [1.0, 0.0], 2.0)
+        -q
+        2.5 * q
+        combine(0.5, q, -1.5, q)
+        q + q
+        q - q
+        q.shifted([0.25, -1.0])
+        family.member(-1.0, [1.0, 2.0])
+        family.tangent(q, [0.5, 0.5])
+        search.member_at(search.size - 1)
+        with pytest.raises(AssertionError, match="symmetrized"):
+            GeneralizedQuadratic(2, q.A, q.u, q.c)
 
 
 class TestQuadraticForm:
