@@ -69,9 +69,9 @@ def sized_instance(spec: RandomSpec, seed: int) -> ProblemInstance:
     )
 
 
-def grid_vs_closed(inst: ProblemInstance) -> list[str]:
-    """Cross-check the two conjugate engines on g, which has no domain box:
-    the grid engine sees it through a whole-space box."""
+def whole_space_table(inst: ProblemInstance):
+    """The grid engine's table of g seen through a whole-space box, on the
+    cross-check's member grid and the default mesh: (search, grid, table)."""
     g, m = inst.g, inst.L.out_dim
     search = FamilySearchGrid.default(
         inst.psi, slope_points=CROSS_SLOPE_POINTS[m],
@@ -80,6 +80,14 @@ def grid_vs_closed(inst: ProblemInstance) -> list[str]:
     whole = Box(np.full(m, -np.inf), np.full(m, np.inf))
     gridded = family_conjugate_table(
         Objective.quadratic(g.quad, domain_box=whole), search, grid=grid)
+    return search, grid, gridded
+
+
+def grid_vs_closed(inst: ProblemInstance) -> list[str]:
+    """Cross-check the two conjugate engines on g, which has no domain box:
+    the grid engine sees it through a whole-space box."""
+    g, m = inst.g, inst.L.out_dim
+    search, grid, gridded = whole_space_table(inst)
     closed = family_conjugate_table(g, search)
     h = (grid.box.upper[0] - grid.box.lower[0]) / (grid.points_per_axis - 1)
     eigs = np.linalg.eigvalsh(g.quad.A)

@@ -101,15 +101,18 @@ def conjugate_closed_form(
     D = phi.A - q.A
     v = phi.u - q.u
     k = phi.c - q.c
+    # eigh sorts w ascending, so max|w| and the ascent test read its ends,
+    # and a kernel direction exists only when the last one is not negative.
     w, V = np.linalg.eigh(D)
-    scale = TOL * max(1.0, float(np.max(np.abs(w), initial=0.0)))
-    if np.any(w > scale):
+    scale = TOL * max(1.0, float(-w[0]), float(w[-1]))
+    if w[-1] > scale:
         return ConjugateValue(INF, None, "closed", "unbounded-direction")
     coeffs = V.T @ v
-    ker = np.abs(w) <= scale
-    ktol = TOL * max(1.0, float(np.max(np.abs(v), initial=0.0)))
-    if np.any(np.abs(coeffs[ker]) > ktol):
-        return ConjugateValue(INF, None, "closed", "linear-escape")
+    if w[-1] >= -scale:
+        ker = np.abs(w) <= scale
+        ktol = TOL * max(1.0, float(np.max(np.abs(v), initial=0.0)))
+        if np.any(np.abs(coeffs[ker]) > ktol):
+            return ConjugateValue(INF, None, "closed", "linear-escape")
     neg = w < -scale
     value = k
     x = np.zeros(q.dim)
@@ -211,8 +214,8 @@ def _grid_sup_table(
     only when strictly better, and a member whose first window is wholly
     infeasible stops with -inf.  Each round sorts its members by window,
     then curvature, meshes and evaluates f once per chunk of distinct
-    windows, and forms the x.A x terms with one ``quadratic_form`` call per
-    curvature over the windows that curvature needs.  A member's value is
+    windows, and forms the x.A x terms with one stacked ``quadratic_form``
+    call per chunk of (window, curvature) pairs.  A member's value is
     ``quadratic_form(X, A) + X @ u + c - f(X)`` on its window mesh, the
     arithmetic of ``GeneralizedQuadratic.__call__``, with one matrix-vector
     product per member (a batched ``X @ U.T`` would round differently).
@@ -227,6 +230,7 @@ def _grid_sup_table(
     lower = np.tile(grid.box.lower, (size, 1))
     upper = np.tile(grid.box.upper, (size, 1))
     live = np.arange(size)
+    stacked = np.stack(mats)
     step = max(1, _VALUE_BLOCK // (n_pts * dim))
     for r in range(grid.refine_rounds + 1):
         if r:
@@ -248,11 +252,7 @@ def _grid_sup_table(
             q0, q1 = np.searchsorted(pair_win, [w0, w0 + step])
             for p0 in range(q0, q1, step):
                 p1 = min(p0 + step, q1)
-                quad = np.empty((p1 - p0, n_pts))
-                for k in np.unique(pair_curv[p0:p1]):
-                    at = np.flatnonzero(pair_curv[p0:p1] == k)
-                    X = Xs[pair_win[p0 + at] - w0].reshape(-1, dim)
-                    quad[at] = quadratic_form(X, mats[k]).reshape(-1, n_pts)
+                quad = quadratic_form(Xs[pair_win[p0:p1] - w0], stacked[pair_curv[p0:p1]])
                 for b in range(starts[p0], starts[p1], step):
                     span = slice(b, min(b + step, starts[p1]))
                     block, win = members[span], ids[span] - w0
@@ -390,10 +390,10 @@ def family_conjugate_table(
     every member at once in batched rounds: a round groups its members by
     window, meshes all the distinct windows together, evaluates f on them
     in one call per chunk of about ``_VALUE_BLOCK`` mesh entries, and forms
-    every member's values with one ``quadratic_form`` call per curvature and
-    one batched matrix-vector product.  Each entry equals ``conjugate_grid``
-    at that member bit for bit: a lower bound, -inf where the member's first
-    window is wholly infeasible.
+    every member's values with one ``quadratic_form`` call per chunk of
+    (window, curvature) pairs and one batched matrix-vector product.  Each
+    entry equals ``conjugate_grid`` at that member bit for bit: a lower
+    bound, -inf where the member's first window is wholly infeasible.
     """
     slopes = search.slopes()
     q = f.exact

@@ -46,6 +46,11 @@ class Box(_ByBytes):
     def is_finite(self) -> bool:
         return bool(np.all(np.isfinite(self.lower)) and np.all(np.isfinite(self.upper)))
 
+    @property
+    def is_whole_space(self) -> bool:
+        """No finite bound: every point without a NaN coordinate is inside."""
+        return bool(np.all(self.lower == -INF) and np.all(self.upper == INF))
+
     def contains(self, x) -> bool:
         x = np.asarray(x, dtype=float)
         return bool(np.all(x >= self.lower) and np.all(x <= self.upper))
@@ -95,6 +100,12 @@ def mesh_windows(lower, upper, points: int) -> np.ndarray:
                 axis[part] = np.linspace(lo[part], hi[part], points, axis=1)
         mesh[..., k] = axis.reshape((n_win,) + (1,) * k + (points,) + (1,) * (dim - 1 - k))
     return mesh.reshape(n_win, points**dim, dim)
+
+
+def _checked(values: np.ndarray) -> np.ndarray:
+    if np.any(np.isnan(values)) or np.any(values == -INF):
+        raise InvariantViolation("objective produced NaN or -inf on batch")
+    return values
 
 
 @dataclass(frozen=True)
@@ -155,16 +166,32 @@ class Objective:
         return v
 
     def values(self, X: np.ndarray) -> np.ndarray:
-        """Extended-real values on a batch (N, dim)."""
+        """Extended-real values on a batch (N, dim).
+
+        A callable is called only on rows inside the domain box, once per
+        distinct row (rows with equal bytes, so -0.0 and 0.0 differ), as
+        ``value`` calls it point by point; every other row is +inf."""
         X = np.asarray(X, dtype=float)
+        box = self.domain_box
         if self.quad is not None:
-            out = np.asarray(self.quad(X), dtype=float)
-        else:
-            out = np.fromiter((float(self.fn(row)) for row in X), float, count=len(X))
-        if np.any(np.isnan(out)) or np.any(out == -INF):
-            raise InvariantViolation("objective produced NaN or -inf on batch")
-        if self.domain_box is not None:
-            out = np.where(self.domain_box.contains_batch(X), out, INF)
+            out = _checked(np.asarray(self.quad(X), dtype=float))
+            # Without a finite bound only a NaN row is outside the box, and
+            # its value is NaN, which raised above.
+            if box is None or box.is_whole_space:
+                return out
+            return np.where(box.contains_batch(X), out, INF)
+        inside = slice(None) if box is None else box.contains_batch(X)
+        memo: dict[bytes, float] = {}
+
+        def call(row: np.ndarray) -> float:
+            key = row.tobytes()
+            v = memo.get(key)
+            if v is None:
+                v = memo[key] = float(self.fn(row))
+            return v
+
+        out = np.full(len(X), INF)
+        out[inside] = _checked(np.fromiter(map(call, X[inside]), float))
         return out
 
 

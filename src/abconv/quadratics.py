@@ -79,15 +79,19 @@ def _as_vector(u, dim: int) -> np.ndarray:
 
 
 def quadratic_form(X: np.ndarray, A: np.ndarray) -> np.ndarray:
-    """``x.A x`` for every row x of the batch X, shape ``(N, dim)``.
+    """``x.A x`` for every row x of the batch X, shape ``(N, dim)``, or of
+    stacked batches, shape ``(P, N, dim)``, each with its own matrix in A,
+    shape ``(P, dim, dim)``.
 
     Adds ``x_i * A_ij * x_j`` to zero for each i, then each j, so a row
-    gets the same bits whatever the batch it comes in.  It is the package's
-    only batched x.A x, so how x.A x rounds is decided here alone."""
-    acc = np.zeros(len(X))
-    for i in range(A.shape[0]):
-        for j in range(A.shape[1]):
-            acc += X[:, i] * A[i, j] * X[:, j]
+    gets the same bits whatever the batch or stack it comes in.  It is the
+    package's only batched x.A x, so how x.A x rounds is decided here alone."""
+    acc = np.zeros(X.shape[:-1])
+    if A.ndim == 3:
+        A = A[:, None]  # A[..., i, j] is then a column over each batch's rows
+    for i in range(A.shape[-2]):
+        for j in range(A.shape[-1]):
+            acc += X[..., i] * A[..., i, j] * X[..., j]
     return acc
 
 

@@ -12,8 +12,14 @@ from __future__ import annotations
 
 import numpy as np
 
+from abconv import conjugates
 from abconv.config import TOL
-from abconv.conjugates import _QUERY_BLOCK, biconjugate_at, minimize_quadratic
+from abconv.conjugates import (
+    _QUERY_BLOCK,
+    _group_windows,
+    biconjugate_at,
+    minimize_quadratic,
+)
 from abconv.errors import InvariantViolation
 from abconv.lagrange import (
     _LSC_DIRECTIONS,
@@ -22,7 +28,8 @@ from abconv.lagrange import (
     SupportPointCheck,
     value_function,
 )
-from abconv.quadratics import GeneralizedQuadratic, combine, pullback
+from abconv.objectives import mesh_windows, shrink_windows
+from abconv.quadratics import GeneralizedQuadratic, combine, pullback, quadratic_form
 
 INF = float("inf")
 
@@ -246,6 +253,63 @@ def quadratic_sup_loop(D, v, k):
             vals[(np.abs(coeffs[..., i]) > ktol) & ker[:, None, i]] = INF
     out[live] = vals
     return out
+
+
+def grid_sup_table_loop(f, mats, U, c, grid):
+    """Reference ``_grid_sup_table``: the package's engine from before it
+    formed a chunk's x.A x terms in one stacked ``quadratic_form`` call.  It
+    loops over the curvatures of each chunk of (window, curvature) pairs,
+    gathers the windows each one needs and scatters their terms back.  The
+    value block is read from the package at call time, so a test that
+    shrinks it chunks both engines alike."""
+    n_lin, dim, points = len(U), f.dim, grid.points_per_axis
+    n_pts, size = points**dim, len(mats) * n_lin
+    best = np.full(size, -INF)
+    best_x = np.full((size, dim), np.nan)
+    lower = np.tile(grid.box.lower, (size, 1))
+    upper = np.tile(grid.box.upper, (size, 1))
+    live = np.arange(size)
+    step = max(1, conjugates._VALUE_BLOCK // (n_pts * dim))
+    for r in range(grid.refine_rounds + 1):
+        if r:
+            lower[live], upper[live] = shrink_windows(
+                lower[live], upper[live], best_x[live], 0.1)
+        first, ids = _group_windows(lower[live], upper[live])
+        order = np.argsort(ids, kind="stable")
+        members, ids = live[order], ids[order]
+        curv = members // n_lin
+        new = np.ones(len(members), dtype=bool)
+        new[1:] = (ids[1:] != ids[:-1]) | (curv[1:] != curv[:-1])
+        pair, starts = np.cumsum(new) - 1, np.append(np.flatnonzero(new), len(members))
+        pair_win, pair_curv = ids[new], curv[new]
+        for w0 in range(0, len(first), step):
+            rows = live[first[w0:w0 + step]]
+            Xs = mesh_windows(lower[rows], upper[rows], points)
+            fX = f.values(Xs.reshape(-1, dim)).reshape(len(rows), n_pts)
+            q0, q1 = np.searchsorted(pair_win, [w0, w0 + step])
+            for p0 in range(q0, q1, step):
+                p1 = min(p0 + step, q1)
+                quad = np.empty((p1 - p0, n_pts))
+                for k in np.unique(pair_curv[p0:p1]):
+                    at = np.flatnonzero(pair_curv[p0:p1] == k)
+                    X = Xs[pair_win[p0 + at] - w0].reshape(-1, dim)
+                    quad[at] = quadratic_form(X, mats[k]).reshape(-1, n_pts)
+                for b in range(starts[p0], starts[p1], step):
+                    span = slice(b, min(b + step, starts[p1]))
+                    block, win = members[span], ids[span] - w0
+                    vals = np.matmul(Xs[win], U[block % n_lin][:, :, None])[:, :, 0]
+                    vals += quad[pair[span] - p0]
+                    vals += c
+                    vals -= fX[win]
+                    idx = vals.argmax(axis=1)
+                    top = vals[np.arange(len(block)), idx]
+                    up = top > best[block]
+                    best[block[up]] = top[up]
+                    best_x[block[up]] = Xs[win[up], idx[up]]
+        if r == 0:
+            live = np.flatnonzero(best > -INF)
+    shape = (len(mats), n_lin)
+    return best.reshape(shape), best_x.reshape(shape + (dim,))
 
 
 def lp_dense(fv, LX, slopes, curvatures, table):

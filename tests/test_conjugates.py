@@ -14,6 +14,7 @@ from abconv import conjugates
 from abconv.conjugates import (
     MAX_MESH_POINTS,
     _biconjugate_argmax,
+    _grid_sup_table,
     _group_windows,
     _quadratic_sup_many,
 )
@@ -77,6 +78,19 @@ class TestClosedForm:
     def test_linear_escape(self):
         res = conjugate_closed_form(F_SHIFTED_SQUARE, member(1.0, 3.0))
         assert res.value == INF and res.note == "linear-escape"
+
+    def test_the_tolerance_scales_with_the_largest_eigenvalue_magnitude(self):
+        # D = phi.A - f.A has the eigenvalues -1e6 and +-5e-4.  Within
+        # TOL * 1e6 of zero, the second is a kernel direction: neither an
+        # ascent direction nor a strictly concave one.
+        phi = GeneralizedQuadratic.zero(2)
+        for small, u, expected, note in ((-5e-4, [0.0, 0.0], 0.0, ""),
+                                         (5e-4, [0.0, 1.0], INF, "linear-escape")):
+            f = GeneralizedQuadratic(2, np.diag([1e6, small]), u, 0.0)
+            res = conjugate_closed_form(f, phi)
+            assert (res.value, res.note) == (expected, note)
+            batched = _quadratic_sup_many((phi.A - f.A)[None], (phi.u - f.u)[None], 0.0)
+            assert batched[0, 0] == res.value
 
     def test_two_dimensional_frozen_value(self):
         f = GeneralizedQuadratic(2, [[1.0, 0.0], [0.0, 2.0]], [0.0, 0.0], 0.0)
@@ -483,6 +497,31 @@ class TestGridTable:
         if case == "plateau":
             # round 0 finds -0.9; round 1 ties at about -0.95 and must not win
             assert res.value == 0.0 and res.maximizer[0] == pytest.approx(-0.9)
+
+    @pytest.mark.parametrize("block", ["default", "small"])
+    @pytest.mark.parametrize("case", ["iso-1d", "iso-2d", "callable-2d", "general-phi"])
+    def test_stacked_terms_match_the_per_curvature_loop(self, case, block, monkeypatch):
+        # The table and the maximizers, bit for bit, against the engine
+        # that formed the x.A x terms one curvature at a time; a small value
+        # block puts several windows and several curvatures in each chunk.
+        if case == "general-phi":
+            f, grid = _boxed_g(2, False, 7), GridSpec(Box.cube(2, -3.0, 3.0), 11, 2)
+            phi = GeneralizedQuadratic(2, [[-1.0, 0.3], [0.3, 0.5]], [1.0, 2.0], -0.7)
+            mats, U, c = [phi.A], phi.u[None], phi.c
+        else:
+            m = int(case[-2])
+            f = _boxed_g(m, case.startswith("callable"), 10 + m)
+            grid = GridSpec(Box.cube(m), {1: 41, 2: 11}[m], 2)
+            search = _search(m, {1: 15, 2: 5}[m])
+            mats = [GeneralizedQuadratic.iso(m, beta).A for beta in search.curvatures]
+            U, c = search.slopes(), 0.0
+        if block == "small":
+            monkeypatch.setattr(conjugates, "_VALUE_BLOCK", 3 * grid.points_per_axis**f.dim * f.dim)
+        table, maximizers = _grid_sup_table(f, mats, U, c, grid)
+        ref_table, ref_maximizers = oracles.grid_sup_table_loop(f, mats, U, c, grid)
+        assert np.isfinite(table).all()
+        np.testing.assert_array_equal(_bits(table), _bits(ref_table))
+        np.testing.assert_array_equal(_bits(maximizers), _bits(ref_maximizers))
 
     def test_windows_that_differ_in_a_zero_sign_stay_apart(self):
         lower = np.array([[-0.0, 1.0], [0.0, 1.0], [-0.0, 1.0], [0.0, 2.0]])

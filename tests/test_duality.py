@@ -150,7 +150,13 @@ class TestSearchMeshArrays:
 
     def test_a_repeated_request_evaluates_neither_part_on_the_mesh(self):
         inst, calls = self.counting_instance()
-        assert calls == {"f": self.X_POINTS, "g": self.X_POINTS}  # the build-time check
+        # The build-time check calls each part once per distinct mesh point
+        # inside its domain box: 23 of the 51 points for f, 28 for g o L.
+        X = inst.x_search.mesh()
+        assert len({x.tobytes() for x in X}) == self.X_POINTS
+        in_f = int(inst.f.domain_box.contains_batch(X).sum())
+        in_g = int(inst.g.domain_box.contains_batch(inst.L.apply(X)).sum())
+        assert calls == {"f": in_f, "g": in_g} == {"f": 23, "g": 28}
         run_report(inst, certificates=False)
         dcp_value(inst)
         calls.update(f=0, g=0)

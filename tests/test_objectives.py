@@ -1,15 +1,22 @@
 """Boxes, extended-real objectives, and weak-convexity moduli."""
 
+import math
+
 import numpy as np
 import pytest
 
 from abconv import (
     Box,
+    CurvatureSpec,
+    Family,
+    FamilySearchGrid,
     GeneralizedQuadratic,
+    GridSpec,
     INF,
     InvariantViolation,
     LinearMap,
     Objective,
+    family_conjugate_table,
     shifted_modulus,
     weak_convexity_modulus,
 )
@@ -123,6 +130,74 @@ class TestObjective:
         f = Objective.quadratic(GeneralizedQuadratic.zero(2))
         with pytest.raises(InvariantViolation):
             f.value([1.0])
+
+
+def recorded(dim, fn, box=None):
+    """A callable objective that keeps a copy of every point it is called at."""
+    calls = []
+
+    def wrapped(x):
+        calls.append(np.array(x))
+        return fn(x)
+
+    return Objective.from_callable(dim, wrapped, domain_box=box), calls
+
+
+class TestBatchValues:
+    """``values`` calls a callable as ``value`` does, point by point: only
+    inside the domain box, and once per distinct row."""
+
+    def test_a_callable_is_never_called_outside_its_box(self):
+        box = Box([0.1], [5.0])
+        g, calls = recorded(1, lambda y: -math.log(y[0]), box)
+        assert g.value([-1.0]) == INF and calls == []
+        X = Box.cube(1).mesh(41)
+        vals = g.values(X)
+        inside = box.contains_batch(X)
+        assert calls and all(box.contains(y) for y in calls)
+        assert np.all(vals[~inside] == INF)
+        assert vals[inside].tolist() == [g.value(y) for y in X[inside]]
+        search = FamilySearchGrid.default(
+            Family(1, CurvatureSpec.nonpos()), slope_points=9, curvature_points=5)
+        table = family_conjugate_table(g, search, grid=GridSpec(Box.cube(1), 41, 2))
+        # sup_y psi(y) - g(y) is at least its value at y = 1, where g is 0
+        lower = np.asarray(search.curvatures)[:, None] + search.slopes()[:, 0]
+        assert np.all(np.isfinite(table)) and np.all(table >= lower)
+
+    def test_once_per_distinct_row_and_signed_zeros_differ(self):
+        f, calls = recorded(2, lambda x: math.copysign(1.0, x[0]) + x[1])
+        X = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0], [2.0, 3.0],
+                      [-0.0, 1.0], [2.0, 3.0], [0.0, -0.0]])
+        vals = f.values(X)
+        assert vals.tolist() == [2.0, 0.0, 2.0, 4.0, 0.0, 4.0, 1.0]
+        assert sorted(x.tobytes() for x in calls) == sorted(
+            X[i].tobytes() for i in (0, 1, 3, 6))
+
+    def test_nan_or_minus_inf_inside_the_box_still_raises(self):
+        box = Box([0.0], [2.0])
+        for bad in (math.nan, -INF):
+            f = Objective.from_callable(1, lambda x, b=bad: b if x[0] > 1.0 else 0.0, box)
+            with pytest.raises(InvariantViolation):
+                f.values(np.array([[0.5], [1.5]]))
+            assert f.values(np.array([[0.5], [3.0]])).tolist() == [0.0, INF]
+
+    def test_a_whole_space_box_skips_the_containment_test(self, monkeypatch):
+        q = GeneralizedQuadratic(2, [[1.0, 0.5], [0.5, 2.0]], [1.0, -1.0], 0.25)
+        whole = Box([-INF, -INF], [INF, INF])
+        half = Box([-INF, INF], [INF, INF])  # no finite bound, yet not all of R^2
+        assert whole.is_whole_space and not half.is_whole_space
+        X = np.array([[1.0, 2.0], [-3.0, 0.5], [-0.0, 7.0]])
+        expected = Objective.quadratic(q).values(X)
+        assert Objective.quadratic(q, domain_box=half).values(X).tolist() == [INF] * 3
+
+        def refuse(box, X):
+            raise AssertionError("contains_batch called on a whole-space box")
+
+        monkeypatch.setattr(Box, "contains_batch", refuse)
+        f = Objective.quadratic(q, domain_box=whole)
+        assert f.values(X).tobytes() == expected.tobytes()
+        with pytest.raises(InvariantViolation):  # a NaN row is the one outside
+            f.values(np.array([[1.0, np.nan]]))
 
 
 class TestWeakConvexityModulus:

@@ -277,6 +277,21 @@ class TestQuadraticForm:
                 assert np.array_equal(bits(quadratic_form(X[i:i + 60], A)), full[i:i + 60])
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_a_stack_gets_the_bits_of_one_call_per_matrix(self, dim, rng):
+        # Signed zeros in the matrices and the rows, and rows with an
+        # infinity (inf * 0 is NaN), round as in the unstacked call.
+        As = np.stack([random_matrix(rng, dim) for _ in range(6)])
+        As[rng.random(As.shape) < 0.2] = -0.0
+        As[0] = 0.0
+        Xs = np.concatenate([rng.normal(size=(6, 30, dim)),
+                             rng.choice(SPECIAL, size=(6, 30, dim))], axis=1)
+        with np.errstate(all="ignore"):
+            stacked = quadratic_form(Xs, As)
+            assert stacked.shape == (6, 60)
+            for p in range(6):
+                assert np.array_equal(bits(stacked[p]), bits(quadratic_form(Xs[p], As[p])))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_two_copies_of_a_row_get_its_batch_value(self, dim, rng):
         # A one-row batch q(X[i:i + 1]) may still differ in the last bits:
         # its linear term u.x is a one-row matrix-vector product, which BLAS

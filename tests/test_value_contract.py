@@ -1,0 +1,123 @@
+"""The value contract of the grid engine, as committed sha256 digests.
+
+Each section hashes the bits of the values the package computes on a fixed
+set of inputs, so a change that moves any of them names the section it
+moved.  The gridbox sections use the instance pools of the benchmark's
+``gridbox`` workload (``perfbench/workloads.py``) at three seeds: for each
+instance the ``report_json`` bytes of ``run_report`` without certificates,
+a fresh ``dcp_value``, and the grid engine's g* table in that
+``dcp_value`` with its maximizers.
+``grid-vs-closed`` hashes the whole-space-box table that
+``scripts/fuzz_duality.py`` checks against the closed form, for the seed-0
+instance of every dimension pair.
+
+The bits depend on the numpy and BLAS build, as the catalog reference files
+do, so a mismatch names the build the digests were recorded with.  A change
+that means to move a value records the new digests with
+``PYTHONPATH=src python tests/test_value_contract.py`` and says why.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import importlib.util
+import sys
+from contextlib import contextmanager
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import abconv
+from abconv import RandomSpec, conjugates
+
+ROOT = Path(__file__).resolve().parent.parent
+RECORDED_WITH = "numpy 2.4.6, scipy-openblas 0.3.31.188.0 (Haswell kernels), Python 3.11.7"
+
+DIGESTS = {
+    "gridbox-11": "183760d6976bb3b2d4947aac40ca7673bd8f0659b797fab792fe1db49b3fa9d1",
+    "gridbox-1": "4652575c4e624b091e16ef20e758747f1399224ef6440dd1918b10242e3f01a3",
+    "gridbox-2": "f1a5860f1dc29e95d5ffce57fa14e81f4c6d221f8b0031a9548f9ca277ed81be",
+    "grid-vs-closed": "4dc752c50e10fc3612edea37a1b2000811dd81866bd3c225d5efe1ad5877e91a",
+}
+
+
+def _module(path: Path, name: str):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _gridbox_workload():
+    """The benchmark's ``Gridbox`` class; ``workloads.py`` imports the
+    sibling module ``spans`` by name."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        return _module(ROOT / "perfbench" / "workloads.py", "perfbench_workloads").Gridbox
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+
+
+@contextmanager
+def _grid_tables():
+    """Copies of the values and maximizers of every grid-engine table
+    computed inside the block."""
+    tables, engine = [], conjugates._grid_sup_table
+
+    def record(*args):
+        values, maximizers = engine(*args)
+        tables.append((values.copy(), maximizers.copy()))
+        return values, maximizers
+
+    conjugates._grid_sup_table = record
+    try:
+        yield tables
+    finally:
+        conjugates._grid_sup_table = engine
+
+
+def gridbox_digest(seed: int) -> str:
+    """A gridbox request's outputs, ``run_report`` and a fresh ``dcp_value``,
+    and the one grid-engine table of that ``dcp_value``: g* and its
+    maximizers."""
+    h = hashlib.sha256()
+    for inst in _gridbox_workload()(abconv, seed).pool:
+        h.update(abconv.report_json(abconv.run_report(inst, certificates=False)).encode())
+        with _grid_tables() as tables:
+            h.update(np.float64(abconv.dcp_value(inst).value).tobytes())
+        (values, maximizers), = tables
+        h.update(values.tobytes())
+        h.update(maximizers.tobytes())
+    return h.hexdigest()
+
+
+def grid_vs_closed_digest() -> str:
+    fuzz = _module(ROOT / "scripts" / "fuzz_duality.py", "fuzz_duality_script")
+    h = hashlib.sha256()
+    for n in (1, 2, 3):
+        for m in (1, 2, 3):
+            inst = fuzz.sized_instance(RandomSpec(n=n, m=m), 0)
+            h.update(fuzz.whole_space_table(inst)[2].tobytes())
+    return h.hexdigest()
+
+
+SECTIONS = {
+    "gridbox-11": lambda: gridbox_digest(11),
+    "gridbox-1": lambda: gridbox_digest(1),
+    "gridbox-2": lambda: gridbox_digest(2),
+    "grid-vs-closed": grid_vs_closed_digest,
+}
+
+
+@pytest.mark.parametrize("section", list(SECTIONS))
+def test_section_digest(section):
+    got = SECTIONS[section]()
+    assert got == DIGESTS[section], (
+        f"value contract section {section!r} moved: {got} != {DIGESTS[section]} "
+        f"(recorded with {RECORDED_WITH}; this run has numpy {np.__version__})")
+
+
+if __name__ == "__main__":
+    for name, build in SECTIONS.items():
+        print(f'    "{name}": "{build()}",')
