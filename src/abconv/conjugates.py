@@ -183,8 +183,8 @@ def _quadratic_sup_many(D: np.ndarray, v: np.ndarray, k: float | np.ndarray) -> 
 
 
 # Entries per block of a batched kernel's largest intermediate (the grid
-# engine's member meshes, the V(y) samples' value matrix): 2**18 entries,
-# 2 MB, however many windows or members there are.
+# engine's member meshes): 2**18 entries, 2 MB, however many windows or
+# members there are.
 _VALUE_BLOCK = 1 << 18
 
 

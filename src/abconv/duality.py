@@ -137,16 +137,16 @@ class ProblemInstance:
             raise InvariantViolation("composite quadratic needs exact parts")
         return self.f.quad + pullback(self.g.quad, self.L)
 
+    def value_at(self, x) -> float:
+        """``f(x) + g(Lx)`` at one point; +inf when either part is +inf."""
+        x = np.asarray(x, dtype=float).reshape(-1)
+        return _ext_add(self.f.value(x), self.g.value(self.L.apply(x)))
+
     def composite_objective(self) -> Objective:
         """``x -> f(x) + g(Lx)`` as a single objective."""
         if self.is_exact:
             return Objective.quadratic(self.composite_quad())
-        f, g, L = self.f, self.g, self.L
-        return Objective.from_callable(
-            L.in_dim,
-            lambda x: _ext_add(f.value(x), g.value(L.apply(x))),
-            domain_box=f.domain_box,
-        )
+        return Objective.from_callable(self.L.in_dim, self.value_at, domain_box=self.f.domain_box)
 
 
 def coupling_value(
@@ -206,6 +206,14 @@ def _composite_min(instance: ProblemInstance, y=None) -> PrimalResult:
 def primal_value(instance: ProblemInstance) -> PrimalResult:
     """Value of ``inf_x f(x) + g(Lx)``."""
     return _composite_min(instance)
+
+
+def _attains_primal(instance: ProblemInstance, x) -> tuple[float, float, bool]:
+    """``f(x) + g(Lx)``, the primal value, and whether both are finite and
+    within ``VALUE_TOL`` of each other."""
+    value, primal = instance.value_at(x), primal_value(instance).value
+    return value, primal, bool(np.isfinite(value) and np.isfinite(primal)
+                               and abs(value - primal) <= VALUE_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -327,18 +335,14 @@ def perturbation_conjugate_zero(
     return _ext_add(sup_part, gstar)
 
 
-def _with_f_shifted_by(
-    instance: ProblemInstance, phi: GeneralizedQuadratic
-) -> ProblemInstance:
-    """Instance whose f is replaced by ``f - phi`` (same everything else)."""
-    if instance.f.exact is not None:
-        new_f = Objective.quadratic(instance.f.exact - phi)
-    else:
-        base = instance.f
-        new_f = Objective.from_callable(
-            base.dim, lambda x, q=phi: _ext_add(base.value(x), -float(q(np.asarray(x, dtype=float))))
-        )
-    return dataclasses.replace(instance, f=new_f)
+def _f_minus(f: Objective, phi: GeneralizedQuadratic) -> Objective:
+    """The objective ``f - phi``, on f's domain box."""
+    if f.exact is not None:
+        return Objective.quadratic(f.exact - phi)
+    return Objective.from_callable(
+        f.dim, lambda x: _ext_add(f.value(x), -float(phi(np.asarray(x, dtype=float)))),
+        domain_box=f.domain_box,
+    )
 
 
 def weak_duality_check(
@@ -354,7 +358,7 @@ def weak_duality_check(
     if lhs == -INF:
         return True
     # (f + psi o L)*(phi) = -inf_x [(f - phi) + psi o L], swept over the grid
-    shifted = _with_f_shifted_by(instance, phi)
+    shifted = dataclasses.replace(instance, f=_f_minus(instance.f, phi))
     fpsi_star = -composite_inf_table(shifted)
     gstar = g_conjugate_table(instance)
     # _ext_add over the tables: a pair holding +inf sums to +inf, even with -inf
@@ -441,9 +445,9 @@ def _certificate_terms(instance: ProblemInstance, cert: GapCertificate) -> dict:
     terms = {"kind": cert.kind, "psi_in_family": instance.psi.contains(cert.psi),
              "psi_subgradient": psi_terms}
     if cert.kind == "thm42":
-        shifted = _with_f_shifted_by(instance, -pullback(cert.psi, instance.L))  # f + psi o L
+        f_plus_psi = _f_minus(instance.f, -pullback(cert.psi, instance.L))
         zero = GeneralizedQuadratic.zero(instance.L.in_dim)
-        terms["conjugate_at_zero"] = conjugate_value(shifted.f, zero, grid=instance.x_search).value
+        terms["conjugate_at_zero"] = conjugate_value(f_plus_psi, zero, grid=instance.x_search).value
         terms["slack"] = -fx - psi_terms[2]  # -f(x) - psi(Lx)
     else:
         combo = combine(1.0, cert.phi, 1.0, pullback(cert.psi, instance.L))
@@ -547,8 +551,7 @@ def verify_optimality_at(
     if not all(0 <= eps < INF for eps in eps_ladder):
         raise InvariantViolation("ladder eps must be finite and nonnegative")
     x = np.asarray(x, dtype=float).reshape(-1)
-    value = _ext_add(instance.f.value(x), instance.g.value(instance.L.apply(x)))
-    primal = primal_value(instance).value
+    value, primal, attains = _attains_primal(instance, x)
     ladder: list[tuple[float, bool]] = []
     if certs is not None:
         for cert in certs:
@@ -558,9 +561,7 @@ def verify_optimality_at(
     else:
         _, checks = _tangent_ladder(instance, x, eps_ladder)
         ladder = [(eps, c is not None and c.holds) for eps, c in zip(eps_ladder, checks)]
-    value_matches = (np.isfinite(value) and np.isfinite(primal)
-                     and abs(value - primal) <= VALUE_TOL)
-    holds = bool(value_matches and all(ok for _, ok in ladder))
+    holds = attains and all(ok for _, ok in ladder)
     return OptimalityCheck(holds, value, primal, tuple(ladder))
 
 

@@ -435,7 +435,8 @@ def load_certificate_file(path, n: int, m: int) -> dict:
     Returns {"kind": ..., "certs": [...], "x": ..., "ladder": ...}.  A
     ladder must hold at least one eps, each finite and nonnegative, and every
     given certificate must sit at x (within ``VALUE_TOL``); no certs means
-    the tangent certificate is tried at each eps."""
+    the tangent certificate is tried at each eps.  Given certs are checked
+    each at its own eps, so a file may not also name a ladder."""
     data = read_json(path)
     if not isinstance(data, dict):
         raise InstanceParseError("certificate file must hold a JSON object")
@@ -451,6 +452,8 @@ def load_certificate_file(path, n: int, m: int) -> dict:
         ladder, certs = data.get("ladder", [1.0, 1e-2, 1e-4, 1e-6]), data.get("certs", [])
         if not isinstance(ladder, list) or not isinstance(certs, list):
             raise InstanceParseError("thm44 ladder and certs must be JSON lists")
+        if "ladder" in data and certs:
+            raise InstanceParseError("thm44: give a ladder or certs, not both")
         ladder = tuple(_as_float(e, "ladder") for e in ladder)
         if not ladder:
             raise InstanceParseError("thm44 ladder must hold at least one eps")

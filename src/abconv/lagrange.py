@@ -17,7 +17,6 @@ import numpy as np
 
 from .config import TOL, VALUE_TOL
 from .conjugates import (
-    _VALUE_BLOCK,
     _biconjugate_argmax,
     _biconjugate_lower_bound,
     _never_one_row,
@@ -30,8 +29,8 @@ from .conjugates import (
 from .duality import (
     DualResult,
     ProblemInstance,
+    _attains_primal,
     _composite_min,
-    _ext_add,
     composite_inf_table,
     dcp_value,
     g_conjugate_table,
@@ -39,7 +38,7 @@ from .duality import (
 )
 from .errors import InvariantViolation
 from .objectives import INF
-from .quadratics import GeneralizedQuadratic, _ByBytes, combine, pullback
+from .quadratics import GeneralizedQuadratic, _ByBytes, _checked_symmetric, combine, pullback
 
 # lp_value evaluates g** exactly at every 32nd feasible mesh point first: 7,
 # 53 and 42 points of the 1-, 2- and 3-D fuzz meshes.  Every 16th was slower
@@ -144,7 +143,7 @@ def lp_value(ctx: LagrangianContext) -> LpResult:
     incumbent = np.min(total[sample], initial=INF)
     if np.isfinite(incumbent) and len(rest):
         lower, scale = _biconjugate_lower_bound(
-            LX[rest], np.unique(winner[winner >= 0]), search, table)
+            LX[rest], np.flatnonzero(np.bincount(winner[winner >= 0])), search, table)
         slack = _LP_PRUNE_RTOL * (np.abs(fv[rest]) + scale + abs(incumbent))
         rest = rest[~(fv[rest] + lower > incumbent + slack)]
     total[rest] = fv[rest] + biconjugate_many(inst.g, LX[rest], search, table)
@@ -173,9 +172,7 @@ def psi_convexity_at_optimum(ctx: LagrangianContext, x0) -> bool:
     attain the primal value (within ``VALUE_TOL``) — raises otherwise."""
     inst = ctx.instance
     x0 = np.asarray(x0, dtype=float).reshape(-1)
-    value = _ext_add(inst.f.value(x0), inst.g.value(inst.L.apply(x0)))
-    primal = primal_value(inst).value
-    if not (np.isfinite(value) and np.isfinite(primal)) or abs(value - primal) > VALUE_TOL:
+    if not _attains_primal(inst, x0)[2]:
         raise InvariantViolation("x0 does not attain the primal value")
     return is_phi_convex_at(
         inst.g, inst.L.apply(x0), inst.psi_search, table=ctx.gstar_table()
@@ -202,11 +199,10 @@ class IntersectionWitness:
 def _combo_matrices(
     phi1: GeneralizedQuadratic, phi2: GeneralizedQuadratic, ts: np.ndarray
 ) -> np.ndarray:
-    """Matrices of ``t*phi1 + (1-t)*phi2`` for every t, formed as ``combine``
-    forms them; shape ``(len(ts), dim, dim)``."""
+    """Matrices of ``t*phi1 + (1-t)*phi2`` for every t, formed and checked
+    as ``combine`` forms them; shape ``(len(ts), dim, dim)``."""
     s = ts[:, None, None]
-    M = s * phi1.A + (1.0 - s) * phi2.A
-    return 0.5 * (M + np.swapaxes(M, 1, 2))
+    return _checked_symmetric(s * phi1.A + (1.0 - s) * phi2.A)
 
 
 def _combo_min_many(
@@ -323,8 +319,7 @@ def _value_function_many(ctx: LagrangianContext, Y: np.ndarray) -> np.ndarray:
     """V at every row of Y.  On an exact instance f + g(L. + y) has one
     matrix for every y, so one ``_quadratic_sup_many`` call serves all rows
     (each row's constant added after it, as the kernel would add it).  On a
-    grid instance g is evaluated on the shifted images in stacked blocks,
-    each value as ``value_function`` computes it."""
+    grid instance each row is ``value_function``'s mesh minimum."""
     inst = ctx.instance
     if inst.is_exact:
         A, gq = inst.composite_quad().A, inst.g.quad
@@ -333,16 +328,7 @@ def _value_function_many(ctx: LagrangianContext, Y: np.ndarray) -> np.ndarray:
         # V = -sup(0 - q_y), the differences formed as minimize_quadratic forms them
         sup = _quadratic_sup_many((0.0 - A)[None], 0.0 - U, 0.0)[0]
         return -((0.0 - C) + sup)
-    X = inst.x_search.mesh()
-    fv, LX = inst.f_on_mesh, inst.L.apply(X)
-    out = np.empty(len(Y))
-    step = max(1, _VALUE_BLOCK // len(X))
-    for start in range(0, len(Y), step):
-        Yb = Y[start:start + step]
-        shifted = (LX[None] + Yb[:, None]).reshape(-1, LX.shape[1])
-        total = fv + inst.g.values(shifted).reshape(len(Yb), len(X))
-        out[start:start + len(Yb)] = total[np.arange(len(Yb)), total.argmin(axis=1)]
-    return out
+    return np.array([_composite_min(inst, y).value for y in Y])
 
 
 def lsc_probe_at_zero(ctx: LagrangianContext) -> bool:

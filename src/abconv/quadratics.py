@@ -343,7 +343,9 @@ class CurvatureSpec:
         return self.interval in ((0.0, 0.0), (-np.inf, np.inf))
 
     def grid(self, points: int = 21) -> np.ndarray:
-        """Admissible curvature values inside [-10, 10], for parameter sweeps."""
+        """Admissible curvature values inside [-10, 10], ascending and
+        distinct (the point set to 0 lies between its neighbours), for
+        parameter sweeps."""
         lo, hi = self.interval
         if lo == hi:
             return np.array([lo])
@@ -352,7 +354,7 @@ class CurvatureSpec:
         # keep 0 exactly on the mesh when it is admissible and inside range
         if lo <= 0.0 <= hi:
             mesh[np.argmin(np.abs(mesh))] = 0.0
-        return np.unique(mesh)
+        return mesh
 
 
 @dataclass(frozen=True)

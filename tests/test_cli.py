@@ -225,7 +225,7 @@ class TestCertify:
              "primal value  0.8\n"
              "verdict       holds\n"),
         # three rungs over two members: the second psi is not tangent at x
-        ({"ladder": [1.0, 1e-3], "certs": [
+        ({"certs": [
             {"kind": "thm42", "eps": eps, "x": [-0.2], "psi": {"a": 0.0, "u": [u], "c": 0.0}}
             for eps, u in ((1.0, -1.6), (1e-3, -1.0), (1e-6, -1.6))]},
          "eps=1         certified\n"
@@ -246,6 +246,14 @@ class TestCertify:
         cert = self.write(tmp_path, {"kind": "thm44", "x": [-0.2], field: value})
         assert main(["certify", "ex4.7", "--cert", cert, "--kind", "thm44"]) == 2
         assert "must be JSON lists" in capsys.readouterr().err
+
+    def test_a_ladder_beside_certs_exits_2(self, tmp_path, capsys):
+        """Each given certificate is checked at its own eps, so a ladder
+        beside them would be read and then ignored."""
+        cert = self.write(tmp_path, {"kind": "thm44", "x": [-0.2], "ladder": [1.0], "certs": [
+            {"kind": "thm42", "eps": 1e-3, "x": [-0.2], "psi": {"a": 0.0, "u": [-1.6], "c": 0.0}}]})
+        assert main(["certify", "ex4.7", "--cert", cert, "--kind", "thm44"]) == 2
+        assert "give a ladder or certs, not both" in capsys.readouterr().err
 
     def test_nan_eps_exits_2(self, tmp_path, capsys):
         cert = self.write(tmp_path, {
@@ -477,6 +485,24 @@ class TestUsageAndEnvironment:
         )
         assert proc.returncode == 0, proc.stderr
         assert out.read_text() == report_json(run_report(catalog_instance("ex4.7")))
+
+    def test_catalog_commands_do_not_import_numpy_ma(self):
+        """numpy's plain ``np.unique`` imports ``numpy.ma`` (17-40 ms of a
+        cold start); no ``gap`` or ``reproduce`` on a catalog name calls it."""
+        script = (
+            "import contextlib, io, sys\n"
+            "from abconv import catalog_names\n"
+            "from abconv.cli import main\n"
+            "for cmd in ('gap', 'reproduce'):\n"
+            "    for name in catalog_names():\n"
+            "        with contextlib.redirect_stdout(io.StringIO()):\n"
+            "            main([cmd, name])\n"
+            "        if 'numpy.ma' in sys.modules:\n"
+            "            sys.exit(f'{cmd} {name} imported numpy.ma')\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
     def test_the_package_reads_no_environment_variable(self):
         """No module of the package imports os, so no setting can come in

@@ -37,6 +37,7 @@ from abconv import (
     composite_condition_check,
     composite_inf_table,
     conjugate_closed_form,
+    conjugate_value,
     coupling_value,
     dcp_value,
     decomposition_condition_check,
@@ -168,6 +169,25 @@ class TestSearchMeshArrays:
         # Only the y-grid engine of the two g* tables evaluates g; before the
         # shared arrays, f was evaluated on the mesh 4 more times and g 3.
         assert calls == {"f": 0, "g": 2 * per_table}
+
+    def test_a_thm42_check_evaluates_neither_part_on_the_mesh_again(self):
+        """A thm42 check calls f at x and in the grid conjugate of f + psi o L,
+        and g as its psi-subgradient test does: it builds no second instance,
+        whose construction evaluated f + psi o L and g on the whole x search
+        mesh once more."""
+        inst, calls = self.counting_instance()
+        x, psi = np.array([0.4]), GeneralizedQuadratic.iso(1, -0.25, [0.5])
+        minus_pb = -pullback(psi, inst.L)
+        f_plus_psi = Objective.from_callable(
+            1, lambda z: inst.f.value(z) - float(minus_pb(z)), domain_box=inst.f.domain_box)
+        calls.update(f=0, g=0)
+        inst.f.value(x)
+        conjugate_value(f_plus_psi, GeneralizedQuadratic.zero(1), grid=inst.x_search)
+        duality._subdiff_terms(inst.g, psi, inst.L.apply(x), grid=inst.y_search)
+        expected = dict(calls)
+        calls.update(f=0, g=0)
+        verify_gap_certificate(inst, GapCertificate("thm42", 1e-3, x, psi))
+        assert calls == expected
 
     def test_replace_evaluates_the_new_f_afresh(self):
         inst, _ = self.counting_instance()

@@ -836,21 +836,23 @@ class TestMalformedLeaves:
 
     def test_certificate_ladder_file(self, tmp_path):
         member = {"a": -1.0, "u": [2.0], "c": 0.0}
-        data = {"kind": "thm44", "x": [-2.0, 3.0], "ladder": [1.0, 1e-3],
-                "certs": [{"kind": "thm42", "eps": 1.0, "x": [-2.0, 3.0], "psi": member},
-                          {"kind": "thm43", "eps": 1e-3, "x": [-2.0, 3.0], "psi": member,
-                           "phi": {"a": 0.0, "u": [1.0, -1.0], "c": 0.0}}]}
+        with_certs = {"kind": "thm44", "x": [-2.0, 3.0],
+                      "certs": [{"kind": "thm42", "eps": 1.0, "x": [-2.0, 3.0], "psi": member},
+                                {"kind": "thm43", "eps": 1e-3, "x": [-2.0, 3.0], "psi": member,
+                                 "phi": {"a": 0.0, "u": [1.0, -1.0], "c": 0.0}}]}
+        with_ladder = {"kind": "thm44", "x": [-2.0, 3.0], "ladder": [1.0, 1e-3]}
         path = tmp_path / "ladder.json"
         loaded = rejected = 0
-        for where, value, mutant in _mutants(data):
-            path.write_text(json.dumps(mutant))
-            try:
-                load_certificate_file(path, n=2, m=1)
-                loaded += 1
-            except (InstanceParseError, InvariantViolation):
-                rejected += 1
-            except Exception as exc:
-                pytest.fail(f"{where} = {value!r}: {type(exc).__name__}: {exc}")
+        for data in (with_certs, with_ladder):
+            for where, value, mutant in _mutants(data):
+                path.write_text(json.dumps(mutant))
+                try:
+                    load_certificate_file(path, n=2, m=1)
+                    loaded += 1
+                except (InstanceParseError, InvariantViolation):
+                    rejected += 1
+                except Exception as exc:
+                    pytest.fail(f"{where} = {value!r}: {type(exc).__name__}: {exc}")
         assert loaded > 40 and rejected > 150
 
     def test_nan_is_rejected_wherever_a_number_goes(self, tmp_path):
@@ -881,8 +883,9 @@ class TestMalformedLeaves:
             path.write_text(json.dumps(d))
             load_certificate_file(path, n=2, m=1)
 
-        assert loads(load_ladder, {"kind": "thm44", "x": [-2.0, 3.0], "ladder": [1.0, 1e-3],
+        assert loads(load_ladder, {"kind": "thm44", "x": [-2.0, 3.0],
                                    "certs": [cert | {"x": [-2.0, 3.0]}]}) == []
+        assert loads(load_ladder, {"kind": "thm44", "x": [-2.0, 3.0], "ladder": [1.0, 1e-3]}) == []
 
 
 class TestReports:

@@ -496,8 +496,8 @@ class TestBatchedLscProbe:
             dense = np.array([value_function(ctx, y) for y in Y])
             assert _value_function_many(ctx, Y).tobytes() == dense.tobytes()
 
-    def test_the_drop_at_zero_in_stacked_blocks(self, make_ctx):
-        # 40001 mesh points: the 36 samples are evaluated six at a time.
+    def test_the_drop_at_zero_on_a_fine_mesh(self, make_ctx):
+        # 40001 mesh points, 5e-5 apart: finer than the probe radius 1e-4.
         ctx = make_ctx(drop_instance())
         assert lsc_probe_at_zero(ctx) is False
         assert oracles.lsc_probe_dense(ctx) is False

@@ -1,4 +1,4 @@
-"""The value contract of the grid engine, as committed sha256 digests.
+"""The value contract of the package, as committed sha256 digests.
 
 Each section hashes the bits of the values the package computes on a fixed
 set of inputs, so a change that moves any of them names the section it
@@ -9,7 +9,12 @@ a fresh ``dcp_value``, and the grid engine's g* table in that
 ``dcp_value`` with its maximizers.
 ``grid-vs-closed`` hashes the whole-space-box table that
 ``scripts/fuzz_duality.py`` checks against the closed form, for the seed-0
-instance of every dimension pair.
+instance of every dimension pair.  ``fuzz-11`` hashes the sweeps of the
+benchmark's ``fuzz`` pool at seed 11: the g* and composite inf tables, the
+dcp, ld and lp values and the lp minimizer.  ``grid-probes`` hashes the
+pointwise probes of the seed-11 gridbox pool: weak duality, a fixed thm42
+certificate check, psi-convexity at the primal minimizer, V at fixed
+perturbations and the composite conjugate at zero.
 
 The bits depend on the numpy and BLAS build, as the catalog reference files
 do, so a mismatch names the build the digests were recorded with.  A change
@@ -29,7 +34,7 @@ import numpy as np
 import pytest
 
 import abconv
-from abconv import RandomSpec, conjugates
+from abconv import RandomSpec, conjugates, lagrange
 
 ROOT = Path(__file__).resolve().parent.parent
 RECORDED_WITH = "numpy 2.4.6, scipy-openblas 0.3.31.188.0 (Haswell kernels), Python 3.11.7"
@@ -39,6 +44,8 @@ DIGESTS = {
     "gridbox-1": "4652575c4e624b091e16ef20e758747f1399224ef6440dd1918b10242e3f01a3",
     "gridbox-2": "f1a5860f1dc29e95d5ffce57fa14e81f4c6d221f8b0031a9548f9ca277ed81be",
     "grid-vs-closed": "4dc752c50e10fc3612edea37a1b2000811dd81866bd3c225d5efe1ad5877e91a",
+    "fuzz-11": "9d5e5cfea77f4b9fbda10184c99a0e8e4d06b388394f626ceb03a53e1e811ae4",
+    "grid-probes": "6de1d2c218034d2235a59f0c144b4b9e940b5e22b07608d55c6d52f0224e1ed0",
 }
 
 
@@ -49,12 +56,12 @@ def _module(path: Path, name: str):
     return module
 
 
-def _gridbox_workload():
-    """The benchmark's ``Gridbox`` class; ``workloads.py`` imports the
-    sibling module ``spans`` by name."""
+def _workload(name: str):
+    """The benchmark's workload class of that name; ``workloads.py`` imports
+    the sibling module ``spans`` by name."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     try:
-        return _module(ROOT / "perfbench" / "workloads.py", "perfbench_workloads").Gridbox
+        return _module(ROOT / "perfbench" / "workloads.py", "perfbench_workloads").WORKLOADS[name]
     finally:
         sys.path.remove(str(ROOT / "perfbench"))
 
@@ -82,7 +89,7 @@ def gridbox_digest(seed: int) -> str:
     and the one grid-engine table of that ``dcp_value``: g* and its
     maximizers."""
     h = hashlib.sha256()
-    for inst in _gridbox_workload()(abconv, seed).pool:
+    for inst in _workload("gridbox")(abconv, seed).pool:
         h.update(abconv.report_json(abconv.run_report(inst, certificates=False)).encode())
         with _grid_tables() as tables:
             h.update(np.float64(abconv.dcp_value(inst).value).tobytes())
@@ -102,11 +109,59 @@ def grid_vs_closed_digest() -> str:
     return h.hexdigest()
 
 
+def fuzz_digest(seed: int) -> str:
+    """A fuzz request's sweeps: the two tables, the three dual-side values
+    and the lp minimizer."""
+    h = hashlib.sha256()
+    for inst in _workload("fuzz")(abconv, seed).pool:
+        ctx = abconv.LagrangianContext(inst)
+        lp = abconv.lp_value(ctx)
+        h.update(ctx.gstar_table().tobytes())
+        h.update(ctx.inf_table().tobytes())
+        h.update(np.array([abconv.dcp_value(inst).value, abconv.ld_value(ctx).value,
+                           lp.value]).tobytes())
+        h.update(b"none" if lp.minimizer is None else lp.minimizer.tobytes())
+    return h.hexdigest()
+
+
+def _outcome(call) -> bytes:
+    try:
+        return repr(call()).encode()
+    except abconv.InvariantViolation:
+        return b"raises"
+
+
+def grid_probes_digest(seed: int) -> str:
+    """The pointwise probes of the composite on each gridbox instance: weak
+    duality at 0, a thm42 check at the primal minimizer with the middle
+    member of the psi grid, psi-convexity there, V at seven fixed
+    perturbations and the composite conjugate at zero."""
+    h = hashlib.sha256()
+    for inst in _workload("gridbox")(abconv, seed).pool:
+        n, m = inst.L.in_dim, inst.L.out_dim
+        ctx = abconv.LagrangianContext(inst)
+        x = abconv.primal_value(inst).minimizer
+        psi = inst.psi_search.member_at(inst.psi_search.size // 2)
+        check = abconv.verify_gap_certificate(inst, abconv.GapCertificate("thm42", 1e-3, x, psi))
+        h.update(repr((abconv.weak_duality_check(inst), check.holds, check.conditions)).encode())
+        h.update(np.array(list(check.details.values())).tobytes())
+        h.update(_outcome(lambda: abconv.psi_convexity_at_optimum(ctx, x)))
+        Y = np.linspace(-0.3, 0.3, 7)[:, None] * np.linspace(1.0, 0.5, m)
+        h.update(lagrange._value_function_many(ctx, Y).tobytes())
+        zero = abconv.GeneralizedQuadratic.zero(n)
+        star = abconv.conjugate_value(inst.composite_objective(), zero, grid=inst.x_search)
+        h.update(np.float64(star.value).tobytes())
+        h.update(b"none" if star.maximizer is None else star.maximizer.tobytes())
+    return h.hexdigest()
+
+
 SECTIONS = {
     "gridbox-11": lambda: gridbox_digest(11),
     "gridbox-1": lambda: gridbox_digest(1),
     "gridbox-2": lambda: gridbox_digest(2),
     "grid-vs-closed": grid_vs_closed_digest,
+    "fuzz-11": lambda: fuzz_digest(11),
+    "grid-probes": lambda: grid_probes_digest(11),
 }
 
 
