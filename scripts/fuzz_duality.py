@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Fuzz the duality invariants on seeded random instances and gate on them.
 
-For every generated instance the script checks, at tolerance --tol:
+For every generated instance the script checks, with the inequalities
+compared at ``abconv.config.VALUE_TOL``:
   * conjugate dual <= primal,
   * lagrange dual  <= convexified primal,
   * lagrange dual  == conjugate dual (they share parameter tables),
@@ -46,6 +47,7 @@ from abconv import (
     primal_value,
     random_instance,
 )
+from abconv.config import VALUE_TOL
 
 X_POINTS = {1: 201, 2: 41, 3: 11}
 SLOPE_POINTS = {1: 201, 2: 21, 3: 9}
@@ -108,16 +110,16 @@ def grid_vs_closed(inst: ProblemInstance) -> list[str]:
     return problems
 
 
-def check_instance(inst: ProblemInstance, tol: float) -> list[str]:
+def check_instance(inst: ProblemInstance) -> list[str]:
     problems = []
     p = primal_value(inst)
     d = dcp_value(inst)
     ctx = LagrangianContext(inst)
     ld = ld_value(ctx)
     lp = lp_value(ctx)
-    if d.value > p.value + tol:
+    if d.value > p.value + VALUE_TOL:
         problems.append(f"dual {d.value:.9g} exceeds primal {p.value:.9g}")
-    if ld.value > lp.value + tol:
+    if ld.value > lp.value + VALUE_TOL:
         problems.append(
             f"lagrange dual {ld.value:.9g} exceeds convexified {lp.value:.9g}"
         )
@@ -151,8 +153,6 @@ def main(argv=None) -> int:
                         help="base seed (default 0)")
     parser.add_argument("--max-dim", type=int, default=3, choices=[1, 2, 3],
                         help="largest input/output dimension (default 3)")
-    parser.add_argument("--tol", type=float, default=1e-6,
-                        help="slack allowed on the inequalities (default 1e-6)")
     args = parser.parse_args(argv)
 
     dims = [(n, m) for n in range(1, args.max_dim + 1)
@@ -165,7 +165,7 @@ def main(argv=None) -> int:
         for k in range(args.count):
             seed = args.seed + k
             inst = sized_instance(RandomSpec(n=n, m=m), seed)
-            problems = check_instance(inst, args.tol)
+            problems = check_instance(inst)
             if problems:
                 batch_failed += 1
                 if not first:

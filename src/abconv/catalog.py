@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import TOL, VALUE_TOL
+from .config import TOL, VALUE_TOL, values_agree
 from .conjugates import conjugate_value, minimize_quadratic
 from .duality import (
     EpiPoint,
@@ -135,11 +135,8 @@ class CheckRow:
 
 
 def _value_row(label: str, computed: float, expected: float, tol: float = VALUE_TOL) -> CheckRow:
-    if expected == INF or expected == -INF:
-        ok = computed == expected
-    else:
-        ok = np.isfinite(computed) and abs(computed - expected) <= tol
-    return CheckRow(label, bool(ok), f"computed {computed:.12g}, expected {expected:.12g}")
+    return CheckRow(label, values_agree(computed, expected, tol),
+                    f"computed {computed:.12g}, expected {expected:.12g}")
 
 
 def _bool_row(label: str, outcome: bool, expected: bool, detail: str) -> CheckRow:

@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .config import TOL, VALUE_TOL
+from .config import TOL, values_agree
 from .errors import InvariantViolation
 from .objectives import INF, Box, Objective, mesh_windows, shrink_windows
 from .quadratics import Family, GeneralizedQuadratic, _ByBytes, quadratic_form
@@ -544,7 +544,7 @@ def is_phi_convex_at(
     fx = f.value(x)
     if fx == INF:
         raise InvariantViolation("x outside the domain of f")
-    return abs(biconjugate_at(f, x, search, table) - fx) <= VALUE_TOL
+    return values_agree(biconjugate_at(f, x, search, table), fx)
 
 
 # ---------------------------------------------------------------------------

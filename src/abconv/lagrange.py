@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import TOL, VALUE_TOL
+from .config import TOL, values_agree
 from .conjugates import (
     _biconjugate_argmax,
     _biconjugate_lower_bound,
@@ -160,11 +160,7 @@ def lp_value(ctx: LagrangianContext) -> LpResult:
 def convexification_preserves_value(ctx: LagrangianContext) -> bool:
     """Whether replacing g with its class biconjugate keeps the primal value:
     ``inf f + g**(L.) == inf f + g(L.)`` within ``VALUE_TOL``."""
-    lp = lp_value(ctx).value
-    primal = primal_value(ctx.instance).value
-    if not np.isfinite(lp) or not np.isfinite(primal):
-        return lp == primal
-    return abs(lp - primal) <= VALUE_TOL
+    return values_agree(lp_value(ctx).value, primal_value(ctx.instance).value)
 
 
 def psi_convexity_at_optimum(ctx: LagrangianContext, x0) -> bool:

@@ -16,6 +16,9 @@ import numpy as np
 import pytest
 
 import oracles
+from test_value_contract import weak_duality_members, workload
+
+import abconv
 from abconv import (
     Box,
     CurvatureSpec,
@@ -56,8 +59,9 @@ from abconv import (
     verify_optimality_at,
     weak_duality_check,
 )
-from abconv import duality
-from abconv.duality import _certificate_terms, _check_terms
+from abconv import duality, report
+from abconv.cli import main
+from abconv.duality import PrimalResult, _certificate_terms, _check_terms
 from abconv.report import CERT_LADDER, _certificate_entries
 
 ID1 = LinearMap.identity(1)
@@ -171,18 +175,16 @@ class TestSearchMeshArrays:
         assert calls == {"f": 0, "g": 2 * per_table}
 
     def test_a_thm42_check_evaluates_neither_part_on_the_mesh_again(self):
-        """A thm42 check calls f at x and in the grid conjugate of f + psi o L,
-        and g as its psi-subgradient test does: it builds no second instance,
-        whose construction evaluated f + psi o L and g on the whole x search
-        mesh once more."""
+        """A thm42 check calls f at x and in the grid conjugate
+        ``(f + psi o L)*(0) = f*(-(psi o L))``, and g as its psi-subgradient
+        test does: the expected counts come from those three calls.  It
+        builds no second instance, whose construction evaluated f + psi o L
+        and g on the whole x search mesh once more."""
         inst, calls = self.counting_instance()
         x, psi = np.array([0.4]), GeneralizedQuadratic.iso(1, -0.25, [0.5])
-        minus_pb = -pullback(psi, inst.L)
-        f_plus_psi = Objective.from_callable(
-            1, lambda z: inst.f.value(z) - float(minus_pb(z)), domain_box=inst.f.domain_box)
         calls.update(f=0, g=0)
         inst.f.value(x)
-        conjugate_value(f_plus_psi, GeneralizedQuadratic.zero(1), grid=inst.x_search)
+        conjugate_value(inst.f, -pullback(psi, inst.L), grid=inst.x_search)
         duality._subdiff_terms(inst.g, psi, inst.L.apply(x), grid=inst.y_search)
         expected = dict(calls)
         calls.update(f=0, g=0)
@@ -201,6 +203,21 @@ class TestSearchMeshArrays:
         assert composite_inf_table(replaced).tobytes() == composite_inf_table(fresh).tobytes()
         for phi in (None, GeneralizedQuadratic.iso(1, -1.0, [0.5]), GeneralizedQuadratic.iso(1, -3.0)):
             assert weak_duality_check(replaced, phi) == weak_duality_check(fresh, phi)
+
+    def test_a_weak_duality_check_reads_the_shared_sweeps(self, monkeypatch):
+        """At the default member a check calls g only in the y-grid engine of
+        one g* table and never calls f: both sides come from the instance's
+        mesh arrays, and no second instance is built."""
+        inst, calls = self.counting_instance()
+        calls.update(f=0, g=0)
+        family_conjugate_table(inst.g, inst.psi_search, grid=inst.y_search)
+        per_table = calls["g"]
+        built, post_init = [], ProblemInstance.__post_init__
+        monkeypatch.setattr(ProblemInstance, "__post_init__",
+                            lambda self: built.append(self) or post_init(self))
+        calls.update(f=0, g=0)
+        assert weak_duality_check(inst)
+        assert calls == {"f": 0, "g": per_table} and built == []
 
     def test_not_fields(self):
         f = quad_obj(1, 1.0, [2.0], 1.0, box=Box([-4.0], [5.0]))
@@ -427,6 +444,23 @@ class TestWeakDualityCheck:
             monkeypatch.setattr(duality, "g_conjugate_table",
                                 lambda _, v=gstar: np.array([[-INF, v]]))
             assert weak_duality_check(inst) is holds
+
+    def test_holds_on_the_gridbox_pool_and_matches_the_report(self):
+        for inst in workload("gridbox")(abconv, 11).pool:
+            for phi in weak_duality_members(inst.L.in_dim):
+                assert weak_duality_check(inst, phi), (inst.name, phi)
+            ok = run_report(inst, certificates=False)["weak_duality_ok"]
+            assert weak_duality_check(inst) is ok
+
+    def test_a_minus_infinity_primal_under_a_finite_dual_is_a_violation(
+            self, inst47, monkeypatch, capsys):
+        monkeypatch.setattr(report, "primal_value",
+                            lambda _: PrimalResult(-INF, None, "closed", ("unbounded",)))
+        rep = run_report(inst47, certificates=False)
+        assert rep["primal"] == -INF and np.isfinite(rep["dcp"]) and rep["gap"] == -INF
+        assert not rep["weak_duality_ok"] and "weak_duality_violated" in rep["flags"]
+        assert main(["gap", "ex4.7"]) == 3
+        assert capsys.readouterr().out.splitlines()[-1].endswith("VIOLATED")
 
 
 class TestCompositeConditionCheck:

@@ -1,5 +1,6 @@
 """Property-based invariants: inequalities that must hold for ALL inputs."""
 
+import itertools
 import json
 import os
 
@@ -29,6 +30,7 @@ from abconv import (
     lagrangian_value,
     pullback,
 )
+from abconv.config import TOL, VALUE_TOL, values_agree
 
 # "suite" (the default) is derandomized, so every run checks the same examples;
 # HYPOTHESIS_PROFILE=explore draws fresh random examples, and more of them.
@@ -217,3 +219,26 @@ class TestSerializationRoundTrip:
     @given(v=st.floats(**finite, allow_subnormal=False))
     def test_float_rendering_round_trips_exactly(self, v):
         assert json.loads(dumps(v)) == v
+
+
+class TestValuesAgree:
+    """``values_agree`` against the four hand-written rules it replaced, on
+    every pair of infinite, NaN and finite values."""
+
+    VALUES = (-np.inf, np.inf, np.nan, -3.0, 0.0, 1.0, 1.0 + 5e-7, 1.0 + 2e-6)
+
+    def test_matches_the_rules_it_replaced(self):
+        for a, b in itertools.product(self.VALUES, repeat=2):
+            both = np.isfinite(a) and np.isfinite(b)
+            # convexification_preserves_value, lp = a and primal = b
+            assert values_agree(a, b) == (abs(a - b) <= VALUE_TOL if both else a == b)
+            # _attains_primal, value = a and primal = b; it keeps its finiteness test
+            assert (np.isfinite(a) and values_agree(a, b)) == (both and abs(a - b) <= VALUE_TOL)
+            # is_phi_convex_at, biconjugate = a and f(x) = b, which is finite there
+            if np.isfinite(b):
+                assert values_agree(a, b) == (abs(a - b) <= VALUE_TOL)
+            # catalog._value_row, computed = a and expected = b, at both tolerances
+            for tol in (VALUE_TOL, TOL):
+                old = a == b if b in (np.inf, -np.inf) else np.isfinite(a) and abs(a - b) <= tol
+                assert values_agree(a, b, tol) == old
+                assert type(values_agree(a, b, tol)) is bool

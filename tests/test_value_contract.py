@@ -11,10 +11,11 @@ a fresh ``dcp_value``, and the grid engine's g* table in that
 ``scripts/fuzz_duality.py`` checks against the closed form, for the seed-0
 instance of every dimension pair.  ``fuzz-11`` hashes the sweeps of the
 benchmark's ``fuzz`` pool at seed 11: the g* and composite inf tables, the
-dcp, ld and lp values and the lp minimizer.  ``grid-probes`` hashes the
-pointwise probes of the seed-11 gridbox pool: weak duality, a fixed thm42
-certificate check, psi-convexity at the primal minimizer, V at fixed
-perturbations and the composite conjugate at zero.
+dcp, ld and lp values and the lp minimizer.  Three sections cover the
+pointwise probes of the seed-11 gridbox pool: ``grid-weak-duality`` the
+``weak_duality_check`` verdicts at three members, ``grid-thm42`` a fixed
+thm42 certificate check, and ``grid-probes`` psi-convexity at the primal
+minimizer, V at fixed perturbations and the composite conjugate at zero.
 
 The bits depend on the numpy and BLAS build, as the catalog reference files
 do, so a mismatch names the build the digests were recorded with.  A change
@@ -45,7 +46,9 @@ DIGESTS = {
     "gridbox-2": "f1a5860f1dc29e95d5ffce57fa14e81f4c6d221f8b0031a9548f9ca277ed81be",
     "grid-vs-closed": "4dc752c50e10fc3612edea37a1b2000811dd81866bd3c225d5efe1ad5877e91a",
     "fuzz-11": "9d5e5cfea77f4b9fbda10184c99a0e8e4d06b388394f626ceb03a53e1e811ae4",
-    "grid-probes": "6de1d2c218034d2235a59f0c144b4b9e940b5e22b07608d55c6d52f0224e1ed0",
+    "grid-weak-duality": "c2ff2646b1a59262203d53391ed04a6a6969d582039f92a713a7692344307843",
+    "grid-thm42": "c6e3c01262d52adda43715d8f0f210d2ac9fdd3daffc95be2955cd038f991d3c",
+    "grid-probes": "93c7ffc7ab5df252080a0f666b57379ed10b73a70219b0b6677902bbecd6676b",
 }
 
 
@@ -56,7 +59,7 @@ def _module(path: Path, name: str):
     return module
 
 
-def _workload(name: str):
+def workload(name: str):
     """The benchmark's workload class of that name; ``workloads.py`` imports
     the sibling module ``spans`` by name."""
     sys.path.insert(0, str(ROOT / "perfbench"))
@@ -89,7 +92,7 @@ def gridbox_digest(seed: int) -> str:
     and the one grid-engine table of that ``dcp_value``: g* and its
     maximizers."""
     h = hashlib.sha256()
-    for inst in _workload("gridbox")(abconv, seed).pool:
+    for inst in workload("gridbox")(abconv, seed).pool:
         h.update(abconv.report_json(abconv.run_report(inst, certificates=False)).encode())
         with _grid_tables() as tables:
             h.update(np.float64(abconv.dcp_value(inst).value).tobytes())
@@ -113,7 +116,7 @@ def fuzz_digest(seed: int) -> str:
     """A fuzz request's sweeps: the two tables, the three dual-side values
     and the lp minimizer."""
     h = hashlib.sha256()
-    for inst in _workload("fuzz")(abconv, seed).pool:
+    for inst in workload("fuzz")(abconv, seed).pool:
         ctx = abconv.LagrangianContext(inst)
         lp = abconv.lp_value(ctx)
         h.update(ctx.gstar_table().tobytes())
@@ -131,20 +134,43 @@ def _outcome(call) -> bytes:
         return b"raises"
 
 
-def grid_probes_digest(seed: int) -> str:
-    """The pointwise probes of the composite on each gridbox instance: weak
-    duality at 0, a thm42 check at the primal minimizer with the middle
-    member of the psi grid, psi-convexity there, V at seven fixed
-    perturbations and the composite conjugate at zero."""
+def weak_duality_members(n: int):
+    """The phi of the weak-duality probes: the default 0, a concave member
+    and an affine one."""
+    return (None, abconv.GeneralizedQuadratic.iso(n, -1.0, 0.5 * np.ones(n)),
+            abconv.GeneralizedQuadratic.affine(-2.0 * np.ones(n)))
+
+
+def grid_weak_duality_digest(seed: int) -> str:
+    """``weak_duality_check`` on each gridbox instance at three members."""
+    verdicts = [abconv.weak_duality_check(inst, phi)
+                for inst in workload("gridbox")(abconv, seed).pool
+                for phi in weak_duality_members(inst.L.in_dim)]
+    return hashlib.sha256(repr(verdicts).encode()).hexdigest()
+
+
+def grid_thm42_digest(seed: int) -> str:
+    """A thm42 check on each gridbox instance at the primal minimizer with
+    the middle member of the psi grid: holds, conditions and details."""
     h = hashlib.sha256()
-    for inst in _workload("gridbox")(abconv, seed).pool:
-        n, m = inst.L.in_dim, inst.L.out_dim
-        ctx = abconv.LagrangianContext(inst)
+    for inst in workload("gridbox")(abconv, seed).pool:
         x = abconv.primal_value(inst).minimizer
         psi = inst.psi_search.member_at(inst.psi_search.size // 2)
         check = abconv.verify_gap_certificate(inst, abconv.GapCertificate("thm42", 1e-3, x, psi))
-        h.update(repr((abconv.weak_duality_check(inst), check.holds, check.conditions)).encode())
+        h.update(repr((check.holds, check.conditions)).encode())
         h.update(np.array(list(check.details.values())).tobytes())
+    return h.hexdigest()
+
+
+def grid_probes_digest(seed: int) -> str:
+    """The pointwise probes of the composite on each gridbox instance:
+    psi-convexity at the primal minimizer, V at seven fixed perturbations
+    and the composite conjugate at zero."""
+    h = hashlib.sha256()
+    for inst in workload("gridbox")(abconv, seed).pool:
+        n, m = inst.L.in_dim, inst.L.out_dim
+        ctx = abconv.LagrangianContext(inst)
+        x = abconv.primal_value(inst).minimizer
         h.update(_outcome(lambda: abconv.psi_convexity_at_optimum(ctx, x)))
         Y = np.linspace(-0.3, 0.3, 7)[:, None] * np.linspace(1.0, 0.5, m)
         h.update(lagrange._value_function_many(ctx, Y).tobytes())
@@ -161,6 +187,8 @@ SECTIONS = {
     "gridbox-2": lambda: gridbox_digest(2),
     "grid-vs-closed": grid_vs_closed_digest,
     "fuzz-11": lambda: fuzz_digest(11),
+    "grid-weak-duality": lambda: grid_weak_duality_digest(11),
+    "grid-thm42": lambda: grid_thm42_digest(11),
     "grid-probes": lambda: grid_probes_digest(11),
 }
 
