@@ -18,7 +18,6 @@ from .conjugates import (
 )
 from .catalog import CheckRow, catalog_instance, catalog_names, reproduce_checks
 from .duality import (
-    CertificateCheck,
     ConditionCheck,
     Decomposition,
     DualResult,
@@ -56,8 +55,6 @@ from .instances import (
 from .lagrange import (
     IntersectionWitness,
     LagrangianContext,
-    LpResult,
-    SupportPointCheck,
     SupportPointScan,
     convexification_preserves_value,
     intersection_property,

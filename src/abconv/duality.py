@@ -56,7 +56,8 @@ def _ext_add(a: float, b: float) -> float:
 @dataclass(frozen=True)
 class ProblemInstance:
     """Composite problem ``inf_x f(x) + g(Lx)`` with conjugation classes
-    ``phi`` (on inputs) and ``psi`` (on outputs), plus search grids.
+    ``phi`` (on inputs) and ``psi`` (on outputs, the class that
+    ``psi_search`` walks), plus search grids.
 
     ``f_on_mesh`` and ``g_on_mesh`` hold f and g o L on the x search mesh,
     evaluated on first use and shared by every sweep of the instance.  They
@@ -67,7 +68,6 @@ class ProblemInstance:
     g: Objective
     L: LinearMap
     phi: Family
-    psi: Family
     psi_search: FamilySearchGrid
     x_search: GridSpec
     y_search: GridSpec
@@ -81,8 +81,6 @@ class ProblemInstance:
             raise InvariantViolation("g dimension != L output dimension")
         if self.phi.dim != n or self.psi.dim != m:
             raise InvariantViolation("class dimensions do not match the map")
-        if self.psi_search.family.dim != m:
-            raise InvariantViolation("psi search grid dimension mismatch")
         if self.x_search.box.dim != n or self.y_search.box.dim != m:
             raise InvariantViolation("search box dimension mismatch")
         if not self.is_exact and "infeasible_window" in _composite_min(self).flags:
@@ -107,11 +105,18 @@ class ProblemInstance:
     ) -> "ProblemInstance":
         if psi_search is None:
             psi_search = FamilySearchGrid.default(psi)
+        elif psi_search.family != psi:
+            raise InvariantViolation("psi search grid walks another class than psi")
         if x_search is None:
             x_search = GridSpec.default(L.in_dim)
         if y_search is None:
             y_search = GridSpec.default(L.out_dim)
-        return cls(f, g, L, phi, psi, psi_search, x_search, y_search, name)
+        return cls(f, g, L, phi, psi_search, x_search, y_search, name)
+
+    @property
+    def psi(self) -> Family:
+        """The output class: the one ``psi_search`` walks."""
+        return self.psi_search.family
 
     @cached_property
     def f_on_mesh(self) -> np.ndarray:
@@ -388,6 +393,18 @@ def composite_condition_check(
 # Zero-gap certificates
 
 
+@dataclass(frozen=True)
+class ConditionCheck:
+    """A verdict on named conditions: a certificate check (kind "thm42" or
+    "thm43"), a decomposition condition ("a" to "d") or a support-point
+    check ("support_point")."""
+
+    holds: bool
+    kind: str
+    conditions: dict[str, bool]
+    details: dict[str, float | str]
+
+
 @dataclass(frozen=True, eq=False)
 class GapCertificate(_ByBytes):
     """Witness of a (near-)zero duality gap at accuracy eps.
@@ -410,22 +427,16 @@ class GapCertificate(_ByBytes):
             raise InvariantViolation("certificate eps must be finite and nonnegative")
         if self.kind == "thm43" and self.phi is None:
             raise InvariantViolation("kind thm43 needs phi")
+        if self.kind == "thm42" and self.phi is not None:
+            raise InvariantViolation("kind thm42 takes no phi")
         object.__setattr__(self, "x", np.asarray(self.x, dtype=float).reshape(-1))
-
-
-@dataclass(frozen=True)
-class CertificateCheck:
-    holds: bool
-    kind: str
-    conditions: dict[str, bool]
-    details: dict[str, float]
 
 
 def verify_gap_certificate(
     instance: ProblemInstance,
     cert: GapCertificate,
     require_zero_sum: bool = False,
-) -> CertificateCheck:
+) -> ConditionCheck:
     """Check every condition of a gap certificate numerically.
 
     With ``require_zero_sum`` the thm43 pair must satisfy the exact
@@ -458,7 +469,7 @@ def _certificate_terms(instance: ProblemInstance, cert: GapCertificate) -> dict:
     return terms
 
 
-def _check_terms(terms: dict, eps: float, require_zero_sum: bool = False) -> CertificateCheck:
+def _check_terms(terms: dict, eps: float, require_zero_sum: bool = False) -> ConditionCheck:
     """The conditions and details of a certificate at one eps."""
     if eps < 0:
         raise InvariantViolation("certificate eps must be nonnegative")
@@ -477,7 +488,7 @@ def _check_terms(terms: dict, eps: float, require_zero_sum: bool = False) -> Cer
         details = {"sum_min": low, "sum_at_x": at_x}
         if require_zero_sum:
             conditions["sum_identically_zero"] = terms["combo"].is_zero()
-    return CertificateCheck(all(conditions.values()), terms["kind"], conditions, details)
+    return ConditionCheck(all(conditions.values()), terms["kind"], conditions, details)
 
 
 def build_tangent_certificate(
@@ -509,7 +520,7 @@ def build_tangent_certificate(
 
 def _tangent_ladder(
     instance: ProblemInstance, x, eps_ladder
-) -> tuple[GapCertificate | None, list[CertificateCheck | None]]:
+) -> tuple[GapCertificate | None, list[ConditionCheck | None]]:
     """The tangent certificate at x (thm43, else thm42) and its check at each
     eps of the ladder (None without a certificate). Which kind exists never
     depends on eps, so the certificate is built once, with an eps of 0.0 that
@@ -653,14 +664,6 @@ def epi_decompose(
         if fstar <= c_phi + TOL:
             return Decomposition(phi1, c_phi, psi, c_psi)
     return None
-
-
-@dataclass(frozen=True)
-class ConditionCheck:
-    holds: bool
-    which: str
-    conditions: dict[str, bool]
-    details: dict[str, float | str]
 
 
 def _nonneg_quadratic_minorant(

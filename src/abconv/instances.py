@@ -357,7 +357,7 @@ def instance_from_dict(data: dict) -> ProblemInstance:
         x_search = GridSpec(x_box, points, rounds)
         y_search = GridSpec(y_box, y_points, y_rounds)
         return ProblemInstance(
-            f, g, L, phi, psi, psi_search, x_search, y_search,
+            f, g, L, phi, psi_search, x_search, y_search,
             name=str(data.get("name", "")),
         )
     except ValueError as exc:
@@ -420,8 +420,6 @@ def certificate_from_dict(data: dict, n: int, m: int) -> GapCertificate:
         raise InstanceParseError(f"certificate x: length {x.shape[0]} != {n}")
     psi = _member_from_dict(data["psi"], m, "psi")
     phi = _member_from_dict(data["phi"], n, "phi") if "phi" in data else None
-    if kind == "thm43" and phi is None:
-        raise InstanceParseError("kind thm43 needs a phi block")
     try:
         return GapCertificate(kind, eps, x, psi, phi)
     except ValueError as exc:

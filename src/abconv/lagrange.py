@@ -27,7 +27,9 @@ from .conjugates import (
     minimize_quadratic,
 )
 from .duality import (
+    ConditionCheck,
     DualResult,
+    PrimalResult,
     ProblemInstance,
     _attains_primal,
     _composite_min,
@@ -38,7 +40,7 @@ from .duality import (
 )
 from .errors import InvariantViolation
 from .objectives import INF
-from .quadratics import GeneralizedQuadratic, _ByBytes, _checked_symmetric, combine, pullback
+from .quadratics import GeneralizedQuadratic, _checked_symmetric, combine, pullback
 
 # lp_value evaluates g** exactly at every 32nd feasible mesh point first: 7,
 # 53 and 42 points of the 1-, 2- and 3-D fuzz meshes.  Every 16th was slower
@@ -47,11 +49,10 @@ _LP_SAMPLE_STRIDE = 32
 # Relative slack on the prune test, far above the few ulps by which a lower
 # bound computed in a different batch can exceed the exact value.
 _LP_PRUNE_RTOL = 1e-12
-# Points per zoom round of intersection_property's searches, the bracket
-# width at which a zoom stops, and the slack of its witness test.
+# Points per zoom round of intersection_property's searches and the bracket
+# width at which a zoom stops.
 _ZOOM_POINTS = 65
 _ZOOM_T_TOL = 1e-10
-_WITNESS_TOL = 1e-9
 # The lsc probe: the radius of its V(y) samples, the number of random
 # directions among them, and the eps of ``V(y) > V(0) - eps``.
 _LSC_RADIUS = 1e-4
@@ -111,14 +112,7 @@ def ld_value(ctx: LagrangianContext) -> DualResult:
     )
 
 
-@dataclass(frozen=True, eq=False)
-class LpResult(_ByBytes):
-    value: float
-    minimizer: np.ndarray | None
-    flags: tuple[str, ...] = ()
-
-
-def lp_value(ctx: LagrangianContext) -> LpResult:
+def lp_value(ctx: LagrangianContext) -> PrimalResult:
     """``inf_x [f(x) + g**(Lx)]`` over the x search mesh, with the class
     biconjugate of g taken over the shared member grid (grid-truncated).
 
@@ -151,10 +145,10 @@ def lp_value(ctx: LagrangianContext) -> LpResult:
     value = float(total[idx])
     flags: tuple[str, ...] = ("grid_truncated",)
     if value == INF:
-        return LpResult(INF, None, flags + ("infeasible_window",))
+        return PrimalResult(INF, None, "grid", flags + ("infeasible_window",))
     if value == -INF:
         flags = flags + ("biconjugate_minus_infinity",)
-    return LpResult(value, X[idx].copy(), flags)
+    return PrimalResult(value, X[idx].copy(), "grid", flags)
 
 
 def convexification_preserves_value(ctx: LagrangianContext) -> bool:
@@ -240,7 +234,7 @@ def intersection_property(
     scan converges to its maximum; candidates where m jumps from -inf
     (curvature sign change, slope cancellation) are probed explicitly.  Every
     m(t) and least eigenvalue comes from one batched call per scan or zoom
-    round.  Returns the best witness when ``max m >= alpha - _WITNESS_TOL``,
+    round.  Returns the best witness when ``max m >= alpha - TOL``,
     ties toward smaller t0."""
     if phi1.dim != phi2.dim:
         raise InvariantViolation("dimension mismatch")
@@ -259,7 +253,7 @@ def intersection_property(
         if 0.0 <= t <= 1.0:
             u_t = t * phi1.u + (1.0 - t) * phi2.u
             scale = max(1.0, float(np.max(np.abs(phi1.u))), float(np.max(np.abs(phi2.u))))
-            if float(np.max(np.abs(u_t), initial=0.0)) <= 1e-9 * scale:
+            if float(np.max(np.abs(u_t), initial=0.0)) <= TOL * scale:
                 candidates.add(t)
 
     # least-eigenvalue sign changes of A(t) (boundary of the finite region)
@@ -293,7 +287,7 @@ def intersection_property(
     ts = np.array(sorted(candidates))
     vals = _combo_min_many(phi1, phi2, ts)
     k = int(np.argmax(vals))  # the first maximum: the smallest t0
-    if vals[k] == -INF or vals[k] < alpha - _WITNESS_TOL:
+    if vals[k] == -INF or vals[k] < alpha - TOL:
         return None
     return IntersectionWitness(float(ts[k]), alpha, float(vals[k]))
 
@@ -303,8 +297,11 @@ def intersection_property(
 
 
 def value_function(ctx: LagrangianContext, y) -> float:
-    """``V(y) = inf_x f(x) + g(Lx + y)`` — V(0) is the primal value (and is
-    computed by the same code path, so they agree exactly)."""
+    """``V(y) = inf_x f(x) + g(Lx + y)``.  V(0) is the primal value, but not
+    by the primal's code path: ``_composite_min`` at a given y shifts g's
+    quadratic, or evaluates g at ``L X + y`` on a grid instance, where the
+    primal reads the composite quadratic or ``g_on_mesh``.  The tests pin
+    that both give the same bits on the catalog, fuzz and gridbox instances."""
     y = np.asarray(y, dtype=float).reshape(-1)
     if y.shape != (ctx.instance.L.out_dim,):
         raise InvariantViolation("perturbation dimension mismatch")
@@ -356,13 +353,6 @@ def lsc_probe_at_zero(ctx: LagrangianContext) -> bool:
 
 
 @dataclass(frozen=True)
-class SupportPointCheck:
-    holds: bool
-    conditions: dict[str, bool]
-    details: dict[str, float]
-
-
-@dataclass(frozen=True)
 class SupportPointScan:
     """``support_point_zero_gap_check`` at every candidate base point: one
     flag and one value per candidate under the same keys."""
@@ -371,9 +361,9 @@ class SupportPointScan:
     conditions: dict[str, np.ndarray]
     details: dict[str, np.ndarray]
 
-    def check(self, i: int) -> SupportPointCheck:
-        return SupportPointCheck(
-            bool(self.holds[i]),
+    def check(self, i: int) -> ConditionCheck:
+        return ConditionCheck(
+            bool(self.holds[i]), "support_point",
             {k: bool(v[i]) for k, v in self.conditions.items()},
             {k: float(v[i]) for k, v in self.details.items()},
         )
@@ -456,7 +446,7 @@ def support_point_zero_gap_check(
     psi: GeneralizedQuadratic,
     x0,
     alpha: float,
-) -> SupportPointCheck:
+) -> ConditionCheck:
     """``support_point_scan`` at the one base point x0."""
     x0 = np.asarray(x0, dtype=float).reshape(1, -1)
     return support_point_scan(ctx, psi, x0, alpha).check(0)

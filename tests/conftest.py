@@ -1,21 +1,13 @@
 """Shared fixtures: bundled instances and a context factory."""
 
+import importlib.util
 import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from abconv import (
-    Box,
-    FamilySearchGrid,
-    GridSpec,
-    LagrangianContext,
-    ProblemInstance,
-    RandomSpec,
-    catalog_instance,
-    random_instance,
-)
+from abconv import LagrangianContext, RandomSpec, catalog_instance
 
 # ``python -m abconv`` subprocesses import the package from this checkout,
 # as the tests do through ``pythonpath`` in pyproject.toml.
@@ -72,19 +64,12 @@ def rng():
     return np.random.default_rng(0)
 
 
-@pytest.fixture
+@pytest.fixture(scope="session")
 def fuzz_instance():
-    """Seeded random exact instance on the fuzz gate's grids: 201/41/11 x
-    points and 201/21/9 slope points per axis at dimension 1/2/3."""
-
-    def _make(n, m, seed):
-        raw = random_instance(RandomSpec(n=n, m=m), seed)
-        return ProblemInstance.build(
-            f=raw.f, g=raw.g, L=raw.L, phi=raw.phi, psi=raw.psi,
-            x_search=GridSpec(Box.cube(n), {1: 201, 2: 41, 3: 11}[n], 2),
-            psi_search=FamilySearchGrid.default(
-                raw.psi, slope_points={1: 201, 2: 21, 3: 9}[m]),
-            name=raw.name,
-        )
-
-    return _make
+    """Seeded random exact instance on the fuzz gate's grids, built by
+    ``scripts/fuzz_duality.py``'s own ``sized_instance``."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / "fuzz_duality.py"
+    spec = importlib.util.spec_from_file_location("fuzz_duality_script", path)
+    fuzz = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(fuzz)
+    return lambda n, m, seed: fuzz.sized_instance(RandomSpec(n=n, m=m), seed)

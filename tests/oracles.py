@@ -20,12 +20,12 @@ from abconv.conjugates import (
     biconjugate_at,
     minimize_quadratic,
 )
+from abconv.duality import ConditionCheck
 from abconv.errors import InvariantViolation
 from abconv.lagrange import (
     _LSC_DIRECTIONS,
     _LSC_EPS,
     _LSC_RADIUS,
-    SupportPointCheck,
     value_function,
 )
 from abconv.objectives import mesh_windows, shrink_windows
@@ -417,7 +417,7 @@ def support_point_dense(ctx, psi, x0, alpha):
         and conditions["sandwich"]
         and (point_in_a or g_nonpos)
     )
-    return SupportPointCheck(holds, conditions, details)
+    return ConditionCheck(holds, "support_point", conditions, details)
 
 
 def lsc_samples(ctx):

@@ -198,6 +198,16 @@ class TestCertify:
         assert parsed["psi_in_family"] == "True"
         assert parsed["conjugate_bound"] == "True"
 
+    def test_thm42_file_with_a_phi_block_exits_2(self, tmp_path, capsys):
+        """A thm42 check never reads phi, so a file that gives one is
+        rejected rather than certified with it ignored."""
+        cert = self.write(tmp_path, {
+            "kind": "thm42", "eps": 1e-3, "x": [-2.0, 3.0],
+            "psi": {"a": -1.0, "u": [2.0], "c": 0.0}, "phi": {"a": 5.0, "u": [0.0, 0.0]},
+        })
+        assert main(["certify", "ex4.8", "--cert", cert, "--kind", "thm42"]) == 2
+        assert "thm42 takes no phi" in capsys.readouterr().err
+
     def test_kind_mismatch_exits_2(self, tmp_path, capsys):
         cert = self.write(tmp_path, {
             "kind": "thm42", "eps": 1e-3, "x": [-2.0, 3.0],
@@ -557,6 +567,30 @@ class TestUsageAndEnvironment:
                         if name not in used:
                             unused.append(f"{path.name}:{node.lineno} {name}")
         assert not unused
+
+    def test_every_module_level_name_is_read(self):
+        """Each function, class and constant a module defines at top level
+        is read somewhere in the package or exported by ``__init__``: a
+        leftover name keeps a second copy of one fact alive."""
+        src = Path(__file__).resolve().parent.parent / "src" / "abconv"
+        trees = {p.name: ast.parse(p.read_text()) for p in sorted(src.glob("*.py"))}
+        assert len(trees) > 1
+        read = {node.id for tree in trees.values() for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        read |= {alias.name for tree in trees.values() for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) for alias in node.names}
+        unread = []
+        for name, tree in trees.items():
+            for node in tree.body if name != "__init__.py" else ():
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    defined = [node.name]
+                elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    defined = [t.id for t in targets if isinstance(t, ast.Name)]
+                else:
+                    continue
+                unread += [f"{name}:{node.lineno} {d}" for d in defined if d not in read]
+        assert not unread
 
     @pytest.mark.skipif(
         shutil.which("abconv") is None,

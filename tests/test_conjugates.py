@@ -92,6 +92,21 @@ class TestClosedForm:
             batched = _quadratic_sup_many((phi.A - f.A)[None], (phi.u - f.u)[None], 0.0)
             assert batched[0, 0] == res.value
 
+    def test_the_kernel_tolerance_scales_with_the_largest_linear_term(self):
+        # D = diag(-1, 0), v = (1e3, 1e-7): the kernel coefficient 1e-7 is
+        # within TOL * max|v| = 1e-6 of zero, so the sup stays finite.
+        phi = GeneralizedQuadratic(2, np.diag([-1.0, 0.0]), [1e3, 1e-7], 0.0)
+        res = conjugate_closed_form(GeneralizedQuadratic.zero(2), phi)
+        assert (res.value, res.note) == (250000.0, "")
+        assert _quadratic_sup_many(phi.A[None], phi.u[None], 0.0)[0, 0] == 250000.0
+
+    def test_an_eigenvalue_at_the_tolerance_is_no_ascent_direction(self):
+        # w = 1e-9 = TOL * max(1, |w|): a kernel direction, not an ascent one.
+        phi = GeneralizedQuadratic.iso(1, 1e-9)
+        res = conjugate_closed_form(GeneralizedQuadratic.zero(1), phi)
+        assert (res.value, res.note) == (0.0, "")
+        assert _quadratic_sup_many(phi.A[None], np.zeros((1, 1)), 0.0)[0, 0] == 0.0
+
     def test_two_dimensional_frozen_value(self):
         f = GeneralizedQuadratic(2, [[1.0, 0.0], [0.0, 2.0]], [0.0, 0.0], 0.0)
         phi = GeneralizedQuadratic.affine([2.0, 4.0])

@@ -61,7 +61,14 @@ from abconv import (
 )
 from abconv import duality, report
 from abconv.cli import main
-from abconv.duality import PrimalResult, _certificate_terms, _check_terms
+from abconv.duality import (
+    ConditionCheck,
+    PrimalResult,
+    _certificate_terms,
+    _check_terms,
+    _weak_duality,
+)
+from abconv.lagrange import support_point_zero_gap_check
 from abconv.report import CERT_LADDER, _certificate_entries
 
 ID1 = LinearMap.identity(1)
@@ -100,6 +107,25 @@ class TestProblemInstance:
                          x_search=GridSpec(Box.cube(2), 41, 2))
         res = primal_value(inst)
         assert res.value == 1.0 and res.minimizer.tolist() == [0.5, 0.5]
+
+    def test_the_output_class_is_stored_once(self, inst47):
+        assert [f.name for f in dataclasses.fields(ProblemInstance)] == [
+            "f", "g", "L", "phi", "psi_search", "x_search", "y_search", "name"]
+        assert inst47.psi is inst47.psi_search.family
+        with pytest.raises(AttributeError):
+            inst47.psi = Family(1, CurvatureSpec.any())
+
+    def test_a_search_grid_over_another_class_is_rejected(self, inst47):
+        """ex4.7's output class is linear: a member grid over every
+        curvature would let a curvature -1 member attain the dual."""
+        wide = FamilySearchGrid.default(Family(1, CurvatureSpec.any()))
+        with pytest.raises(InvariantViolation, match="another class"):
+            ProblemInstance.build(f=inst47.f, g=inst47.g, L=inst47.L, phi=inst47.phi,
+                                  psi=inst47.psi, psi_search=wide)
+        same = FamilySearchGrid.default(inst47.psi, slope_points=11)
+        inst = ProblemInstance.build(f=inst47.f, g=inst47.g, L=inst47.L, phi=inst47.phi,
+                                     psi=inst47.psi, psi_search=same)
+        assert inst.psi == inst47.psi
 
     def test_composite_quad_frozen(self, inst48):
         comp = inst48.composite_quad()
@@ -275,6 +301,14 @@ class TestPrimal:
         res = primal_value(inst)
         assert res.value == INF and "infeasible_window" in res.flags
 
+    def test_a_flat_grid_objective_takes_the_first_feasible_mesh_point(self):
+        # f = 0 on [0, 1] and g = 0: every feasible point of the mesh
+        # -1, -0.5, 0, 0.5, 1 ties, and the first one, 0, is the minimizer.
+        f = quad_obj(1, 0.0, box=Box([0.0], [1.0]))
+        inst = build(f, quad_obj(1, 0.0), x_search=GridSpec(Box([-1.0], [1.0]), 5, 1))
+        res = primal_value(inst)
+        assert (res.value, res.minimizer.tolist()) == (0.0, [0.0])
+
     def test_unbounded_composite(self):
         inst = build(quad_obj(1, -1.0), quad_obj(1, 0.0), psi_spec=CurvatureSpec.nonpos())
         res = primal_value(inst)
@@ -434,6 +468,11 @@ class TestWeakDualityCheck:
         inst = build(quad_obj(1, 1.0, [2.0], 1.0, box=Box([-10.0], [10.0])), quad_obj(1, 4.0))
         assert weak_duality_check(inst)
 
+    def test_a_gap_of_exactly_minus_value_tol_holds(self):
+        """A breach is a gap below ``-VALUE_TOL``, not at it."""
+        assert _weak_duality(0.0, 1e-6) == (-1e-6, True)
+        assert not _weak_duality(0.0, 1.5e-6)[1]
+
     def test_a_pair_of_plus_and_minus_infinity_sums_to_plus_infinity(self, monkeypatch):
         # lhs = (2x^2)*(0) = 0.  The member pairing (f + psi o L)* = +inf
         # with g* = -inf must not set the minimum: only the other pair can.
@@ -492,8 +531,17 @@ class TestGapCertificates:
             GapCertificate("thm99", 0.1, [0.0], GeneralizedQuadratic.zero(1))
         with pytest.raises(InvariantViolation):
             GapCertificate("thm42", -0.1, [0.0], GeneralizedQuadratic.zero(1))
-        with pytest.raises(InvariantViolation):
+        with pytest.raises(InvariantViolation, match="thm43 needs phi"):
             GapCertificate("thm43", 0.1, [0.0], GeneralizedQuadratic.zero(1))
+
+    def test_a_thm42_certificate_takes_no_phi(self, inst48):
+        """The kind says whether phi is given: a thm42 check would ignore a
+        phi, here one outside the input class, and hold."""
+        psi, phi = GeneralizedQuadratic.iso(1, -1.0, [2.0]), GeneralizedQuadratic.iso(2, 5.0)
+        assert not inst48.phi.contains(phi)
+        with pytest.raises(InvariantViolation, match="thm42 takes no phi"):
+            GapCertificate("thm42", 1e-3, [-2.0, 3.0], psi, phi)
+        assert verify_gap_certificate(inst48, GapCertificate("thm42", 1e-3, [-2.0, 3.0], psi)).holds
 
     @pytest.mark.parametrize("eps", [INF, float("nan")])
     def test_a_non_finite_eps_is_rejected(self, eps):
@@ -906,3 +954,18 @@ class TestDecompositionConditions:
     def test_unknown_condition(self, inst47):
         with pytest.raises(InvariantViolation):
             decomposition_condition_check(inst47, "e")
+
+
+def test_every_named_condition_check_is_one_verdict_type(inst47, inst48):
+    """Certificate checks, decomposition conditions and the support-point
+    check all return a ``ConditionCheck`` whose kind names the check."""
+    psi42 = GeneralizedQuadratic.iso(1, -1.0, [2.0])
+    checks = {
+        "thm42": verify_gap_certificate(inst48, GapCertificate("thm42", 1e-3, [-2.0, 3.0], psi42)),
+        "thm43": verify_gap_certificate(inst47, build_tangent_certificate(inst47, [-0.2], 1e-3)),
+        "b": decomposition_condition_check(inst47, "b"),
+        "support_point": support_point_zero_gap_check(
+            LagrangianContext(inst47), GeneralizedQuadratic.affine([-1.6]), [-0.2], 0.0),
+    }
+    for kind, check in checks.items():
+        assert type(check) is ConditionCheck and check.kind == kind

@@ -28,7 +28,6 @@ from abconv import (
     InvariantViolation,
     LagrangianContext,
     LinearMap,
-    LpResult,
     Objective,
     PrimalResult,
     ProblemInstance,
@@ -326,7 +325,7 @@ def _model(name: str, dim: int, bump: str = "") -> object:
     search = FamilySearchGrid(family, box, 3, (0.0, 1.0))
     f = Objective.quadratic(quad, domain_box=box)
     g = Objective.quadratic(GeneralizedQuadratic.iso(dim, 1.0))
-    inst = ProblemInstance(f, g, L, family, family, search, grid, grid, "eq")
+    inst = ProblemInstance(f, g, L, family, search, grid, grid, "eq")
     return {"GeneralizedQuadratic": quad, "Box": box, "LinearMap": L, "GridSpec": grid,
             "FamilySearchGrid": search, "Objective": f, "ProblemInstance": inst}[name]
 
@@ -369,15 +368,14 @@ class TestModelEquality:
         assert len({catalog_instance("ex4.8"), catalog_instance("ex4.8")}) == 1
 
 
-RESULT_CLASSES = ("PrimalResult", "ConjugateValue", "LpResult", "GapCertificate")
+RESULT_CLASSES = ("PrimalResult", "ConjugateValue", "GapCertificate")
 
 
 def _result(name: str, dim: int, bump: str = "") -> object:
     """A fresh result of class ``name`` holding a point of ``dim`` entries;
     ``bump`` moves the last entry of the "point" or the "value" one ulp up."""
     x = np.linspace(-1.0, 2.5, dim)
-    value = {"PrimalResult": -2.5, "ConjugateValue": 0.75, "LpResult": -1.25,
-             "GapCertificate": 1e-3}[name]
+    value = {"PrimalResult": -2.5, "ConjugateValue": 0.75, "GapCertificate": 1e-3}[name]
     if bump == "point":
         x[-1] = np.nextafter(x[-1], INF)
     if bump == "value":
@@ -386,8 +384,6 @@ def _result(name: str, dim: int, bump: str = "") -> object:
         return PrimalResult(value, x, "grid", ("infeasible_window",))
     if name == "ConjugateValue":
         return ConjugateValue(value, x, "closed", "note")
-    if name == "LpResult":
-        return LpResult(value, x, ("grid_truncated",))
     return GapCertificate("thm43", value, x, GeneralizedQuadratic.iso(1, -1.0, [2.0]),
                           GeneralizedQuadratic.iso(dim, 0.5, x))
 
@@ -621,9 +617,13 @@ class TestCertificateFiles:
             certificate_from_dict(
                 {"kind": "thm42", "eps": 0, "x": [0, 0], "psi": {"u": [0]}}, 1, 1
             )
-        with pytest.raises(InstanceParseError, match="phi"):
+        with pytest.raises(InstanceParseError, match="thm43 needs phi"):
             certificate_from_dict(
                 {"kind": "thm43", "eps": 0, "x": [0], "psi": {"u": [0]}}, 1, 1
+            )
+        with pytest.raises(InstanceParseError, match="thm42 takes no phi"):
+            certificate_from_dict(
+                {"kind": "thm42", "eps": 0, "x": [0], "psi": {"u": [0]}, "phi": {"u": [1]}}, 1, 1
             )
 
     def test_single_certificate_file(self, tmp_path):

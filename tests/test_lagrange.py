@@ -12,6 +12,9 @@ import numpy as np
 import pytest
 
 import oracles
+from test_value_contract import workload
+
+import abconv
 from abconv import (
     Box,
     CurvatureSpec,
@@ -301,6 +304,12 @@ class TestIntersectionProperty:
         assert wit.t0 == pytest.approx(0.5, abs=1e-8)
         assert wit.min_value == pytest.approx(0.0, abs=1e-9)
 
+    def test_a_flat_m_takes_the_first_maximum(self):
+        # phi1 = phi2: m(t) = 0 at every t, and the smallest t0 wins.
+        phi = GeneralizedQuadratic.iso(1, 1.0)
+        wit = intersection_property(phi, phi, 0.0)
+        assert (wit.t0, wit.min_value) == (0.0, 0.0)
+
     def test_concave_pair_has_no_witness(self):
         phi1 = GeneralizedQuadratic.iso(1, -1.0)
         phi2 = GeneralizedQuadratic.iso(1, -1.0, [1.0])
@@ -378,9 +387,25 @@ class TestIntersectionProperty:
 
 
 class TestValueFunction:
-    def test_zero_perturbation_is_the_primal_bit_for_bit(self, inst47, make_ctx):
-        ctx = make_ctx(inst47)
-        assert value_function(ctx, [0.0]) == primal_value(inst47).value
+    @staticmethod
+    def assert_v0_is_the_primal(inst):
+        """V(0) takes the shifted-g path, the primal the composite one:
+        the two must still give the same bits."""
+        v0 = value_function(LagrangianContext(inst), np.zeros(inst.L.out_dim))
+        assert np.float64(v0).tobytes() == np.float64(primal_value(inst).value).tobytes()
+
+    def test_zero_perturbation_is_the_primal_bit_for_bit(self):
+        for name in catalog_names():
+            self.assert_v0_is_the_primal(catalog_instance(name))
+
+    @pytest.mark.parametrize("n,m", [(1, 1), (2, 3), (3, 2)])
+    def test_zero_perturbation_on_fuzz_instances(self, n, m, fuzz_instance):
+        for seed in (11, 12):
+            self.assert_v0_is_the_primal(fuzz_instance(n, m, seed))
+
+    def test_zero_perturbation_on_the_gridbox_pool(self):
+        for inst in workload("gridbox")(abconv, 1).pool:
+            self.assert_v0_is_the_primal(inst)
 
     def test_frozen_shift(self, inst47, make_ctx):
         # V(1) = min (x+1)^2 + 4(x+1)^2 = 0
