@@ -685,14 +685,18 @@ def _nonneg_quadratic_minorant(
     return GeneralizedQuadratic.iso(h.dim, alpha, h.u, min(c, h.c))
 
 
+# Condition (d)'s witness: phi_eps is an eps-subgradient of g o L at x for
+# this eps, and the strict-gap inequality adds this margin to its left side.
+_D_SUBGRADIENT_EPS = 1e-3
+_D_GAP_MARGIN = 1e-3
+
+
 def decomposition_condition_check(
     instance: ProblemInstance,
     which: str,
     phi: GeneralizedQuadratic | None = None,
     r: float | None = None,
     psi: GeneralizedQuadratic | None = None,
-    eps1: float = 1e-3,
-    eps2: float = 1e-3,
     x=None,
     phi_eps: GeneralizedQuadratic | None = None,
 ) -> ConditionCheck:
@@ -706,7 +710,7 @@ def decomposition_condition_check(
     which = "c": for the given pair and psi, both phi - psi o L and psi o L
     admit class minorants — checked by exact construction.
     which = "d": the input class is closed under differences, and the given
-    witness (psi, x, phi_eps, eps1, eps2) satisfies the eps-subgradient and
+    witness (psi, x, phi_eps) satisfies the eps-subgradient and
     strict-gap inequalities."""
     conditions: dict[str, bool] = {}
     details: dict[str, float | str] = {}
@@ -787,11 +791,11 @@ def decomposition_condition_check(
             return ConditionCheck(False, which, conditions, details)
         conditions["phi_eps_in_class"] = family.contains(phi_eps)
         conditions["phi_eps_subgradient"] = eps_subdiff_contains(
-            gl, phi_eps, x, eps2, grid=instance.x_search
+            gl, phi_eps, x, _D_SUBGRADIENT_EPS, grid=instance.x_search
         )
         pb = pullback(psi, instance.L)
         sup_gap = conjugate_closed_form(phi_eps, pb).value
-        lhs = float(pb(x)) - float(phi_eps(x)) + eps1
+        lhs = float(pb(x)) - float(phi_eps(x)) + _D_GAP_MARGIN
         conditions["strict_gap"] = lhs > sup_gap
         details["lhs"] = lhs
         details["sup_gap"] = sup_gap

@@ -10,6 +10,7 @@ value function at 0, and a support-point test.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass, field
 
@@ -49,10 +50,6 @@ _LP_SAMPLE_STRIDE = 32
 # Relative slack on the prune test, far above the few ulps by which a lower
 # bound computed in a different batch can exceed the exact value.
 _LP_PRUNE_RTOL = 1e-12
-# Points per zoom round of intersection_property's searches and the bracket
-# width at which a zoom stops.
-_ZOOM_POINTS = 65
-_ZOOM_T_TOL = 1e-10
 # The lsc probe: the radius of its V(y) samples, the number of random
 # directions among them, and the eps of ``V(y) > V(0) - eps``.
 _LSC_RADIUS = 1e-4
@@ -175,7 +172,8 @@ def psi_convexity_at_optimum(ctx: LagrangianContext, x0) -> bool:
 
 @dataclass(frozen=True)
 class IntersectionWitness:
-    """t0 in [0,1] with ``t0*phi1 + (1-t0)*phi2 >= alpha`` everywhere."""
+    """t0 in [0,1] with ``t0*phi1 + (1-t0)*phi2 >= alpha`` everywhere,
+    within ``TOL``: the rule ``intersection_property`` accepts a level by."""
 
     t0: float
     alpha: float
@@ -183,16 +181,7 @@ class IntersectionWitness:
 
     @property
     def holds(self) -> bool:
-        return self.min_value >= self.alpha
-
-
-def _combo_matrices(
-    phi1: GeneralizedQuadratic, phi2: GeneralizedQuadratic, ts: np.ndarray
-) -> np.ndarray:
-    """Matrices of ``t*phi1 + (1-t)*phi2`` for every t, formed and checked
-    as ``combine`` forms them; shape ``(len(ts), dim, dim)``."""
-    s = ts[:, None, None]
-    return _checked_symmetric(s * phi1.A + (1.0 - s) * phi2.A)
+        return self.min_value >= self.alpha - TOL
 
 
 def _combo_min_many(
@@ -204,22 +193,16 @@ def _combo_min_many(
     s = ts[:, None]
     v = -(s * phi1.u + (1.0 - s) * phi2.u)
     k = -(ts * phi1.c + (1.0 - ts) * phi2.c)
-    D = -_combo_matrices(phi1, phi2, ts)
+    D = -_checked_symmetric(s[:, :, None] * phi1.A + (1.0 - s[:, :, None]) * phi2.A)
     return -_quadratic_sup_many(D, v[:, None, :], k)[:, 0]
 
 
-def _zoom(a: float, b: float, locate) -> tuple[float, float]:
-    """Shrink the bracket [a, b] to width ``_ZOOM_T_TOL``.  Each round samples it at
-    ``_ZOOM_POINTS`` evenly spaced points ``ts`` in one batched call and keeps
-    ``[ts[i], ts[j]]`` for ``(i, j) = locate(ts)``; it stops early once no
-    float lies strictly inside the bracket."""
-    while b - a > _ZOOM_T_TOL:
-        ts = np.linspace(a, b, _ZOOM_POINTS)
-        i, j = locate(ts)
-        if ts[j] - ts[i] >= b - a:
-            break
-        a, b = float(ts[i]), float(ts[j])
-    return a, b
+def _curvature(phi: GeneralizedQuadratic) -> float:
+    """a of a class member ``a*||z||^2 + u.z + c``; raises unless A = a*I."""
+    a = float(phi.A[0, 0])
+    if not np.array_equal(phi.A, a * np.eye(phi.dim)):
+        raise InvariantViolation("intersection_property takes class members (A = a*I)")
+    return a
 
 
 def intersection_property(
@@ -227,64 +210,38 @@ def intersection_property(
     phi2: GeneralizedQuadratic,
     alpha: float,
 ) -> IntersectionWitness | None:
-    """Search for a convex combination globally above the level alpha.
+    """Search for a convex combination of two class members globally above
+    the level alpha.
 
-    ``m(t) = min_z [t*phi1 + (1-t)*phi2](z)`` is concave on [0,1] (pointwise
-    infimum of functions affine in t), so zooming in on the best point of a
-    scan converges to its maximum; candidates where m jumps from -inf
-    (curvature sign change, slope cancellation) are probed explicitly.  Every
-    m(t) and least eigenvalue comes from one batched call per scan or zoom
-    round.  Returns the best witness when ``max m >= alpha - TOL``,
-    ties toward smaller t0."""
+    ``m(t) = min_z [t*phi1 + (1-t)*phi2](z)`` is concave on [0,1].  The
+    curvature ``a(t) = a2 + t*d`` is affine, and where it is positive
+    ``m = c(t) - |u(t)|^2 / (4 a(t))``.  With ``dc = c1 - c2``,
+    ``du = u1 - u2``, ``E = 4 d dc - |du|^2`` and
+    ``A0 = 4 dc a2^2 - 2 a2 (u2.du) + d |u2|^2``, ``m'(t) = 0`` reads
+    ``d E t^2 + 2 a2 E t + A0 = 0``: for d = 0 a linear equation, else a
+    quadratic whose root with ``a(t) > 0`` has ``a(t)^2 = a2^2 - d A0 / E``;
+    E < 0 makes it a maximum.  m peaks there, at 0 or 1, or at the root of
+    a(t), where m is finite only at that point or flat on one side of it.
+    One batched call evaluates m at these at most four candidates.  Returns
+    the first maximum (the smallest t0) when ``max m >= alpha - TOL``."""
     if phi1.dim != phi2.dim:
         raise InvariantViolation("dimension mismatch")
     if np.isnan(alpha):
         raise InvariantViolation("alpha must not be NaN")
-    candidates: set[float] = {0.0, 1.0}
-
-    # slope cancellation: u(t) = t*u1 + (1-t)*u2 = 0 (needle maxima of m)
-    du = phi1.u - phi2.u
-    roots = [
-        float(-phi2.u[k] / du[k])
-        for k in range(phi1.dim)
-        if abs(du[k]) > 1e-15
-    ]
-    for t in roots:
-        if 0.0 <= t <= 1.0:
-            u_t = t * phi1.u + (1.0 - t) * phi2.u
-            scale = max(1.0, float(np.max(np.abs(phi1.u))), float(np.max(np.abs(phi2.u))))
-            if float(np.max(np.abs(u_t), initial=0.0)) <= TOL * scale:
-                candidates.add(t)
-
-    # least-eigenvalue sign changes of A(t) (boundary of the finite region)
-    def negative(ts: np.ndarray) -> np.ndarray:
-        return np.linalg.eigvalsh(_combo_matrices(phi1, phi2, ts))[:, 0] < 0.0
-
-    def sign_change(ts: np.ndarray) -> tuple[int, int]:
-        neg = negative(ts)
-        j = int(np.argmax(neg != neg[0]))
-        return j - 1, j
-
-    scan = np.linspace(0.0, 1.0, 101)
-    neg = negative(scan)
-    for i in np.flatnonzero(neg[:-1] != neg[1:]):
-        candidates.update(_zoom(float(scan[i]), float(scan[i + 1]), sign_change))
-
-    # coarse scan for a finite bracket, then zoom in on its best point
-    def around_max(ts: np.ndarray) -> tuple[int, int]:
-        i = int(np.argmax(_combo_min_many(phi1, phi2, ts)))
-        return max(i - 1, 0), min(i + 1, len(ts) - 1)
-
-    tgrid = np.linspace(0.0, 1.0, 1001)
-    scan_vals = _combo_min_many(phi1, phi2, tgrid)
-    best_idx = int(np.argmax(scan_vals))
-    if np.isfinite(scan_vals[best_idx]):
-        lo, hi = max(best_idx - 1, 0), min(best_idx + 1, len(tgrid) - 1)
-        a, b = _zoom(float(tgrid[lo]), float(tgrid[hi]), around_max)
-        candidates.add(0.5 * (a + b))
-        candidates.add(float(tgrid[best_idx]))
-
-    ts = np.array(sorted(candidates))
+    a1, a2 = _curvature(phi1), _curvature(phi2)
+    d, dc, du = a1 - a2, phi1.c - phi2.c, phi1.u - phi2.u
+    E = 4.0 * d * dc - float(du @ du)
+    candidates = {0.0, 1.0}
+    if d != 0.0:
+        candidates.add(-a2 / d)
+        A0 = 4.0 * dc * a2 * a2 - 2.0 * a2 * float(phi2.u @ du) + d * float(phi2.u @ phi2.u)
+        if E < 0.0 and a2 * a2 - d * A0 / E >= 0.0:
+            r = math.sqrt(a2 * a2 - d * A0 / E)
+            # each form adds terms of one sign: no cancellation
+            candidates.add(-A0 / E / (r + a2) if a2 > 0.0 else (r - a2) / d)
+    elif E < 0.0:
+        candidates.add((2.0 * a2 * dc - float(phi2.u @ du)) / float(du @ du))
+    ts = np.array(sorted(t for t in candidates if 0.0 <= t <= 1.0))
     vals = _combo_min_many(phi1, phi2, ts)
     k = int(np.argmax(vals))  # the first maximum: the smallest t0
     if vals[k] == -INF or vals[k] < alpha - TOL:

@@ -61,13 +61,19 @@ def min_quad_1d(a: float, b: float, c: float) -> float:
     return -max_quad_1d(-a, -b, -c)
 
 
-def iso_combo_min(p1, p2, t: float) -> float:
+def iso_combo_min(p1, p2, t):
     """Exact ``min_z [t*p1 + (1-t)*p2](z)`` for (A, u, c) triples with
-    ``A = a*I``: the combination splits into one 1-d quadratic per axis."""
+    ``A = a*I``, at one t or at every t of an array: ``c - |u|^2 / (4a)``
+    where ``a > 0``, c where ``a = 0`` and ``u = 0``, else -inf."""
+    t = np.asarray(t, dtype=float)
     a = t * p1[0][0][0] + (1.0 - t) * p2[0][0][0]
-    u = t * np.asarray(p1[1], dtype=float) + (1.0 - t) * np.asarray(p2[1], dtype=float)
+    u = (np.multiply.outer(t, np.asarray(p1[1], dtype=float))
+         + np.multiply.outer(1.0 - t, np.asarray(p2[1], dtype=float)))
     c = t * p1[2] + (1.0 - t) * p2[2]
-    return c + sum(min_quad_1d(a, ui, 0.0) for ui in u)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        m = np.where(a > 0.0, c - np.sum(u * u, axis=-1) / (4.0 * a),
+                     np.where((a == 0.0) & np.all(u == 0.0, axis=-1), c, -INF))
+    return m if m.ndim else float(m)
 
 
 def refine_max(fn, lo, hi, points=401, rounds=3, shrink=0.05):

@@ -295,6 +295,25 @@ class TestIntersectionProperty:
         assert wit.min_value == pytest.approx(0.0, abs=1e-9)
         assert intersection_property(phi1, phi2, 0.05) is None
 
+    def test_near_equal_curvatures_keep_the_stationary_point(self):
+        # d = a1 - a2 is about 1e-14: the root as (r - a2)/d would cancel
+        # in r - a2 and miss t = 1/2 by about 0.01.
+        for phi1, phi2 in ((GeneralizedQuadratic.iso(1, 1.0 + 1e-14, [2.0]),
+                            GeneralizedQuadratic.iso(1, 1.0, [-2.0])),
+                           (GeneralizedQuadratic.iso(1, 1.0, [2.0]),
+                            GeneralizedQuadratic.iso(1, 1.0 + 1e-14, [-2.0]))):
+            wit = intersection_property(phi1, phi2, -1e-6)
+            assert wit is not None
+            assert wit.t0 == pytest.approx(0.5, abs=1e-9)
+            assert wit.min_value == pytest.approx(0.0, abs=1e-12)
+
+    def test_tiny_members_divide_by_no_zero(self):
+        # E * (r + a2) underflows to 0 here; -A0 / E / (r + a2) does not.
+        phi1 = GeneralizedQuadratic.iso(1, 2e-30, [1e-150])
+        phi2 = GeneralizedQuadratic.iso(1, 1e-30)
+        wit = intersection_property(phi1, phi2, -1.0)
+        assert (wit.t0, wit.min_value) == (0.0, 0.0)
+
     def test_needle_maximum_from_slope_cancellation(self):
         phi1 = GeneralizedQuadratic.iso(1, 1.0, [1.0])
         phi2 = GeneralizedQuadratic.iso(1, -1.0, [-1.0])
@@ -309,6 +328,33 @@ class TestIntersectionProperty:
         phi = GeneralizedQuadratic.iso(1, 1.0)
         wit = intersection_property(phi, phi, 0.0)
         assert (wit.t0, wit.min_value) == (0.0, 0.0)
+        # a(t) = 2t - 1: m = -inf below t = 1/2 and 0 from there on, so the
+        # first maximum is the root of a(t).
+        wit = intersection_property(phi, GeneralizedQuadratic.iso(1, -1.0), 0.0)
+        assert (wit.t0, wit.min_value) == (0.5, 0.0)
+
+    def test_a_non_isotropic_member_is_rejected(self):
+        phi1 = GeneralizedQuadratic(2, [[1.0, 0.0], [0.0, 2.0]], [0.0, 0.0], 0.0)
+        phi2 = GeneralizedQuadratic.iso(2, 1.0)
+        for pair in ((phi1, phi2), (phi2, phi1)):
+            with pytest.raises(InvariantViolation, match="class members"):
+                intersection_property(*pair, 0.0)
+
+    def test_one_evaluation_on_at_most_four_candidates(self, monkeypatch):
+        calls = []
+
+        def spy(phi1, phi2, ts):
+            calls.append(len(ts))
+            return combo_min(phi1, phi2, ts)
+
+        combo_min = abconv.lagrange._combo_min_many
+        monkeypatch.setattr(abconv.lagrange, "_combo_min_many", spy)
+        pairs = [(GeneralizedQuadratic.iso(2, a1, [1.0, -2.0], 0.3),
+                  GeneralizedQuadratic.iso(2, a2, [-1.0, 0.5], -0.2))
+                 for a1 in (-1.0, 0.0, 1.0) for a2 in (-0.5, 0.0, 2.0)]
+        for phi1, phi2 in pairs:
+            intersection_property(phi1, phi2, -1.0)
+        assert len(calls) == len(pairs) and max(calls) <= 4
 
     def test_concave_pair_has_no_witness(self):
         phi1 = GeneralizedQuadratic.iso(1, -1.0)
@@ -324,6 +370,10 @@ class TestIntersectionProperty:
     def test_witness_holds_property(self):
         assert IntersectionWitness(0.5, -1.0, 0.0).holds
         assert not IntersectionWitness(0.5, 1.0, 0.0).holds
+        # The search accepts max m >= alpha - TOL; holds reads the same rule.
+        phi = GeneralizedQuadratic.iso(1, 1.0)
+        wit = intersection_property(phi, phi, 5e-10)
+        assert wit is not None and wit.holds
 
     def test_bruteforce_direct(self):
         phi1 = ([[0.0]], [1.0], 0.0)  # x
@@ -354,36 +404,43 @@ class TestIntersectionProperty:
             assert intersection_property(phi1, phi2, peak + 0.15) is None
             assert not oracles.intersection_brute(p1, p2, peak + 0.15, -30.0, 30.0)
 
-    def test_2d_search_agrees_with_independent_oracle(self, rng):
-        # Curvatures of either sign, so the least eigenvalue of the
-        # combination often changes sign on [0, 1]; alpha sits 0.05-1 off the
-        # best level.
-        def draw():
+    def test_1_to_3_d_search_agrees_with_independent_oracles(self, rng):
+        # Curvatures of either sign, so a(t) often changes sign on [0, 1];
+        # alpha sits 0.05-1 off the best level.  The witness is m's maximum,
+        # so it is at least the exact m at every point of a fine t grid.  The
+        # definition-level brute force runs where its z mesh stays fine: in
+        # 1-D and 2-D.
+        ts = np.linspace(0.0, 1.0, 20_001)
+
+        def draw(n):
             a = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.3, 1.5))
-            u = rng.uniform(-2.0, 2.0, size=2)
+            u = rng.uniform(-2.0, 2.0, size=n)
             c = float(rng.uniform(-1.0, 1.0))
-            return GeneralizedQuadratic.iso(2, a, u, c), (a * np.eye(2), u, c)
+            return GeneralizedQuadratic.iso(n, a, u, c), (a * np.eye(n), u, c)
 
         witnesses = 0
-        for k in range(16):
-            phi1, p1 = draw()
-            phi2, p2 = draw()
-            peak = max(oracles.iso_combo_min(p1, p2, t) for t in np.linspace(0.0, 1.0, 2001))
+        for k in range(18):
+            n = 1 + k % 3
+            phi1, p1 = draw(n)
+            phi2, p2 = draw(n)
+            peak = float(np.max(oracles.iso_combo_min(p1, p2, ts)))
             offset = rng.uniform(0.05, 1.0)
             if peak == -INF:
                 alpha = -20.0
             else:
                 alpha = peak - offset if k % 2 == 0 else peak + offset
             wit = intersection_property(phi1, phi2, alpha)
-            brute = oracles.intersection_brute(p1, p2, alpha, [-10.0, -10.0], [10.0, 10.0],
-                                               z_points=2601, t_points=201)
-            assert (wit is not None) == brute, (k, alpha)
+            if n < 3:
+                brute = oracles.intersection_brute(p1, p2, alpha, [-10.0] * n, [10.0] * n,
+                                                   z_points=2601, t_points=201)
+                assert (wit is not None) == brute, (k, alpha)
             if wit is not None:
                 witnesses += 1
+                assert wit.min_value >= peak - 1e-12, (k, wit, peak)
                 exact = oracles.iso_combo_min(p1, p2, wit.t0)
                 assert exact >= alpha - 1e-9
                 assert wit.min_value == pytest.approx(exact, abs=1e-9)
-        assert 0 < witnesses < 16
+        assert 0 < witnesses < 18
 
 
 class TestValueFunction:
