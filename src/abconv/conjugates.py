@@ -442,13 +442,10 @@ def _biconjugate_argmax(
     live = np.flatnonzero(finite.any(axis=1))
     if not len(X) or not len(live):
         return values[:n_rows], winner[:n_rows]
-    whole = finite.all(axis=1)
-    # Gathered where a row is partly finite, so that a -inf entry (a
-    # grid-engine improper window) is skipped rather than turned into +inf.
-    rows = []
-    for i in live:
-        cols = None if whole[i] else np.flatnonzero(finite[i])
-        rows.append((search.curvatures[i], table[i] if cols is None else table[i][cols], cols))
+    if not finite.all():
+        # An entry that is not finite (a grid engine's -inf too) excludes its
+        # member: as +inf it gives -inf at every point where |x|^2 is finite.
+        table = np.where(finite, table, INF)
     slopes = search.slopes()
     start = 0
     for Xb in np.array_split(X, max(1, -(-len(X) // _QUERY_BLOCK))):
@@ -456,18 +453,13 @@ def _biconjugate_argmax(
         lin = Xb @ slopes.T
         buf = np.empty_like(lin)
         at = np.arange(len(Xb))
-        tops = np.empty((len(rows), len(Xb)))
-        col = np.empty((len(rows), len(Xb)), dtype=winner.dtype)
-        for k, (beta, row, cols) in enumerate(rows):
-            if cols is None:
-                vals = np.add(beta * sq, lin, out=buf)
-            else:
-                vals = lin[:, cols]
-                np.add(beta * sq, vals, out=vals)
-            np.subtract(vals, row, out=vals)
-            j = vals.argmax(axis=1)
-            tops[k] = vals[at, j]
-            col[k] = j if cols is None else cols[j]
+        tops = np.empty((len(live), len(Xb)))
+        col = np.empty((len(live), len(Xb)), dtype=winner.dtype)
+        for k, i in enumerate(live):
+            vals = np.add(search.curvatures[i] * sq, lin, out=buf)
+            np.subtract(vals, table[i], out=vals)
+            col[k] = vals.argmax(axis=1)
+            tops[k] = vals[at, col[k]]
         stop = start + len(Xb)
         values[start:stop] = tops.max(axis=0)
         nan = np.isnan(tops)
@@ -599,8 +591,6 @@ def dom_conjugate_probe(
     X = np.asarray(sample_points, dtype=float)
     fvals = f.values(X)
     ok = np.isfinite(fvals)
-    if not np.any(ok):
-        return []
     X, fvals = X[ok], fvals[ok]
     slopes = search.slopes()
     sq = np.sum(X * X, axis=1)
@@ -610,7 +600,7 @@ def dom_conjugate_probe(
     for i, beta in enumerate(search.curvatures):
         row = table[i]
         phi_vals = beta * sq[:, None] + lin
-        slack = np.min(fvals[:, None] + row[None, :] - phi_vals, axis=0)
+        slack = np.min(fvals[:, None] + row[None, :] - phi_vals, axis=0, initial=INF)
         for j in np.nonzero(slack <= eps_min + TOL)[0]:
             survivors.append((float(beta), tuple(float(s) for s in slopes[j])))
     return survivors

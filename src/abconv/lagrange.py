@@ -23,7 +23,6 @@ from .conjugates import (
     _never_one_row,
     _quadratic_sup_many,
     biconjugate_many,
-    conjugate_value,
     is_phi_convex_at,
     minimize_quadratic,
 )
@@ -34,6 +33,7 @@ from .duality import (
     ProblemInstance,
     _attains_primal,
     _composite_min,
+    _member_gstar,
     composite_inf_table,
     dcp_value,
     g_conjugate_table,
@@ -67,9 +67,9 @@ class LagrangianContext:
     """
 
     instance: ProblemInstance
-    _gstar_table: np.ndarray | None = field(default=None, repr=False)
-    _inf_table: np.ndarray | None = field(default=None, repr=False)
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
+    _gstar_table: np.ndarray | None = field(default=None, init=False, repr=False)
+    _inf_table: np.ndarray | None = field(default=None, init=False, repr=False)
+    _lock: threading.Lock = field(default_factory=threading.Lock, init=False, repr=False)
 
     def gstar_table(self) -> np.ndarray:
         with self._lock:
@@ -87,16 +87,17 @@ class LagrangianContext:
 def lagrangian_value(
     ctx: LagrangianContext, x, psi: GeneralizedQuadratic
 ) -> float:
-    """``f(x) + psi(Lx) - g*(psi)``; +inf outside dom f, -inf when
-    ``g*(psi) = +inf`` (such members are excluded from the dual sup)."""
+    """``f(x) + psi(Lx) - g*(psi)``, with g*(psi) as ``g_conjugate_table``
+    has it; +inf outside dom f, -inf when g*(psi) is not finite (such
+    members are excluded from the dual sup)."""
     inst = ctx.instance
     if not inst.psi.contains(psi):
         raise InvariantViolation("psi is not a member of the output class")
     fx = inst.f.value(x)
     if fx == INF:
         return INF
-    gs = conjugate_value(inst.g, psi, grid=inst.y_search).value
-    if gs == INF:
+    gs = _member_gstar(inst, psi)
+    if not np.isfinite(gs):
         return -INF
     return fx + float(psi(inst.L.apply(np.asarray(x, dtype=float)))) - gs
 
@@ -229,20 +230,23 @@ def intersection_property(
     if np.isnan(alpha):
         raise InvariantViolation("alpha must not be NaN")
     a1, a2 = _curvature(phi1), _curvature(phi2)
-    d, dc, du = a1 - a2, phi1.c - phi2.c, phi1.u - phi2.u
-    E = 4.0 * d * dc - float(du @ du)
-    candidates = {0.0, 1.0}
-    if d != 0.0:
-        candidates.add(-a2 / d)
-        A0 = 4.0 * dc * a2 * a2 - 2.0 * a2 * float(phi2.u @ du) + d * float(phi2.u @ phi2.u)
-        if E < 0.0 and a2 * a2 - d * A0 / E >= 0.0:
-            r = math.sqrt(a2 * a2 - d * A0 / E)
-            # each form adds terms of one sign: no cancellation
-            candidates.add(-A0 / E / (r + a2) if a2 > 0.0 else (r - a2) / d)
-    elif E < 0.0:
-        candidates.add((2.0 * a2 * dc - float(phi2.u @ du)) / float(du @ du))
-    ts = np.array(sorted(t for t in candidates if 0.0 <= t <= 1.0))
-    vals = _combo_min_many(phi1, phi2, ts)
+    # Members near the float range overflow to inf in the products below;
+    # the candidates and their values stay right, so numpy stays quiet.
+    with np.errstate(over="ignore"):
+        d, dc, du = a1 - a2, phi1.c - phi2.c, phi1.u - phi2.u
+        E = 4.0 * d * dc - float(du @ du)
+        candidates = {0.0, 1.0}
+        if d != 0.0:
+            candidates.add(-a2 / d)
+            A0 = 4.0 * dc * a2 * a2 - 2.0 * a2 * float(phi2.u @ du) + d * float(phi2.u @ phi2.u)
+            if E < 0.0 and a2 * a2 - d * A0 / E >= 0.0:
+                r = math.sqrt(a2 * a2 - d * A0 / E)
+                # each form adds terms of one sign: no cancellation
+                candidates.add(-A0 / E / (r + a2) if a2 > 0.0 else (r - a2) / d)
+        elif E < 0.0:
+            candidates.add((2.0 * a2 * dc - float(phi2.u @ du)) / float(du @ du))
+        ts = np.array(sorted(t for t in candidates if 0.0 <= t <= 1.0))
+        vals = _combo_min_many(phi1, phi2, ts)
     k = int(np.argmax(vals))  # the first maximum: the smallest t0
     if vals[k] == -INF or vals[k] < alpha - TOL:
         return None
@@ -359,7 +363,7 @@ def support_point_scan(
         Y = inst.y_search.mesh()
         gv = inst.g.values(Y)
         ok = np.isfinite(gv)
-        low = float(np.min(gv[ok] - np.asarray(psi(Y[ok])))) if np.any(ok) else INF
+        low = float(np.min(gv[ok] - psi(Y[ok]), initial=INF))
 
     # (level): alpha <= inf_x f + psi o L
     if inst.f.exact is not None:
@@ -368,7 +372,7 @@ def support_point_scan(
         X, fv = inst.x_search.mesh(), inst.f_on_mesh
         ok = np.isfinite(fv)
         pb = pullback(psi, inst.L)
-        inf_fpsi = float(np.min(fv[ok] + np.asarray(pb(X[ok])))) if np.any(ok) else INF
+        inf_fpsi = float(np.min(fv[ok] + pb(X[ok]), initial=INF))
 
     # (sandwich) and (point): L x0 supported by g* over the member grid, or
     # g(L x0) <= 0

@@ -19,6 +19,21 @@ os.environ["PYTHONPATH"] = os.pathsep.join(
 FUZZ_DIMS = [(n, m) for n in (1, 2, 3) for m in (1, 2, 3)]
 
 
+def infeasible_part_dict(part: str) -> dict:
+    """An instance file with n = m = 1, L = id, f = g = x^2 over
+    nonpositive curvatures, whose ``part`` ("f" or "g") has the domain box
+    [20, 30], off every search mesh: +inf on the whole x mesh (and for g
+    also on the y mesh and on L of the x mesh)."""
+    quad = {"kind": "quadratic", "A": [[1.0]], "u": [0.0], "c": 0.0}
+    data = {"schema_version": "1", "name": f"{part}-off-mesh", "n": 1, "m": 1,
+            "L": [[1.0]], "f": dict(quad), "g": dict(quad),
+            "phi": {"curvature": "nonpos"}, "psi": {"curvature": "nonpos"},
+            "search": {"points_per_axis": 21, "psi_slope_points_per_axis": 5,
+                       "psi_curv_grid": 3}}
+    data[part]["domain_box"] = {"lower": [20.0], "upper": [30.0]}
+    return data
+
+
 @pytest.fixture(scope="session")
 def inst47():
     return catalog_instance("ex4.7")

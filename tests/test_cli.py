@@ -14,6 +14,8 @@ import pytest
 from abconv import catalog_instance, report_json, run_report
 from abconv.cli import main, parse_epi_point, parse_member
 
+from conftest import infeasible_part_dict
+
 
 def rows(out: str) -> dict:
     """Parse fixed-width key/value rows back into a dict."""
@@ -116,6 +118,20 @@ class TestGap:
         parsed = rows(capsys.readouterr().out)
         assert parsed["primal"] == "-19"
         assert parsed["lp"] == "-19"
+
+    @pytest.mark.parametrize("part,dual", [("f", "inf"), ("g", "-inf")])
+    def test_a_part_off_every_mesh_point_reads_extended_reals(self, part, dual, tmp_path, capsys):
+        # f off the x mesh: an inf over no point is +inf, and so is every
+        # value.  g off its meshes: every g* entry is -inf and excludes its
+        # member, so the duals and lp read -inf under the +inf primal.
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(infeasible_part_dict(part)))
+        with pytest.warns(UserWarning, match="no feasible point"):
+            assert main(["gap", str(path)]) == 0
+        parsed = rows(capsys.readouterr().out)
+        assert [parsed[k] for k in ("primal", "dcp", "ld", "lp", "gap")] == [
+            "inf", dual, dual, dual, "inf"]
+        assert parsed["weak duality"] == "ok"
 
     @pytest.mark.parametrize("payload", ["directory", "bad utf-8", "400 digits", "5000 digits"])
     def test_unreadable_instance_file_exits_2(self, payload, tmp_path, capsys):
@@ -354,6 +370,14 @@ class TestLagrange:
         assert parsed["convexification preserves value"] == "True"
         assert parsed["value function lsc at 0"] == "True"
         assert parsed["intersection property"].startswith("holds at t=")
+
+    @pytest.mark.parametrize("part", ["f", "g"])
+    def test_dual_below_convexified_with_a_part_off_every_mesh_point(self, part, tmp_path, capsys):
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(infeasible_part_dict(part)))
+        with pytest.warns(UserWarning, match="no feasible point"):
+            assert main(["lagrange", str(path)]) == 0
+        assert rows(capsys.readouterr().out)["dual <= convexified"] == "True"
 
     def test_intersection_without_witness(self, capsys):
         assert main([

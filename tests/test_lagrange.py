@@ -8,6 +8,8 @@ Hand-derived anchors:
 * ``f=(x+1)^2, g=4y^2`` (inst47): V(1) = min 5(x+1)^2 = 0.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,7 @@ from abconv import (
     catalog_names,
     convexification_preserves_value,
     dcp_value,
+    instance_from_dict,
     intersection_property,
     lagrangian_value,
     ld_value,
@@ -46,10 +49,11 @@ from abconv import (
     support_point_zero_gap_check,
     value_function,
 )
+from abconv.config import VALUE_TOL
 from abconv.conjugates import _biconjugate_argmax, _biconjugate_lower_bound, biconjugate_many
 from abconv.lagrange import _LP_PRUNE_RTOL, _LP_SAMPLE_STRIDE, _value_function_many
 
-from conftest import FUZZ_DIMS
+from conftest import FUZZ_DIMS, infeasible_part_dict
 
 ID1 = LinearMap.identity(1)
 
@@ -121,6 +125,8 @@ class TestLagrangianContext:
         ctx = make_ctx(inst47)
         assert ctx.gstar_table() is ctx.gstar_table()
         assert ctx.inf_table() is ctx.inf_table()
+        with pytest.raises(TypeError):
+            LagrangianContext(inst47, np.zeros((1, 1)))
 
 
 
@@ -140,6 +146,16 @@ class TestLagrangianValue:
     def test_minus_infinity_for_dual_infeasible_member(self, make_ctx):
         ctx = make_ctx(build(quad_obj(1, 1.0), quad_obj(1, -1.0)))
         assert lagrangian_value(ctx, [0.0], GeneralizedQuadratic.zero(1)) == -INF
+
+    def test_ld_is_its_minimum_over_the_mesh_on_grid_instances(self, make_ctx):
+        # At LD's member, inf over the x mesh of L(., psi) is LD: g*(psi)
+        # includes the L-mesh candidates, as the dual sweep's table does.
+        for inst in workload("gridbox")(abconv, 11).pool:
+            ctx = make_ctx(inst)
+            ld = ld_value(ctx)
+            X = inst.x_search.mesh()
+            x = X[np.argmin(inst.f_on_mesh + ld.attaining(inst.L.apply(X)))]
+            assert abs(lagrangian_value(ctx, x, ld.attaining) - ld.value) <= VALUE_TOL
 
     def test_plus_infinity_outside_dom_f(self, make_ctx):
         f = quad_obj(1, 1.0, box=Box([-1.0], [1.0]))
@@ -201,6 +217,28 @@ class TestLdLp:
         res = assert_dense_lp(ctx)
         assert res.value == -INF
         assert "biconjugate_minus_infinity" in res.flags
+
+    @pytest.mark.parametrize("part", ["f", "g"])
+    def test_a_part_infinite_on_every_mesh_point(self, part, make_ctx):
+        # f off the x mesh: each inf over the mesh is over no feasible point,
+        # so +inf, and so is every value.  g off its meshes: every g* entry
+        # is -inf, which excludes its member from every sweep, so the duals
+        # and g** have no member: -inf, below the convexified primal.
+        with pytest.warns(UserWarning, match="no feasible point"):
+            inst = instance_from_dict(infeasible_part_dict(part))
+        ctx = make_ctx(inst)
+        ld, lp = ld_value(ctx), assert_dense_lp(ctx)
+        assert primal_value(inst).value == INF
+        expected = INF if part == "f" else -INF
+        assert dcp_value(inst).value == ld.value == lp.value == expected
+        assert ld.value <= lp.value
+        # the support-point scan's infima over no feasible mesh point
+        scan = support_point_scan(ctx, GeneralizedQuadratic.zero(1), np.zeros((1, 1)), 0.0)
+        assert scan.details["inf_f_plus_psi" if part == "f" else "support_slack"][0] == INF
+        if part == "g":
+            assert np.all(ctx.gstar_table() == -INF)
+            assert "all_members_excluded" in ld.flags and ld.attaining is None
+            assert ld.excluded_infeasible == inst.psi_search.size
 
     @pytest.mark.parametrize("n,m", FUZZ_DIMS)
     def test_lp_matches_the_dense_reference_bit_for_bit(
@@ -355,6 +393,14 @@ class TestIntersectionProperty:
         for phi1, phi2 in pairs:
             intersection_property(phi1, phi2, -1.0)
         assert len(calls) == len(pairs) and max(calls) <= 4
+
+    def test_members_near_the_float_range_warn_nothing(self):
+        phi1 = GeneralizedQuadratic.iso(1, 1e300, [1e300], 1e300)
+        phi2 = GeneralizedQuadratic.iso(1, -1e300, [-1e300], -1e300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            wit = intersection_property(phi1, phi2, 0.0)
+        assert wit.t0 == 0.5 and wit.min_value == 0.0
 
     def test_concave_pair_has_no_witness(self):
         phi1 = GeneralizedQuadratic.iso(1, -1.0)

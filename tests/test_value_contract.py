@@ -16,6 +16,10 @@ pointwise probes of the seed-11 gridbox pool: ``grid-weak-duality`` the
 ``weak_duality_check`` verdicts at three members, ``grid-thm42`` a fixed
 thm42 certificate check, and ``grid-probes`` psi-convexity at the primal
 minimizer, V at fixed perturbations and the composite conjugate at zero.
+``catalog-sweeps`` hashes the member sweeps of the strong-duality API on
+the six catalog instances, conditions (a) to (d) and ``epi_decompose``,
+and the intersection witnesses of the benchmark's ``catalog`` triples at
+seed 1.
 
 The bits depend on the numpy and BLAS build, as the catalog reference files
 do, so a mismatch names the build the digests were recorded with.  A change
@@ -49,6 +53,7 @@ DIGESTS = {
     "grid-weak-duality": "c2ff2646b1a59262203d53391ed04a6a6969d582039f92a713a7692344307843",
     "grid-thm42": "c6e3c01262d52adda43715d8f0f210d2ac9fdd3daffc95be2955cd038f991d3c",
     "grid-probes": "93c7ffc7ab5df252080a0f666b57379ed10b73a70219b0b6677902bbecd6676b",
+    "catalog-sweeps": "486a4ee0d68227e72268cb4892da8c8a0d4431b990ae087ff62b7463d0edf326",
 }
 
 
@@ -181,6 +186,48 @@ def grid_probes_digest(seed: int) -> str:
     return h.hexdigest()
 
 
+def _member_bytes(member) -> bytes:
+    return member.A.tobytes() + member.u.tobytes() + np.float64(member.c).tobytes()
+
+
+def catalog_sweeps_digest(seed: int) -> str:
+    """On each catalog instance, with phi the input-class tangent of g o L
+    at the primal minimizer and psi the dual's attaining member: condition
+    (a) at (phi, (g o L)*(phi) + 0.5), (b) by grid search and at psi, (c)
+    at (phi, psi), (d) without a witness and with (psi, the minimizer), and
+    ``epi_decompose`` of (0, composite*(0) + 0.5).  Then the intersection
+    witness of every benchmark ``catalog`` triple at the seed."""
+    h = hashlib.sha256()
+    check = abconv.decomposition_condition_check
+    for name in abconv.catalog_names():
+        inst = abconv.catalog_instance(name)
+        x = abconv.primal_value(inst).minimizer
+        psi = abconv.dcp_value(inst).attaining
+        g_of_L = abconv.Objective.quadratic(abconv.pullback(inst.g.exact, inst.L))
+        phi = inst.phi.tangent(g_of_L.exact, x)
+        r = abconv.conjugate_value(g_of_L, phi).value + 0.5
+        for verdict in (check(inst, "a", phi=phi, r=r), check(inst, "b"),
+                        check(inst, "b", psi=psi), check(inst, "c", phi=phi, psi=psi),
+                        check(inst, "d"), check(inst, "d", psi=psi, x=x)):
+            h.update(repr((verdict.holds, verdict.kind, verdict.conditions)).encode())
+            h.update(repr(list(verdict.details)).encode())
+            h.update(np.array([v for v in verdict.details.values()
+                               if not isinstance(v, str)], dtype=float).tobytes())
+        zero = abconv.GeneralizedQuadratic.zero(inst.L.in_dim)
+        level = abconv.conjugate_value(inst.composite_objective(), zero).value + 0.5
+        split = abconv.epi_decompose(inst, abconv.EpiPoint(zero, level))
+        if split is None:
+            h.update(b"none")
+        else:
+            h.update(_member_bytes(split.phi1) + _member_bytes(split.psi))
+            h.update(np.array([split.c_phi, split.c_psi]).tobytes())
+    for p1, p2, alpha, _ in workload("catalog")(abconv, seed).triples:
+        witness = abconv.intersection_property(p1, p2, alpha)
+        h.update(b"none" if witness is None else np.array(
+            [witness.t0, witness.alpha, witness.min_value]).tobytes())
+    return h.hexdigest()
+
+
 SECTIONS = {
     "gridbox-11": lambda: gridbox_digest(11),
     "gridbox-1": lambda: gridbox_digest(1),
@@ -190,6 +237,7 @@ SECTIONS = {
     "grid-weak-duality": lambda: grid_weak_duality_digest(11),
     "grid-thm42": lambda: grid_thm42_digest(11),
     "grid-probes": lambda: grid_probes_digest(11),
+    "catalog-sweeps": lambda: catalog_sweeps_digest(1),
 }
 
 
