@@ -201,13 +201,14 @@ def _group_windows(lower: np.ndarray, upper: np.ndarray) -> tuple[np.ndarray, np
 
 def _grid_sup_table(
     f: Objective,
-    mats: list[np.ndarray],
+    mats: np.ndarray,
     U: np.ndarray,
     c: float,
     grid: GridSpec,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Refining-grid lower bounds of ``sup_x x.A x + u.x + c - f(x)`` for
-    every matrix ``A`` in ``mats`` paired with every row ``u`` of ``U``.
+    every matrix ``A`` of the stack ``mats`` (k, dim, dim) paired with every
+    row ``u`` of ``U``.
 
     Every member starts on ``grid.box`` and, after each round, shrinks its
     window 10x around its incumbent; a later round replaces the incumbent
@@ -230,7 +231,6 @@ def _grid_sup_table(
     lower = np.tile(grid.box.lower, (size, 1))
     upper = np.tile(grid.box.upper, (size, 1))
     live = np.arange(size)
-    stacked = np.stack(mats)
     step = max(1, _VALUE_BLOCK // (n_pts * dim))
     for r in range(grid.refine_rounds + 1):
         if r:
@@ -252,7 +252,7 @@ def _grid_sup_table(
             q0, q1 = np.searchsorted(pair_win, [w0, w0 + step])
             for p0 in range(q0, q1, step):
                 p1 = min(p0 + step, q1)
-                quad = quadratic_form(Xs[pair_win[p0:p1] - w0], stacked[pair_curv[p0:p1]])
+                quad = quadratic_form(Xs[pair_win[p0:p1] - w0], mats[pair_curv[p0:p1]])
                 for b in range(starts[p0], starts[p1], step):
                     span = slice(b, min(b + step, starts[p1]))
                     block, win = members[span], ids[span] - w0
@@ -282,7 +282,7 @@ def conjugate_grid(
     skipped. Returns -inf with a note when every window point is infeasible."""
     if f.dim != phi.dim:
         raise InvariantViolation("dimension mismatch in conjugate")
-    values, maximizers = _grid_sup_table(f, [phi.A], phi.u[None], phi.c, grid)
+    values, maximizers = _grid_sup_table(f, phi.A[None], phi.u[None], phi.c, grid)
     if values[0, 0] == -INF:
         return ConjugateValue(-INF, None, "grid", "improper-window")
     return ConjugateValue(float(values[0, 0]), maximizers[0, 0], "grid")
@@ -403,7 +403,7 @@ def family_conjugate_table(
         return _quadratic_sup_many(D, slopes - q.u, -q.c)
     if f.dim != search.family.dim:
         raise InvariantViolation("dimension mismatch in conjugate")
-    mats = [GeneralizedQuadratic.iso(f.dim, beta).A for beta in search.curvatures]
+    mats = np.asarray(search.curvatures)[:, None, None] * np.eye(f.dim)
     g = grid if grid is not None else GridSpec.default(f.dim)
     return _grid_sup_table(f, mats, slopes, 0.0, g)[0]
 

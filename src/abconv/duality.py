@@ -87,7 +87,7 @@ class ProblemInstance:
             warnings.warn(
                 "no feasible point found on the x search mesh: dom g may "
                 "never meet L(dom f)",
-                stacklevel=2,
+                stacklevel=3,  # the caller of the generated __init__
             )
 
     @classmethod
@@ -739,14 +739,14 @@ def decomposition_condition_check(
     if which == "b":
         def admissible(member: GeneralizedQuadratic) -> tuple[bool, float, float]:
             gs = conjugate_value(instance.g, member, grid=instance.y_search).value
-            if gs > TOL:
+            if not -INF < gs <= TOL:  # a g* that is not finite excludes psi
                 return False, gs, -INF
             diff = _g_of_l_gap(instance, member)
             return diff >= -TOL, gs, diff
 
         if psi is not None:
             ok, gs, diff = admissible(psi)
-            conditions["gstar_nonpositive"] = gs <= TOL
+            conditions["gstar_nonpositive"] = -INF < gs <= TOL
             conditions["majorizes_g_of_L"] = diff >= -TOL
             details["gstar"] = gs
             details["min_psi_oL_minus_g_oL"] = diff

@@ -56,7 +56,15 @@ class Box(_ByBytes):
         return bool(np.all(x >= self.lower) and np.all(x <= self.upper))
 
     def contains_batch(self, X: np.ndarray) -> np.ndarray:
-        return np.all(X >= self.lower, axis=1) & np.all(X <= self.upper, axis=1)
+        """``contains`` row by row on a batch (N, dim), folded over the
+        axes: numpy reduces a short axis about 20 times slower."""
+        if X.shape[1:] != self.lower.shape:
+            raise InvariantViolation("batch rows do not have the box's dimension")
+        lo, hi = self.lower, self.upper
+        inside = (X[:, 0] >= lo[0]) & (X[:, 0] <= hi[0])
+        for k in range(1, self.dim):
+            inside &= (X[:, k] >= lo[k]) & (X[:, k] <= hi[k])
+        return inside
 
     def mesh(self, points_per_axis: int) -> np.ndarray:
         """All grid points, shape (points_per_axis**dim, dim), C order."""

@@ -261,6 +261,12 @@ def quadratic_sup_loop(D, v, k):
     return out
 
 
+def contains_batch_all(box, X):
+    """Reference ``Box.contains_batch``: the package's formula from before it
+    folded the test over the columns, a reduction along each row."""
+    return np.all(X >= box.lower, axis=1) & np.all(X <= box.upper, axis=1)
+
+
 def grid_sup_table_loop(f, mats, U, c, grid):
     """Reference ``_grid_sup_table``: the package's engine from before it
     formed a chunk's x.A x terms in one stacked ``quadratic_form`` call.  It

@@ -522,13 +522,13 @@ class TestGridTable:
         if case == "general-phi":
             f, grid = _boxed_g(2, False, 7), GridSpec(Box.cube(2, -3.0, 3.0), 11, 2)
             phi = GeneralizedQuadratic(2, [[-1.0, 0.3], [0.3, 0.5]], [1.0, 2.0], -0.7)
-            mats, U, c = [phi.A], phi.u[None], phi.c
+            mats, U, c = phi.A[None], phi.u[None], phi.c
         else:
             m = int(case[-2])
             f = _boxed_g(m, case.startswith("callable"), 10 + m)
             grid = GridSpec(Box.cube(m), {1: 41, 2: 11}[m], 2)
             search = _search(m, {1: 15, 2: 5}[m])
-            mats = [GeneralizedQuadratic.iso(m, beta).A for beta in search.curvatures]
+            mats = np.array([GeneralizedQuadratic.iso(m, beta).A for beta in search.curvatures])
             U, c = search.slopes(), 0.0
         if block == "small":
             monkeypatch.setattr(conjugates, "_VALUE_BLOCK", 3 * grid.points_per_axis**f.dim * f.dim)
@@ -537,6 +537,38 @@ class TestGridTable:
         assert np.isfinite(table).all()
         np.testing.assert_array_equal(_bits(table), _bits(ref_table))
         np.testing.assert_array_equal(_bits(maximizers), _bits(ref_maximizers))
+
+    @pytest.mark.parametrize("case", ["quad-1d", "quad-2d", "quad-3d", "callable-2d", "signed-zeros"])
+    def test_member_matrices_are_the_iso_matrices(self, case, monkeypatch):
+        # The grid branch builds its member matrices in one broadcast: they,
+        # the table and the maximizers equal the per-curvature iso(...).A
+        # list fed to the reference engine, bit for bit.
+        m = 1 if case == "signed-zeros" else int(case[-2])
+        g = _boxed_g(m, case.startswith("callable"), 20 + m)
+        if case == "signed-zeros":
+            search = FamilySearchGrid(
+                Family(1, CurvatureSpec.nonpos()), Box.cube(1), 9, (-1.5, -0.0, 0.0, -0.0))
+        else:
+            search = _search(m, {1: 15, 2: 5, 3: 3}[m])
+        grid = GridSpec(Box.cube(m), {1: 41, 2: 11, 3: 5}[m], 2)
+        calls, engine = [], conjugates._grid_sup_table
+
+        def record(*args):
+            calls.append((args[1], *engine(*args)))
+            return calls[-1][1:]
+
+        monkeypatch.setattr(conjugates, "_grid_sup_table", record)
+        table = family_conjugate_table(g, search, grid=grid)
+        (stack, values, maximizers), = calls
+        mats = [GeneralizedQuadratic.iso(m, beta).A for beta in search.curvatures]
+        ref_values, ref_maximizers = oracles.grid_sup_table_loop(
+            g, mats, search.slopes(), 0.0, grid)
+        np.testing.assert_array_equal(_bits(stack), _bits(np.stack(mats)))
+        assert table is values and np.isfinite(table).all()
+        np.testing.assert_array_equal(_bits(table), _bits(ref_values))
+        np.testing.assert_array_equal(_bits(maximizers), _bits(ref_maximizers))
+        if case == "signed-zeros":
+            assert np.signbit(stack[[1, 3]]).all() and not np.signbit(stack[2]).any()
 
     def test_windows_that_differ_in_a_zero_sign_stay_apart(self):
         lower = np.array([[-0.0, 1.0], [0.0, 1.0], [-0.0, 1.0], [0.0, 2.0]])

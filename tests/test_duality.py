@@ -11,6 +11,7 @@ Hand-derived anchors used below (all double-checked against the oracles):
 import dataclasses
 import inspect
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -48,6 +49,7 @@ from abconv import (
     epi_decompose,
     family_conjugate_table,
     g_conjugate_table,
+    instance_from_dict,
     instance_to_dict,
     lp_value,
     minimize_quadratic,
@@ -70,6 +72,8 @@ from abconv.duality import (
 )
 from abconv.lagrange import support_point_zero_gap_check
 from abconv.report import CERT_LADDER, _certificate_entries
+
+from conftest import infeasible_part_dict
 
 ID1 = LinearMap.identity(1)
 
@@ -96,6 +100,16 @@ class TestProblemInstance:
         g = quad_obj(1, 1.0, box=Box([50.0], [60.0]))
         with pytest.warns(UserWarning, match="no feasible point"):
             build(quad_obj(1, 1.0), g)
+
+    def test_the_warning_names_the_line_that_builds_the_instance(self):
+        # Not the dataclass-generated __init__, whose file is "<string>".
+        with pytest.warns(UserWarning, match="no feasible point") as read:
+            inst = instance_from_dict(infeasible_part_dict("f"))
+        assert [Path(w.filename).parent for w in read] == [Path(abconv.__file__).parent]
+        fields = {f.name: getattr(inst, f.name) for f in dataclasses.fields(inst)}
+        with pytest.warns(UserWarning, match="no feasible point") as direct:
+            ProblemInstance(**fields)
+        assert [Path(w.filename) for w in direct] == [Path(__file__)]
 
     def test_no_warning_when_only_the_search_mesh_is_feasible(self):
         # dom f holds (0.5, 0.5), a point of the 41-point mesh of [-10, 10]^2,
@@ -884,6 +898,21 @@ class TestDecompositionConditions:
         check = decomposition_condition_check(inst, "b")
         assert not check.holds
         assert check.conditions == {"majorizing_psi_found": False} and check.details == {}
+
+    @pytest.mark.parametrize("given", [False, True])
+    def test_condition_b_excludes_a_member_whose_gstar_is_not_finite(self, given):
+        # g boxed off its meshes: every g* entry is -inf, which excludes its
+        # member from every sweep, and (b) finds no member either.
+        with pytest.warns(UserWarning, match="no feasible point"):
+            inst = instance_from_dict(infeasible_part_dict("g"))
+        assert "all_members_excluded" in dcp_value(inst).flags
+        if not given:
+            check = decomposition_condition_check(inst, "b")
+            assert not check.holds and check.conditions == {"majorizing_psi_found": False}
+            return
+        check = decomposition_condition_check(inst, "b", psi=inst.psi_search.member_at(0))
+        assert not check.holds and not check.conditions["gstar_nonpositive"]
+        assert check.details["gstar"] == -INF
 
     def test_condition_b_grid_search_fails_without_constants(self, inst610):
         check = decomposition_condition_check(inst610, "b")

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from abconv import (
     Box,
     CurvatureSpec,
@@ -130,6 +131,55 @@ class TestObjective:
         f = Objective.quadratic(GeneralizedQuadratic.zero(2))
         with pytest.raises(InvariantViolation):
             f.value([1.0])
+
+
+def _edge_rows(box: Box, rng: np.random.Generator, n: int = 300) -> np.ndarray:
+    """Rows whose coordinates are drawn from each axis's bounds, the floats
+    next to them, signed zeros, NaN and +-inf, plus one row per bound with
+    that coordinate exactly on it and the rest at 0."""
+    cols = []
+    for lo, hi in zip(box.lower, box.upper):
+        pool = [lo, hi, np.nextafter(lo, -INF), np.nextafter(hi, INF),
+                np.nextafter(lo, INF), np.nextafter(hi, -INF),
+                0.0, -0.0, 0.25, -0.25, np.nan, INF, -INF]
+        cols.append(rng.choice(np.array(pool), n))
+    on_bound = np.zeros((2 * box.dim, box.dim))
+    for k in range(box.dim):
+        on_bound[2 * k, k], on_bound[2 * k + 1, k] = box.lower[k], box.upper[k]
+    return np.vstack([np.stack(cols, axis=1), on_bound])
+
+
+class TestContainsBatch:
+    """The per-axis fold against the reduction along each row,
+    ``oracles.contains_batch_all``, byte for byte, and against ``contains``
+    row by row."""
+
+    @pytest.mark.parametrize("dim", range(1, 7))
+    def test_matches_the_reduction_along_each_row(self, dim):
+        rng = np.random.default_rng(dim)
+        lower, upper = -rng.uniform(0.5, 3.0, dim), rng.uniform(0.5, 3.0, dim)
+        half_open = lower.copy()
+        half_open[0] = -INF
+        signed = np.where(np.arange(dim) % 2, -0.0, 0.0)
+        for box in (Box(lower, upper), Box(half_open, upper), Box(signed, np.zeros(dim)),
+                    Box(np.full(dim, -INF), np.full(dim, INF))):
+            X = _edge_rows(box, rng)
+            got = box.contains_batch(X)
+            expected = oracles.contains_batch_all(box, X)
+            assert got.dtype == bool and got.shape == (len(X),)
+            assert got.tobytes() == expected.tobytes()
+            assert got.tolist() == [box.contains(x) for x in X]
+            assert got.any() and not got.all()
+            empty = np.empty((0, dim))
+            assert box.contains_batch(empty).tobytes() == oracles.contains_batch_all(box, empty).tobytes()
+            assert box.contains_batch(empty).shape == (0,)
+
+    @pytest.mark.parametrize("shape", [(5, 1), (5, 3), (0, 3), (2,), (5, 2, 1), ()])
+    def test_rows_of_another_width_raise(self, shape):
+        # A fold over the box's axes would read the first columns of a wider
+        # batch silently.
+        with pytest.raises(InvariantViolation):
+            Box.cube(2).contains_batch(np.zeros(shape))
 
 
 def recorded(dim, fn, box=None):
