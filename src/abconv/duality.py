@@ -278,10 +278,22 @@ def g_conjugate_table(instance: ProblemInstance) -> np.ndarray:
     return base
 
 
+def _member_inf(instance: ProblemInstance, psi: GeneralizedQuadratic) -> float:
+    """``inf_x f(x) + psi(Lx)`` of one member as ``composite_inf_table``
+    defines it: closed form on an exact f, else the minimum over the
+    feasible x mesh points (equal to the table entry within rounding)."""
+    pb = pullback(psi, instance.L)
+    if instance.f.exact is not None:
+        return minimize_quadratic(instance.f.exact + pb)[0]
+    fv = instance.f_on_mesh
+    ok = np.isfinite(fv)
+    return float(np.min(fv[ok] + pb(instance.x_search.mesh()[ok]), initial=INF))
+
+
 def _member_gstar(instance: ProblemInstance, psi: GeneralizedQuadratic) -> float:
-    """``g*(psi)`` of one member as ``g_conjugate_table`` defines it: on a
-    grid g the search on the y mesh, raised by the image of the x mesh
-    under L (equal to the table entry within rounding)."""
+    """``g*(psi)`` of one member as ``g_conjugate_table`` defines it, the one
+    g* of every one-member reader: on a grid g the y-mesh search, raised by
+    the image of the x mesh under L (the table entry within rounding)."""
     gstar = conjugate_value(instance.g, psi, grid=instance.y_search).value
     if instance.g.exact is not None:
         return gstar
@@ -323,34 +335,31 @@ def dcp_value(
     obj[infeasible | unbounded] = -INF
     flat = int(np.argmax(obj))
     value = float(obj.flat[flat])
-    engine = "closed" if instance.is_exact else "grid"
-    if value == -INF:
-        return DualResult(
-            -INF, None, engine, ("all_members_excluded",),
-            int(np.sum(infeasible)), int(np.sum(unbounded)),
-        )
+    excluded = value == -INF
     return DualResult(
-        value, instance.psi_search.member_at(flat), engine, (),
+        value, None if excluded else instance.psi_search.member_at(flat),
+        "closed" if instance.is_exact else "grid",
+        ("all_members_excluded",) if excluded else (),
         int(np.sum(infeasible)), int(np.sum(unbounded)),
     )
+
+
+def _require_psi(instance: ProblemInstance, psi: GeneralizedQuadratic) -> None:
+    if not instance.psi.contains(psi):
+        raise InvariantViolation("psi is not a member of the output class")
 
 
 def perturbation_conjugate_zero(
     instance: ProblemInstance, psi: GeneralizedQuadratic
 ) -> float:
     """Conjugate of the perturbed value function at (0, psi):
-    ``sup_x [-psi(Lx) - f(x)] + g*(psi)``.  On an exact instance the dual
-    objective at psi is its negative.  On a grid instance it is not: the
-    sup here refines off the x mesh and g* skips the L-mesh candidates,
-    while the dual sweep reads both on the fixed meshes."""
-    if not instance.psi.contains(psi):
-        raise InvariantViolation("psi is not a member of the output class")
-    pb = pullback(psi, instance.L)
-    sup_part = conjugate_value(
-        instance.f, -pb, grid=instance.x_search
-    ).value
-    gstar = conjugate_value(instance.g, psi, grid=instance.y_search).value
-    return _ext_add(sup_part, gstar)
+    ``g*(psi) - inf_x [f(x) + psi(Lx)]``, the negated dual objective at psi
+    with both terms as the dual sweep defines them (``_member_gstar``,
+    ``_member_inf``).  +inf at a member the sweep excludes: one whose g* is
+    not finite or whose infimum is -inf."""
+    _require_psi(instance, psi)
+    gstar, low = _member_gstar(instance, psi), _member_inf(instance, psi)
+    return gstar - low if np.isfinite(gstar) and low != -INF else INF
 
 
 def _f_minus(f: Objective, phi: GeneralizedQuadratic) -> Objective:
@@ -393,14 +402,10 @@ def composite_condition_check(
 ) -> bool:
     """Whether ``phi + psi o L`` (variant "sum") or ``phi - psi o L``
     (variant "difference") belongs to the input class."""
-    pb = pullback(psi, instance.L)
-    if variant == "sum":
-        candidate = combine(1.0, phi, 1.0, pb)
-    elif variant == "difference":
-        candidate = combine(1.0, phi, -1.0, pb)
-    else:
+    sign = {"sum": 1.0, "difference": -1.0}.get(variant)
+    if sign is None:
         raise InvariantViolation(f"unknown variant {variant!r}")
-    return instance.phi.contains(candidate)
+    return instance.phi.contains(combine(1.0, phi, sign, pullback(psi, instance.L)))
 
 
 # ---------------------------------------------------------------------------
@@ -452,18 +457,21 @@ def verify_gap_certificate(instance: ProblemInstance, cert: GapCertificate) -> C
 
 
 def _certificate_terms(instance: ProblemInstance, cert: GapCertificate) -> dict:
-    """Every value of ``verify_gap_certificate`` that does not depend on eps."""
+    """Every value of ``verify_gap_certificate`` that does not depend on eps;
+    g*(psi) is ``_member_gstar`` and thm42's (f + psi o L)*(0) ``-_member_inf``."""
     x = cert.x
     fx = instance.f.value(x)
     if fx == INF:
         raise InvariantViolation("certificate point is outside dom f")
-    psi_terms = _subdiff_terms(instance.g, cert.psi, instance.L.apply(x), grid=instance.y_search)
+    Lx = instance.L.apply(x)
+    gLx = instance.g.value(Lx)
+    if gLx == INF:
+        raise InvariantViolation(f"certificate point maps outside dom g: Lx = {Lx.tolist()}")
+    psi_terms = (gLx, _member_gstar(instance, cert.psi), float(cert.psi(Lx)))
     terms = {"kind": cert.kind, "psi_in_family": instance.psi.contains(cert.psi),
              "psi_subgradient": psi_terms}
     if cert.kind == "thm42":
-        # (f + psi o L)*(0) = sup_x -psi(Lx) - f(x), as perturbation_conjugate_zero
-        minus_pb = -pullback(cert.psi, instance.L)
-        terms["conjugate_at_zero"] = conjugate_value(instance.f, minus_pb, grid=instance.x_search).value
+        terms["conjugate_at_zero"] = -_member_inf(instance, cert.psi)
         terms["slack"] = -fx - psi_terms[2]  # -f(x) - psi(Lx)
     else:
         combo = combine(1.0, cert.phi, 1.0, pullback(cert.psi, instance.L))
@@ -622,9 +630,9 @@ def epi_contains(
     obj, family = _target_objective(instance, target)
     if not family.contains(point.phi):
         raise InvariantViolation("epigraph point member is outside the class")
-    grid = instance.y_search if target == "g" else instance.x_search
-    value = conjugate_value(obj, point.phi, grid=grid).value
-    return value <= point.r + tol
+    if target == "g":
+        return _member_gstar(instance, point.phi) <= point.r + tol
+    return conjugate_value(obj, point.phi, grid=instance.x_search).value <= point.r + tol
 
 
 @dataclass(frozen=True)
@@ -710,12 +718,13 @@ def decomposition_condition_check(
     with phi <= psi o L and g*(psi) <= r — checked for the given pair by
     searching the psi grid.
     which = "b": some psi has g*(psi) <= 0 and g o L <= psi o L — checked for
-    the given psi or by grid search.
+    the given psi (g* from ``_member_gstar``) or by a search of the g* table.
     which = "c": for the given pair and psi, both phi - psi o L and psi o L
     admit class minorants — checked by exact construction.
     which = "d": the input class is closed under differences, and the given
     witness (psi, x, phi_eps) satisfies the eps-subgradient and
-    strict-gap inequalities."""
+    strict-gap inequalities.  A given psi outside the output class, or for
+    (c) a phi outside the input class, raises ``InvariantViolation``."""
     conditions: dict[str, bool] = {}
     details: dict[str, float | str] = {}
     search = instance.psi_search
@@ -737,51 +746,44 @@ def decomposition_condition_check(
                               {"smallest_violation": best_miss})
 
     if which == "b":
-        def admissible(member: GeneralizedQuadratic) -> tuple[bool, float, float]:
-            gs = conjugate_value(instance.g, member, grid=instance.y_search).value
-            if not -INF < gs <= TOL:  # a g* that is not finite excludes psi
-                return False, gs, -INF
-            diff = _g_of_l_gap(instance, member)
-            return diff >= -TOL, gs, diff
-
         if psi is not None:
-            ok, gs, diff = admissible(psi)
-            conditions["gstar_nonpositive"] = -INF < gs <= TOL
-            conditions["majorizes_g_of_L"] = diff >= -TOL
-            details["gstar"] = gs
-            details["min_psi_oL_minus_g_oL"] = diff
-            return ConditionCheck(ok, which, conditions, details)
-        for k in range(search.size):
+            _require_psi(instance, psi)
+            gs = _member_gstar(instance, psi)
+            admissible = -INF < gs <= TOL  # a g* that is not finite excludes psi
+            diff = _g_of_l_gap(instance, psi) if admissible else -INF
+            conditions = {"gstar_nonpositive": admissible, "majorizes_g_of_L": diff >= -TOL}
+            details = {"gstar": gs, "min_psi_oL_minus_g_oL": diff}
+            return ConditionCheck(all(conditions.values()), which, conditions, details)
+        gstar = g_conjugate_table(instance).ravel()
+        for k in np.flatnonzero(np.isfinite(gstar) & (gstar <= TOL)):
             member = search.member_at(k)
-            if admissible(member)[0]:
+            if _g_of_l_gap(instance, member) >= -TOL:
                 return _psi_found(which, member)
         return ConditionCheck(False, which, {"majorizing_psi_found": False}, {})
 
     if which == "c":
         if phi is None or psi is None:
             raise InvariantViolation("condition (c) needs phi and psi")
+        _require_psi(instance, psi)
+        if not instance.phi.contains(phi):
+            raise InvariantViolation("phi is not a member of the input class")
         if r is not None and not epi_contains(
             instance, "composite", EpiPoint(phi, r), tol=VALUE_TOL
         ):
             raise InvariantViolation("(phi, r) is not in the composite epigraph")
         pb = pullback(psi, instance.L)
-        h1 = combine(1.0, phi, -1.0, pb)
-        m1 = _nonneg_quadratic_minorant(instance.phi, h1)
-        m2 = _nonneg_quadratic_minorant(instance.phi, pb)
-        conditions["difference_has_minorant"] = m1 is not None
-        conditions["pullback_has_minorant"] = m2 is not None
-        if m1 is not None:
-            low, _ = minimize_quadratic(combine(1.0, h1, -1.0, m1))
-            details["difference_minorant_slack"] = low
-        if m2 is not None:
-            low, _ = minimize_quadratic(combine(1.0, pb, -1.0, m2))
-            details["pullback_minorant_slack"] = low
-        holds = m1 is not None and m2 is not None
-        return ConditionCheck(holds, which, conditions, details)
+        for part, h in (("difference", phi - pb), ("pullback", pb)):
+            m = _nonneg_quadratic_minorant(instance.phi, h)
+            conditions[f"{part}_has_minorant"] = m is not None
+            if m is not None:
+                details[f"{part}_minorant_slack"] = minimize_quadratic(h - m)[0]
+        return ConditionCheck(all(conditions.values()), which, conditions, details)
 
     if which == "d":
         closed = instance.phi.curvature.closed_under_differences
         conditions["class_closed_under_differences"] = closed
+        if psi is not None:
+            _require_psi(instance, psi)
         if psi is None or x is None:
             details["witness"] = "not-provided"
             return ConditionCheck(closed, which, conditions, details)
@@ -819,9 +821,7 @@ def _g_of_l_gap(instance: ProblemInstance, member: GeneralizedQuadratic) -> floa
     """``inf_x [psi(Lx) - g(Lx)]`` — nonnegative iff psi o L majorizes g o L."""
     pb = pullback(member, instance.L)
     if instance.g.exact is not None:
-        diff = combine(1.0, pb, -1.0, pullback(instance.g.exact, instance.L))
-        low, _ = minimize_quadratic(diff)
-        return low
+        return minimize_quadratic(pb - pullback(instance.g.exact, instance.L))[0]
     gv = instance.g_on_mesh
     ok = np.isfinite(gv)
     return float(np.min(pb(instance.x_search.mesh()[ok]) - gv[ok], initial=INF))

@@ -34,6 +34,8 @@ from .duality import (
     _attains_primal,
     _composite_min,
     _member_gstar,
+    _member_inf,
+    _require_psi,
     composite_inf_table,
     dcp_value,
     g_conjugate_table,
@@ -41,7 +43,7 @@ from .duality import (
 )
 from .errors import InvariantViolation
 from .objectives import INF
-from .quadratics import GeneralizedQuadratic, _checked_symmetric, combine, pullback
+from .quadratics import GeneralizedQuadratic, _checked_symmetric, combine
 
 # lp_value evaluates g** exactly at every 32nd feasible mesh point first: 7,
 # 53 and 42 points of the 1-, 2- and 3-D fuzz meshes.  Every 16th was slower
@@ -91,8 +93,7 @@ def lagrangian_value(
     has it; +inf outside dom f, -inf when g*(psi) is not finite (such
     members are excluded from the dual sup)."""
     inst = ctx.instance
-    if not inst.psi.contains(psi):
-        raise InvariantViolation("psi is not a member of the output class")
+    _require_psi(inst, psi)
     fx = inst.f.value(x)
     if fx == INF:
         return INF
@@ -366,13 +367,7 @@ def support_point_scan(
         low = float(np.min(gv[ok] - psi(Y[ok]), initial=INF))
 
     # (level): alpha <= inf_x f + psi o L
-    if inst.f.exact is not None:
-        inf_fpsi, _ = minimize_quadratic(inst.f.exact + pullback(psi, inst.L))
-    else:
-        X, fv = inst.x_search.mesh(), inst.f_on_mesh
-        ok = np.isfinite(fv)
-        pb = pullback(psi, inst.L)
-        inf_fpsi = float(np.min(fv[ok] + pb(X[ok]), initial=INF))
+    inf_fpsi = _member_inf(inst, psi)
 
     # (sandwich) and (point): L x0 supported by g* over the member grid, or
     # g(L x0) <= 0

@@ -20,7 +20,7 @@ from abconv.conjugates import (
     biconjugate_at,
     minimize_quadratic,
 )
-from abconv.duality import ConditionCheck
+from abconv.duality import ConditionCheck, decomposition_condition_check
 from abconv.errors import InvariantViolation
 from abconv.lagrange import (
     _LSC_DIRECTIONS,
@@ -515,3 +515,13 @@ def tangent_inline(family, q, x):
     if alpha is None:
         return None
     return GeneralizedQuadratic.iso(family.dim, alpha, q.gradient(x) - 2.0 * alpha * x)
+
+
+def condition_b_dense(instance):
+    """Condition (b) by grid search as the package walked it before reading
+    the g* table: the first member of the psi grid whose own check holds."""
+    search = instance.psi_search
+    for k in range(search.size):
+        if decomposition_condition_check(instance, "b", psi=search.member_at(k)).holds:
+            return search.member_at(k)
+    return None

@@ -232,6 +232,21 @@ class TestCertify:
         assert main(["certify", "ex4.8", "--cert", cert, "--kind", "thm43"]) == 2
         assert "--kind" in capsys.readouterr().err
 
+    def test_a_point_mapped_outside_dom_g_exits_3_naming_g(self, tmp_path, capsys):
+        """f(5) is finite; g = 4y^2 on [-1, 1] is +inf at L 5 = 5."""
+        quad = {"kind": "quadratic", "A": [[1.0]], "u": [2.0], "c": 1.0}
+        inst = tmp_path / "inst.json"
+        inst.write_text(json.dumps({
+            "schema_version": "1", "name": "g-boxed", "n": 1, "m": 1, "L": [[1.0]],
+            "f": quad, "g": dict(quad, A=[[4.0]], u=[0.0], c=0.0,
+                                 domain_box={"lower": [-1.0], "upper": [1.0]}),
+            "phi": {"curvature": "nonpos"}, "psi": {"curvature": "zero"}}))
+        cert = self.write(tmp_path, {"kind": "thm42", "eps": 1e-3, "x": [5.0],
+                                     "psi": {"a": 0.0, "u": [0.0], "c": 0.0}})
+        assert main(["certify", str(inst), "--cert", cert, "--kind", "thm42"]) == 3
+        assert capsys.readouterr().err == (
+            "error: certificate point maps outside dom g: Lx = [5.0]\n")
+
     def test_optimality_ladder(self, tmp_path, capsys):
         cert = self.write(tmp_path, {"kind": "thm44", "x": [-0.2]})
         assert main(["certify", "ex4.7", "--cert", cert, "--kind", "thm44"]) == 0
@@ -591,6 +606,51 @@ class TestUsageAndEnvironment:
                         if name not in used:
                             unused.append(f"{path.name}:{node.lineno} {name}")
         assert not unused
+
+    def test_the_dual_terms_of_one_member_have_one_definition(self):
+        """In ``duality.py`` and ``lagrange.py`` no conjugate of the
+        instance's g is taken outside ``_member_gstar``, and none of f at a
+        pulled-back output member (``pullback(...)``, its negative, or a
+        name bound to either): every one-member reader of g*(psi) or
+        inf(f + psi o L) goes through ``_member_gstar`` or ``_member_inf``,
+        the dual sweep's own definitions, so a second route cannot return."""
+        src = Path(__file__).resolve().parent.parent / "src" / "abconv"
+        conjugates = {"conjugate_value", "conjugate_grid", "conjugate_closed_form",
+                      "_subdiff_terms", "eps_subdiff_contains"}
+        found = []
+
+        def unwrap(node):
+            return node.operand if isinstance(node, ast.UnaryOp) else node
+
+        def is_pullback(node, pulled):
+            node = unwrap(node)
+            return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "pullback"
+                    or isinstance(node, ast.Name) and node.id in pulled)
+
+        def part(node):
+            return node.attr if isinstance(node, ast.Attribute) else None
+
+        def visit(node, function, path, pulled):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                function = node.name
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id in conjugates and node.args):
+                on_g = part(node.args[0]) == "g" and function != "_member_gstar"
+                at_pullback = (part(node.args[0]) == "f" and len(node.args) > 1
+                               and is_pullback(node.args[1], pulled))
+                if on_g or at_pullback:
+                    found.append(f"{path.name}:{node.lineno} {node.func.id} in {function}")
+            for child in ast.iter_child_nodes(node):
+                visit(child, function, path, pulled)
+
+        for name in ("duality.py", "lagrange.py"):
+            tree = ast.parse((src / name).read_text())
+            pulled = {target.id for node in ast.walk(tree) if isinstance(node, ast.Assign)
+                      and is_pullback(node.value, set())
+                      for target in node.targets if isinstance(target, ast.Name)}
+            visit(tree, None, src / name, pulled)
+        assert not found
 
     def test_every_module_level_name_is_read(self):
         """Each function, class and constant a module defines at top level

@@ -41,7 +41,6 @@ from abconv import (
     composite_condition_check,
     composite_inf_table,
     conjugate_closed_form,
-    conjugate_value,
     coupling_value,
     dcp_value,
     decomposition_condition_check,
@@ -70,7 +69,7 @@ from abconv.duality import (
     _check_terms,
     _weak_duality,
 )
-from abconv.lagrange import support_point_zero_gap_check
+from abconv.lagrange import support_point_scan, support_point_zero_gap_check
 from abconv.report import CERT_LADDER, _certificate_entries
 
 from conftest import infeasible_part_dict
@@ -215,18 +214,20 @@ class TestSearchMeshArrays:
         assert calls == {"f": 0, "g": 2 * per_table}
 
     def test_a_thm42_check_evaluates_neither_part_on_the_mesh_again(self):
-        """A thm42 check calls f at x and in the grid conjugate
-        ``(f + psi o L)*(0) = f*(-(psi o L))``, and g as its psi-subgradient
-        test does: the expected counts come from those three calls.  It
-        builds no second instance, whose construction evaluated f + psi o L
-        and g on the whole x search mesh once more."""
+        """A thm42 check calls f at x, and g at Lx and in the y-grid engine
+        of the dual's g*(psi): the expected counts come from those calls.
+        ``(f + psi o L)*(0)`` is the dual's infimum, read off the instance's
+        f on the mesh.  It builds no second instance, whose construction
+        evaluated f + psi o L and g on the whole x search mesh once more."""
         inst, calls = self.counting_instance()
         x, psi = np.array([0.4]), GeneralizedQuadratic.iso(1, -0.25, [0.5])
         calls.update(f=0, g=0)
         inst.f.value(x)
-        conjugate_value(inst.f, -pullback(psi, inst.L), grid=inst.x_search)
-        duality._subdiff_terms(inst.g, psi, inst.L.apply(x), grid=inst.y_search)
+        duality._member_inf(inst, psi)
+        inst.g.value(inst.L.apply(x))
+        duality._member_gstar(inst, psi)
         expected = dict(calls)
+        assert expected["f"] == 1 and expected["g"] > 1
         calls.update(f=0, g=0)
         verify_gap_certificate(inst, GapCertificate("thm42", 1e-3, x, psi))
         assert calls == expected
@@ -472,6 +473,66 @@ class TestPerturbationConjugate:
         with pytest.raises(InvariantViolation):
             perturbation_conjugate_zero(inst47, GeneralizedQuadratic.iso(1, -1.0))
 
+    def test_every_member_of_an_infeasible_g_is_excluded(self):
+        """g boxed off its meshes: every g* is -inf, which the dual sweep
+        excludes, so the negated dual objective is +inf at every member."""
+        with pytest.warns(UserWarning, match="no feasible point"):
+            inst = instance_from_dict(infeasible_part_dict("g"))
+        search = inst.psi_search
+        assert [perturbation_conjugate_zero(inst, search.member_at(k))
+                for k in range(search.size)] == [INF] * search.size
+
+
+@pytest.fixture(scope="module")
+def gridbox_duals():
+    """The benchmark's gridbox pools at seeds 11, 1 and 2, each instance
+    with its dual."""
+    return {seed: [(inst, dcp_value(inst)) for inst in workload("gridbox")(abconv, seed).pool]
+            for seed in (11, 1, 2)}
+
+
+def _f64(value) -> bytes:
+    return np.float64(value).tobytes()
+
+
+class TestOneDualObjectivePerMember:
+    """Every one-member reader of the dual's two terms, ``inf_x f + psi o L``
+    and ``g*(psi)``, takes them from ``_member_inf`` and ``_member_gstar``,
+    the one-member twins of the dual sweep's tables."""
+
+    def test_the_perturbation_conjugate_negates_the_dual_where_it_attains(self, gridbox_duals):
+        for seed, pool in gridbox_duals.items():
+            for inst, d in pool:
+                value = -perturbation_conjugate_zero(inst, d.attaining)
+                assert abs(value - d.value) <= 1e-12 * max(1.0, abs(d.value)), (seed, inst.name)
+
+    def test_thm42_at_the_attaining_member_holds_iff_the_gap_closes(self, gridbox_duals):
+        for seed, pool in gridbox_duals.items():
+            for inst, d in pool:
+                p = primal_value(inst)
+                cert = GapCertificate("thm42", 1e-3, p.minimizer, d.attaining)
+                gap = _weak_duality(p.value, d.value)[0]
+                holds = verify_gap_certificate(inst, cert).holds
+                assert holds == (gap <= 1e-3), (seed, inst.name)
+
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_every_reader_takes_the_one_definition(self, gridbox_duals, where):
+        for inst, _ in gridbox_duals[11]:
+            search = inst.psi_search
+            psi = search.member_at({"first": 0, "middle": search.size // 2,
+                                    "last": search.size - 1}[where])
+            low, gstar = duality._member_inf(inst, psi), duality._member_gstar(inst, psi)
+            x = primal_value(inst).minimizer
+            terms = _certificate_terms(inst, GapCertificate("thm42", 1e-3, x, psi))
+            assert _f64(terms["conjugate_at_zero"]) == _f64(-low)
+            assert _f64(terms["psi_subgradient"][1]) == _f64(gstar)
+            check = decomposition_condition_check(inst, "b", psi=psi)
+            assert _f64(check.details["gstar"]) == _f64(gstar)
+            assert epi_contains(inst, "g", EpiPoint(psi, gstar), tol=0.0)
+            assert not epi_contains(inst, "g", EpiPoint(psi, np.nextafter(gstar, -INF)), tol=0.0)
+            scan = support_point_scan(LagrangianContext(inst), psi, x[None], 0.0)
+            assert scan.details["inf_f_plus_psi"].tobytes() == _f64(low)
+
 
 class TestWeakDualityCheck:
     def test_holds_at_default_and_explicit_members(self, inst47):
@@ -592,7 +653,17 @@ class TestGapCertificates:
         f = quad_obj(1, 1.0, box=Box([-1.0], [1.0]))
         inst = build(f, quad_obj(1, 4.0))
         cert = GapCertificate("thm42", 0.1, [5.0], GeneralizedQuadratic.zero(1))
-        with pytest.raises(InvariantViolation):
+        with pytest.raises(InvariantViolation, match="outside dom f"):
+            verify_gap_certificate(inst, cert)
+
+    @pytest.mark.parametrize("kind", ["thm42", "thm43"])
+    def test_a_point_mapped_outside_dom_g_names_g_and_lx(self, kind):
+        """f(5) is finite; g = 4y^2 on [-1, 1] is +inf at L 5 = 5."""
+        inst = build(quad_obj(1, 1.0, [2.0], 1.0), quad_obj(1, 4.0, box=Box([-1.0], [1.0])))
+        zero = GeneralizedQuadratic.zero(1)
+        cert = GapCertificate(kind, 0.1, [5.0], zero, zero if kind == "thm43" else None)
+        assert inst.f.value([5.0]) == 36.0
+        with pytest.raises(InvariantViolation, match=r"outside dom g: Lx = \[5\.0\]"):
             verify_gap_certificate(inst, cert)
 
     def test_thm43_tangent_pair_is_exact(self, inst47):
@@ -833,6 +904,21 @@ class TestEpiDecompose:
         assert split is None
 
 
+def boxed_negative_square(m: int, callable_g: bool) -> ProblemInstance:
+    """g = -|y|^2 on [-3, 2]^m, as a quadratic or behind a callable, with
+    psi members of curvature -2, -1 and 0 on a 5-point slope mesh."""
+    gq, box = GeneralizedQuadratic.iso(m, -1.0), Box.cube(m, -3.0, 2.0)
+    g = (Objective.from_callable(m, lambda y: float(gq(np.asarray(y))), domain_box=box)
+         if callable_g else Objective.quadratic(gq, domain_box=box))
+    psi = Family(m, CurvatureSpec.nonpos())
+    return ProblemInstance.build(
+        f=quad_obj(m, 1.0), g=g, L=LinearMap.identity(m),
+        phi=Family(m, CurvatureSpec.nonpos()), psi=psi,
+        psi_search=FamilySearchGrid(psi, Box.cube(m), 5, (-2.0, -1.0, 0.0)),
+        x_search=GridSpec(Box.cube(m), {1: 31, 2: 11}[m], 2),
+        y_search=GridSpec(Box.cube(m), {1: 21, 2: 7}[m], 1))
+
+
 class TestDecompositionConditions:
     def test_condition_a_holds_on_inst47(self, inst47):
         check = decomposition_condition_check(
@@ -880,24 +966,33 @@ class TestDecompositionConditions:
     def test_condition_b_grid_search_on_a_boxed_g(self, m, callable_g):
         # g = -|y|^2 on a box: the only admissible member is g's own
         # quadratic, the slope-0 member of curvature -1.
-        gq, box = GeneralizedQuadratic.iso(m, -1.0), Box.cube(m, -3.0, 2.0)
-        g = (Objective.from_callable(m, lambda y: float(gq(np.asarray(y))), domain_box=box)
-             if callable_g else Objective.quadratic(gq, domain_box=box))
-        psi = Family(m, CurvatureSpec.nonpos())
-        grid = FamilySearchGrid(psi, Box.cube(m), 5, (-2.0, -1.0, 0.0))
-        inst = ProblemInstance.build(
-            f=quad_obj(m, 1.0), g=g, L=LinearMap.identity(m),
-            phi=Family(m, CurvatureSpec.nonpos()), psi=psi, psi_search=grid,
-            x_search=GridSpec(Box.cube(m), {1: 31, 2: 11}[m], 2),
-            y_search=GridSpec(Box.cube(m), {1: 21, 2: 7}[m], 1))
+        inst = boxed_negative_square(m, callable_g)
         check = decomposition_condition_check(inst, "b")
         assert check.holds and check.conditions == {"majorizing_psi_found": True}
         assert check.details == {"psi_curvature": -1.0, "psi_slope_norm": 0.0}
         inst = dataclasses.replace(inst, psi_search=dataclasses.replace(
-            grid, curvatures=(-2.0, 0.0)))
+            inst.psi_search, curvatures=(-2.0, 0.0)))
         check = decomposition_condition_check(inst, "b")
         assert not check.holds
         assert check.conditions == {"majorizing_psi_found": False} and check.details == {}
+
+    def test_condition_b_grid_search_finds_the_member_the_member_loop_finds(self, gridbox_duals):
+        """The grid search reads the g* table; the reference checks one
+        member after another with the given-psi check, which reads
+        ``_member_gstar``."""
+        with pytest.warns(UserWarning, match="no feasible point"):
+            infeasible = instance_from_dict(infeasible_part_dict("g"))
+        instances = ([gridbox_duals[11][0][0]]
+                     + [catalog_instance(name) for name in catalog_names()]
+                     + [boxed_negative_square(m, c) for m in (1, 2) for c in (False, True)]
+                     + [infeasible])
+        for inst in instances:
+            want = oracles.condition_b_dense(inst)
+            check = decomposition_condition_check(inst, "b")
+            assert check.holds == (want is not None), inst.name
+            if want is not None:
+                assert check.details == {"psi_curvature": float(want.A[0, 0]),
+                                         "psi_slope_norm": float(np.linalg.norm(want.u))}
 
     @pytest.mark.parametrize("given", [False, True])
     def test_condition_b_excludes_a_member_whose_gstar_is_not_finite(self, given):
@@ -927,9 +1022,14 @@ class TestDecompositionConditions:
         assert check.details["pullback_minorant_slack"] == pytest.approx(0.0, abs=1e-12)
 
     def test_condition_c_fails_for_negative_constant_without_constants(self, inst47):
+        # psi carries a constant, so the output class must admit constants;
+        # the input class of ex4.7 does not.
+        inst = ProblemInstance.build(
+            f=inst47.f, g=inst47.g, L=inst47.L, phi=inst47.phi,
+            psi=Family(1, CurvatureSpec.zero(), includes_constants=True))
         phi = GeneralizedQuadratic.iso(1, -1.0)
         psi = GeneralizedQuadratic.affine([1.0], -1.0)
-        check = decomposition_condition_check(inst47, "c", phi=phi, psi=psi)
+        check = decomposition_condition_check(inst, "c", phi=phi, psi=psi)
         assert not check.holds
         assert check.conditions["difference_has_minorant"]
         assert not check.conditions["pullback_has_minorant"]
@@ -984,6 +1084,23 @@ class TestDecompositionConditions:
     def test_unknown_condition(self, inst47):
         with pytest.raises(InvariantViolation):
             decomposition_condition_check(inst47, "e")
+
+    @pytest.mark.parametrize("which, given, outside", [
+        ("b", {"psi": "curved"}, "psi"),
+        ("c", {"phi": "zero", "psi": "curved"}, "psi"),
+        ("c", {"phi": "convex", "psi": "zero"}, "phi"),
+        ("d", {"psi": "curved"}, "psi"),
+        ("d", {"psi": "curved", "x": [-0.2]}, "psi"),
+    ])
+    def test_a_given_member_outside_its_class_raises(self, inst47, which, given, outside):
+        """ex4.7 has a linear output class and a concave input class: psi =
+        5y^2 lies outside the first and phi = 3x^2 outside the second."""
+        members = {"zero": GeneralizedQuadratic.zero(1), "curved": GeneralizedQuadratic.iso(1, 5.0),
+                   "convex": GeneralizedQuadratic.iso(1, 3.0)}
+        given = {k: members[v] if isinstance(v, str) else v for k, v in given.items()}
+        cls = {"psi": "output", "phi": "input"}[outside]
+        with pytest.raises(InvariantViolation, match=f"{outside} is not a member of the {cls}"):
+            decomposition_condition_check(inst47, which, **given)
 
 
 def test_every_named_condition_check_is_one_verdict_type(inst47, inst48):

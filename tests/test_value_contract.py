@@ -14,8 +14,10 @@ benchmark's ``fuzz`` pool at seed 11: the g* and composite inf tables, the
 dcp, ld and lp values and the lp minimizer.  Three sections cover the
 pointwise probes of the seed-11 gridbox pool: ``grid-weak-duality`` the
 ``weak_duality_check`` verdicts at three members, ``grid-thm42`` a fixed
-thm42 certificate check, and ``grid-probes`` psi-convexity at the primal
-minimizer, V at fixed perturbations and the composite conjugate at zero.
+thm42 certificate check, whose ``(f + psi o L)*(0)`` and ``g*(psi)`` are the
+dual sweep's one-member terms (``_member_inf``, ``_member_gstar``), and
+``grid-probes`` psi-convexity at the primal minimizer, V at fixed
+perturbations and the composite conjugate at zero.
 ``catalog-sweeps`` hashes the member sweeps of the strong-duality API on
 the six catalog instances, conditions (a) to (d) and ``epi_decompose``,
 and the intersection witnesses of the benchmark's ``catalog`` triples at
@@ -51,7 +53,7 @@ DIGESTS = {
     "grid-vs-closed": "4dc752c50e10fc3612edea37a1b2000811dd81866bd3c225d5efe1ad5877e91a",
     "fuzz-11": "9d5e5cfea77f4b9fbda10184c99a0e8e4d06b388394f626ceb03a53e1e811ae4",
     "grid-weak-duality": "c2ff2646b1a59262203d53391ed04a6a6969d582039f92a713a7692344307843",
-    "grid-thm42": "c6e3c01262d52adda43715d8f0f210d2ac9fdd3daffc95be2955cd038f991d3c",
+    "grid-thm42": "9627aa90f09919fd99aabb13b949d05002232ca8f78ba7ee58df2ea2dad2bfaf",
     "grid-probes": "93c7ffc7ab5df252080a0f666b57379ed10b73a70219b0b6677902bbecd6676b",
     "catalog-sweeps": "486a4ee0d68227e72268cb4892da8c8a0d4431b990ae087ff62b7463d0edf326",
 }
